@@ -66,13 +66,14 @@ class RenewalCycles:
         n = len(self)
         rewards = np.zeros(n) if rewards is None else np.asarray(rewards, dtype=float)
         counts = np.zeros(n, dtype=int) if counts is None else np.asarray(counts)
+        if not (len(rewards) == len(counts) == n):
+            raise ValueError("rewards and counts must align with cycles")
+        rows = zip(self.busy_lengths.tolist(), self.idle_lengths.tolist(),
+                   rewards.tolist(), counts.tolist())
         with open(path, "w", newline="") as fh:
             fh.write("cycle_index,busy_len,idle_len,reward,count\n")
-            for i in range(n):
-                fh.write(
-                    f"{i},{float(self.busy_lengths[i])!r},{float(self.idle_lengths[i])!r},"
-                    f"{float(rewards[i])!r},{int(counts[i])}\n"
-                )
+            for i, (busy, idle, reward, count) in enumerate(rows):
+                fh.write(f"{i},{busy!r},{idle!r},{reward!r},{int(count)}\n")
 
 
 def detect_cycles(path: Trajectory) -> RenewalCycles:

@@ -1,9 +1,14 @@
-"""Event-driven single-server queue simulation.
+"""Single-server queue simulation by the service-slot recursion.
 
 One server, unbounded buffer, work-conserving and non-preemptive.
-Service durations are drawn when service starts, so the queue-length
-path over time is identical across service disciplines on a shared
-seed; only the customer-to-departure assignment changes.
+Service durations are drawn when service starts, in service order, so
+under every discipline the k-th service starts at max(D_{k-1}, A_k)
+and ends at D_k = max(D_{k-1}, A_k) + s_k (Lindley's recursion over
+service slots).  The queue-length path follows from the arrival and
+departure times alone and is identical across disciplines on a shared
+seed; the discipline only decides which waiting customer fills each
+slot: the oldest under FCFS, the newest under LCFS, a uniform pick
+under random order.
 
 The observation window is [warmup, warmup + horizon].  The system
 starts empty at time zero; customers present when the window opens are
@@ -15,9 +20,8 @@ later events never extend the recorded path).
 from __future__ import annotations
 
 import math
-from array import array
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -27,9 +31,13 @@ DISCIPLINES = ("fcfs", "lcfs", "random-order")
 
 _SAMPLE_BLOCK = 16384
 
-# server-slot sentinels: no one in service / an unledgered drain arrival
-_IDLE = -1
-_DRAIN = -2
+# slots per chunk while the number of window arrivals is unknown or the
+# drain is resolving the last window customers; doubles up to a block
+_FIRST_CHUNK = 256
+
+# the queue entry and slot owner standing for a customer arriving after
+# the window, who gets no ledger row
+_DRAIN = -1
 
 
 class EventCapExceeded(RuntimeError):
@@ -186,6 +194,7 @@ class Trajectory:
                 fh.write(f"{float(t)!r},{int(n)}\n")
 
 
+
 def simulate(
     arrival: DistributionSpec,
     service: DistributionSpec,
@@ -209,10 +218,20 @@ def simulate(
             from independent substreams spawned from it.
         resolve_pending: continue past the window end until every
             customer that arrived inside it has departed.
-        event_cap: hard bound on processed events.
+        event_cap: hard bound on processed events (arrivals plus
+            departures, in time order).
 
     Ties between an arrival and a departure at the same instant are
     broken arrival-first.
+
+    Service slots are computed a chunk at a time until every slot the
+    run needs is known: those of the window's arrivals, plus, when
+    ``resolve_pending`` holds under LCFS or random order, the drain
+    slots up to the departure of the last window customer.  Arrivals
+    after the window end take slots and service draws but get no
+    ledger row, and the drain keeps only the slots of window customers.
+    The event cap is checked after every chunk, so a run stops within
+    one chunk of reaching it.
     """
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
@@ -223,128 +242,99 @@ def simulate(
     t_final = t_initial + float(horizon)
 
     arr_ss, svc_ss, disc_ss = np.random.SeedSequence(seed).spawn(3)
-    arr_rng = np.random.default_rng(arr_ss)
-    svc_rng = np.random.default_rng(svc_ss)
-    disc_rng = np.random.default_rng(disc_ss)
+    arrivals = _Arrivals(arrival, np.random.default_rng(arr_ss))
+    services = _Draws(service, np.random.default_rng(svc_ss))
+    queue = None if mode == 0 else _Queue(mode, np.random.default_rng(disc_ss))
 
-    arr_buf = arrival.sample(arr_rng, _SAMPLE_BLOCK).tolist()
-    arr_i = 1
-    svc_buf = service.sample(svc_rng, _SAMPLE_BLOCK).tolist()
-    svc_i = 0
-    pick_buf: list[float] = []
-    pick_i = 0
+    # every slot up to the window's last arrival is kept; later (drain)
+    # slots only when they serve a window customer, in ``late``
+    departures = _Column()
+    durations = _Column()
+    owners = None if queue is None else _Column(np.int64)  # customer of each slot
+    late = []  # (customers, starts, durations, departures) of drain slots
+    kept = None  # arrivals of the kept slots, once the drain forgets them
+    cap_index = max(event_cap, 0)  # 0-based index of the event that breaks the cap
+    k = 0  # slots computed
+    dep = -math.inf  # departure of slot k - 1
+    tail = (0, departures.values)  # first slot and departures of the latest chunk kept whole
+    assigned = 0  # window customers given a slot (LCFS, random order)
+    last_slot, last_dep = -1, -math.inf  # latest slot holding a window customer
+    step = _FIRST_CHUNK
 
-    # ledger columns (compact typed arrays; appends dominate the hot loop)
-    col_arr = array("d")
-    col_start = array("d")
-    col_dur = array("d")
-    col_dep = array("d")
-
-    ev_times = array("d")
-    ev_counts = array("q")
-
-    queue: deque[int] | list[int] = deque() if mode == 0 else []
-    nan = math.nan
-    inf = math.inf
-    t_arr = arr_buf[0]
-    t_dep = inf
-    serving = _IDLE
-    n = 0
-    initial_count = 0
-    pending = 0  # undeparted customers with arrival_time <= t_final
-    events = 0
-
+    arrivals.ensure_count(1)
+    n_window = arrivals.passed(t_final)  # arrivals up to t_final, once known
     while True:
-        if t_arr <= t_dep:
-            t = t_arr
-            is_arrival = True
-        else:
-            t = t_dep
-            is_arrival = False
-        if t > t_final and (pending == 0 or not resolve_pending):
+        if n_window is not None and (
+            assigned == n_window if queue is not None and resolve_pending else k >= n_window
+        ):
             break
-        events += 1
-        if events > event_cap:
-            raise EventCapExceeded(
-                f"event cap {event_cap} exceeded at t={t:.6g} (queue length {n})",
-                events=events - 1,
-                time_reached=t,
-                queue_length=n,
-            )
-
-        if is_arrival:
-            if t <= t_final:
-                cid = len(col_arr)
-                col_arr.append(t)
-                col_start.append(nan)
-                col_dur.append(nan)
-                col_dep.append(nan)
-                pending += 1
-            else:
-                # arrivals during the post-window drain only contend for the
-                # server; they are dropped from the ledger, so keep no row
-                cid = _DRAIN
-            if serving == _IDLE:
-                if svc_i == _SAMPLE_BLOCK:
-                    svc_buf = service.sample(svc_rng, _SAMPLE_BLOCK).tolist()
-                    svc_i = 0
-                dur = svc_buf[svc_i]
-                svc_i += 1
-                if cid >= 0:
-                    col_start[cid] = t
-                    col_dur[cid] = dur
-                t_dep = t + dur
-                serving = cid
-            else:
-                queue.append(cid)
-            n += 1
-            if arr_i == _SAMPLE_BLOCK:
-                arr_buf = arrival.sample(arr_rng, _SAMPLE_BLOCK).tolist()
-                arr_i = 0
-            t_arr = t + arr_buf[arr_i]
-            arr_i += 1
+        if k:
+            # unfinished, so every event up to the frontier is processed
+            frontier = dep if resolve_pending else min(dep, t_final)
+            seen = arrivals.count_upto(frontier) + _count_upto(tail[1], frontier) + tail[0]
+            if seen > cap_index:
+                raise _cap_exceeded(event_cap, cap_index, arrivals, *tail)
+        drain = n_window is not None and k >= n_window
+        if drain:
+            # the drain reads no arrival before slot k's own
+            if kept is None:
+                kept = arrivals.between(0, k).copy()
+            arrivals.forget_before(k)
+        if n_window is not None and k < n_window:
+            hi = min(k + _SAMPLE_BLOCK, n_window)
         else:
-            if serving >= 0:
-                col_dep[serving] = t
-                pending -= 1
-            n -= 1
-            if queue:
-                if mode == 0:
-                    nxt = queue.popleft()
-                elif mode == 1:
-                    nxt = queue.pop()
-                else:
-                    if pick_i == len(pick_buf):
-                        pick_buf = disc_rng.random(_SAMPLE_BLOCK).tolist()
-                        pick_i = 0
-                    k = int(pick_buf[pick_i] * len(queue))
-                    pick_i += 1
-                    if k >= len(queue):
-                        k = len(queue) - 1
-                    nxt = queue[k]
-                    queue[k] = queue[-1]
-                    queue.pop()
-                if svc_i == _SAMPLE_BLOCK:
-                    svc_buf = service.sample(svc_rng, _SAMPLE_BLOCK).tolist()
-                    svc_i = 0
-                dur = svc_buf[svc_i]
-                svc_i += 1
-                if nxt >= 0:
-                    col_start[nxt] = t
-                    col_dur[nxt] = dur
-                t_dep = t + dur
-                serving = nxt
+            hi = k + step
+            step = min(2 * step, _SAMPLE_BLOCK)
+
+        arrivals.ensure_count(hi)
+        a = arrivals.between(k, hi)
+        s = services.take(hi - k)
+        d = np.array(_slot_departures(a, s, dep))
+        if drain:
+            tail = (k, d)
+        else:
+            departures.extend(d)
+            durations.extend(s)
+            tail = (0, departures.values)
+        arrivals.ensure_past(d[-1])
+        if n_window is None:
+            n_window = arrivals.passed(t_final)
+        if queue is not None:
+            before = _previous_departures(dep, d)
+            starts = np.maximum(before, a)
+            arrived = arrivals.count_upto(starts)
+            limit = arrivals.end if n_window is None else n_window
+            who = np.array(queue.fill(k, a > before, arrived, limit), dtype=np.int64)
+            mine = np.flatnonzero(who >= 0)
+            if drain:
+                late.append((who[mine], starts[mine], s[mine], d[mine]))
             else:
-                serving = _IDLE
-                t_dep = inf
+                owners.extend(who)
+            if mine.size:
+                assigned += mine.size
+                last_slot = k + int(mine[-1])
+                last_dep = float(d[mine[-1]])
+        k = hi
+        dep = float(d[-1])
 
-        if t < t_initial:
-            initial_count = n
-        elif t <= t_final:
-            ev_times.append(t)
-            ev_counts.append(n)
+    D = departures.values
+    A = arrivals.between(0, len(D)) if kept is None else kept  # the kept slots' arrivals
+    if queue is None:
+        last_slot = n_window - 1
+        last_dep = float(D[last_slot]) if n_window else -math.inf
+    if resolve_pending:
+        processed = int(arrivals.count_upto(max(t_final, last_dep))) + last_slot + 1
+        served = min(last_slot + 1, len(D))
+    else:
+        processed = n_window + _count_upto(D, t_final)
+        served = n_window
+    if processed > cap_index:
+        raise _cap_exceeded(event_cap, cap_index, arrivals, *tail)
 
-    times, counts = _canonical_path(ev_times, ev_counts, initial_count)
+    times, counts = _queue_path(A[:n_window], D[: _count_upto(D, t_final)])
+    first = int(np.searchsorted(times, t_initial, side="left"))
+    initial_count = int(counts[first - 1]) if first else 0
+    times, counts = _canonical_path(times[first:], counts[first:], initial_count)
     trajectory = Trajectory(
         initial_time=t_initial,
         final_time=t_final,
@@ -354,12 +344,34 @@ def simulate(
         seed=seed,
     )
 
-    arr_a = np.asarray(col_arr, dtype=float)
-    keep = int(np.searchsorted(arr_a, t_final, side="right"))
-    arr_a = arr_a[:keep]
-    start_a = np.asarray(col_start[:keep], dtype=float)
-    dur_a = np.asarray(col_dur[:keep], dtype=float)
-    dep_a = np.asarray(col_dep[:keep], dtype=float)
+    # the kept slots that started: all up to the last window customer's,
+    # or without the drain those starting by the window end
+    starts = np.maximum(_previous_departures(-math.inf, D[:served]), A[:served])
+    if not resolve_pending:
+        served = _count_upto(starts, t_final)
+        starts = starts[:served]
+    finish = D[:served]
+    if not resolve_pending:
+        finish = np.where(finish <= t_final, finish, math.nan)
+    spans = durations.values[:served]
+    start_a = np.full(n_window, math.nan)
+    dur_a = np.full(n_window, math.nan)
+    dep_a = np.full(n_window, math.nan)
+
+    def place(customers, starts, spans, finish):
+        start_a[customers] = starts
+        dur_a[customers] = spans
+        dep_a[customers] = finish
+
+    if queue is None:
+        place(slice(0, served), starts, spans, finish)
+    else:
+        who = owners.values[:served]
+        mine = who >= 0
+        place(who[mine], starts[mine], spans[mine], finish[mine])
+        for chunk in late:
+            place(*chunk)
+    arr_a = A[:n_window].copy()
     pre = (arr_a < t_initial) & (np.isnan(dep_a) | (dep_a >= t_initial))
     ledger = CustomerLedger(
         arrival_time=arr_a,
@@ -370,6 +382,228 @@ def simulate(
         window=(t_initial, t_final),
     )
     return trajectory, ledger
+
+
+def _count_upto(sorted_times: np.ndarray, t: float) -> int:
+    return int(np.searchsorted(sorted_times, t, side="right"))
+
+
+def _previous_departures(dep: float, departures: np.ndarray) -> np.ndarray:
+    """D_{k-1} for a run of slots, given the departure ``dep`` of the
+    slot before the run; a slot starts at max(D_{k-1}, A_k)."""
+    before = np.empty(len(departures))
+    before[:1] = dep
+    before[1:] = departures[:-1]
+    return before
+
+
+class _Column:
+    """A numpy column grown by doubling; ``values`` is its filled part."""
+
+    def __init__(self, dtype=float) -> None:
+        self._buf = np.empty(_SAMPLE_BLOCK, dtype=dtype)
+        self.size = 0
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._buf[: self.size]
+
+    def extend(self, items) -> None:
+        end = self.size + len(items)
+        if end > len(self._buf):
+            grown = np.empty(max(end, 2 * len(self._buf)), dtype=self._buf.dtype)
+            grown[: self.size] = self.values
+            self._buf = grown
+        self._buf[self.size : end] = items
+        self.size = end
+
+    def drop(self, n: int) -> None:
+        """Remove the first ``n`` values."""
+        self._buf[: self.size - n] = self._buf[n : self.size]
+        self.size -= n
+
+
+class _Draws:
+    """One sampling stream, drawn a block at a time and consumed in order."""
+
+    def __init__(self, spec: DistributionSpec, rng: np.random.Generator) -> None:
+        self._spec = spec
+        self._rng = rng
+        self._block = np.empty(0)
+        self._used = 0
+
+    def take(self, n: int) -> np.ndarray:
+        parts = []
+        while n > 0:
+            if self._used == len(self._block):
+                self._block = self._spec.sample(self._rng, _SAMPLE_BLOCK)
+                self._used = 0
+            m = min(n, len(self._block) - self._used)
+            parts.append(self._block[self._used : self._used + m])
+            self._used += m
+            n -= m
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class _Arrivals:
+    """Arrival epochs: the running sum of the inter-arrival draws.
+
+    Each block of draws is accumulated sequentially from the last epoch
+    before it, so every epoch is the float sum ``t + gap`` of the one
+    before (``carry + np.cumsum(gaps)`` would round differently).
+    Epochs are addressed by arrival index; ``forget_before`` drops the
+    ones a drain no longer reads.
+    """
+
+    def __init__(self, spec: DistributionSpec, rng: np.random.Generator) -> None:
+        self._spec = spec
+        self._rng = rng
+        self._times = _Column()
+        self._first = 0  # index of the arrival at _times.values[0]
+        self.last = 0.0
+
+    @property
+    def end(self) -> int:
+        """Index past the last epoch drawn."""
+        return self._first + self._times.size
+
+    def _grow(self) -> None:
+        gaps = self._spec.sample(self._rng, _SAMPLE_BLOCK)
+        epochs = np.cumsum(np.concatenate(([self.last], gaps)))[1:]
+        self._times.extend(epochs)
+        self.last = float(epochs[-1])
+
+    def ensure_count(self, n: int) -> None:
+        while self.end < n:
+            self._grow()
+
+    def ensure_past(self, t: float) -> None:
+        while self.last <= t:
+            self._grow()
+
+    def between(self, lo: int, hi: int) -> np.ndarray:
+        return self._times.values[lo - self._first : hi - self._first]
+
+    def passed(self, t: float) -> int | None:
+        """Arrivals at or before ``t`` once the stream has passed it."""
+        return int(self.count_upto(t)) if self.last > t else None
+
+    def count_upto(self, t):
+        """Arrivals at or before ``t`` (a float or an array), for times
+        no earlier than the last forgotten epoch."""
+        return self._first + np.searchsorted(self._times.values, t, side="right")
+
+    def forget_before(self, n: int) -> None:
+        self._times.drop(n - self._first)
+        self._first = n
+
+
+def _slot_departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> list[float]:
+    """D_k = max(D_{k-1}, A_k) + s_k over one chunk of slots, starting
+    from the departure ``dep`` of the slot before the chunk."""
+    out = []
+    append = out.append
+    for a, s in zip(arrivals.tolist(), services.tolist()):
+        if a > dep:
+            dep = a
+        dep += s
+        append(dep)
+    return out
+
+
+class _Queue:
+    """Waiting customers under LCFS or random order.
+
+    The list keeps customers in the order they joined the queue.  LCFS
+    serves the last entry; random order draws a uniform pick from the
+    discipline stream (one draw per pick, in blocks of
+    ``_SAMPLE_BLOCK``), moves the last entry into its place and shrinks
+    the list.  Customers arriving after the window are all entered as
+    ``_DRAIN``: they need a place in the queue but no identity.
+    """
+
+    def __init__(self, mode: int, rng: np.random.Generator) -> None:
+        self._lcfs = mode == 1
+        self._rng = rng
+        self._waiting: list[int] = []
+        self._joined = 0  # customers that have arrived into the queue or service
+        self._picks: list[float] = []
+        self._pick_i = 0
+
+    def fill(self, first_slot: int, direct: np.ndarray, arrived: np.ndarray, limit: int) -> list[int]:
+        """The customer of each slot in a chunk, ``_DRAIN`` from ``limit`` on.
+
+        ``direct[j]``: the slot's customer found the server idle (then it
+        is customer ``first_slot + j`` and the queue is empty).
+        ``arrived[j]``: customers arrived by the slot's start, arrivals
+        at that instant included.
+        """
+        waiting = self._waiting
+        joined = self._joined
+        picks, pick_i = self._picks, self._pick_i
+        owners = []
+        for slot, (idle, upto) in enumerate(zip(direct.tolist(), arrived.tolist()), first_slot):
+            if idle:
+                joined = slot + 1
+                owners.append(slot if slot < limit else _DRAIN)
+                continue
+            if upto > joined:
+                if joined < limit:
+                    waiting.extend(range(joined, min(upto, limit)))
+                if upto > limit:
+                    waiting.extend(repeat(_DRAIN, upto - max(joined, limit)))
+                joined = upto
+            if self._lcfs:
+                owners.append(waiting.pop())
+                continue
+            if pick_i == len(picks):
+                picks = self._rng.random(_SAMPLE_BLOCK).tolist()
+                pick_i = 0
+            m = len(waiting)
+            j = int(picks[pick_i] * m)
+            pick_i += 1
+            if j >= m:
+                j = m - 1
+            owners.append(waiting[j])
+            waiting[j] = waiting[-1]
+            waiting.pop()
+        self._joined = joined
+        self._picks, self._pick_i = picks, pick_i
+        return owners
+
+
+def _queue_path(arrival_times: np.ndarray, departure_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable merge of sorted arrival and departure times, arrivals first
+    at ties, with the queue length after each event."""
+    times = np.concatenate((arrival_times, departure_times))
+    order = np.argsort(times, kind="stable")
+    steps = np.where(order < len(arrival_times), np.int8(1), np.int8(-1))
+    return times[order], np.cumsum(steps, dtype=np.int64)
+
+
+def _cap_exceeded(event_cap: int, index: int, arrivals: _Arrivals, first_slot: int,
+                  departure_times: np.ndarray) -> EventCapExceeded:
+    """The error for the run reaching event ``index`` (0-based, in the
+    merged order of ``_queue_path``) with the cap already spent.
+
+    ``departure_times`` are those of the slots from ``first_slot`` on;
+    every earlier slot departs before that event.
+    """
+    d_pos = first_slot + np.arange(len(departure_times)) + arrivals.count_upto(departure_times)
+    j = int(np.searchsorted(d_pos, index))
+    n_dep = first_slot + j  # departures before the event
+    if j < len(d_pos) and d_pos[j] == index:
+        t = float(departure_times[j])
+    else:
+        i = index - n_dep
+        t = float(arrivals.between(i, i + 1)[0])
+    n = index - 2 * n_dep
+    return EventCapExceeded(
+        f"event cap {event_cap} exceeded at t={t:.6g} (queue length {n})",
+        events=index,
+        time_reached=t,
+        queue_length=n,
+    )
 
 
 def _canonical_path(ev_times, ev_counts, initial_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -423,11 +657,13 @@ def lindley_fcfs(arrival_times, service_durations) -> np.ndarray:
 
 
 def fcfs_departure_times(arrival_times, service_durations) -> np.ndarray:
-    """Departure times implied by the delay recursion, computed with the
-    same float operations the event engine performs (service start is
-    the max of the previous departure and the arrival; departure adds
-    the duration once).  Bitwise comparable against engine output on
+    """Departure times implied by the delay recursion: service start is
+    the max of the previous departure and the arrival, and departure
+    adds the duration once.  These are the float operations of the slot
+    recursion in ``simulate``, written out separately here, so the
+    result is bitwise comparable against simulated FCFS departures on
     shared sampled durations.
     """
     _, departures = _lindley(arrival_times, service_durations)
     return departures
+

@@ -5,6 +5,7 @@ simulation runs are done once.  Each test prints the criterion's
 pass/fail line and fails with the measured details attached.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -83,3 +84,22 @@ def test_report_files_round_trip(tmp_path, suite):
     assert payload["all_passed"] is True
     assert [r["number"] for r in payload["results"]] == [1, 2]
     assert len(paths) == 2
+
+
+# sha256 of the report files at scale 0.02 and master seed 2026.  Any
+# change to a simulated number, a criterion or the report format shows
+# here; a change that alters these bytes on purpose records the new
+# digests and says why.
+REDUCED_SCALE_REPORT_SHA256 = {
+    "acceptance_report.json": "329cea61c6d113a9e844a4fec90ee1f096f3e996bcc6a940c00e0907f8236de1",
+    "acceptance.txt": "672993d8fe4945f8854273bb68defffbd6eecdc193f889d3386ff6c76db64d15",
+}
+
+
+def test_reduced_scale_reports_match_recorded_bytes(tmp_path):
+    AcceptanceSuite(scale=0.02, master_seed=2026, self_check=False).run_all(out_dir=tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in REDUCED_SCALE_REPORT_SHA256
+    }
+    assert digests == REDUCED_SCALE_REPORT_SHA256

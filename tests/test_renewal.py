@@ -89,6 +89,24 @@ def test_csv_golden(tmp_path):
     )
 
 
+def test_csv_matches_per_row_writer_on_many_cycles(tmp_path):
+    path, ledger = simulate(exponential(0.5), exponential(1.0), horizon=2000.0, seed=3)
+    cycles = detect_cycles(path)
+    rewards = cycle_rewards(cycles, path, ledger)
+    assert len(cycles) >= 300
+    out = tmp_path / "cycles.csv"
+    cycles.to_csv(out, rewards.holding, rewards.count)
+    # reference: one row at a time, indexing each length array per row
+    expected = "cycle_index,busy_len,idle_len,reward,count\n" + "".join(
+        f"{i},{float(cycles.busy_lengths[i])!r},{float(cycles.idle_lengths[i])!r},"
+        f"{float(rewards.holding[i])!r},{int(rewards.count[i])}\n"
+        for i in range(len(cycles))
+    )
+    assert out.read_bytes() == expected.encode()
+    with pytest.raises(ValueError):
+        cycles.to_csv(out, rewards.holding[:-1], rewards.count)
+
+
 def test_all_idle_window_has_no_cycles():
     path, _ = simulate(deterministic(50.0), deterministic(1.0), horizon=10.0, seed=0)
     cycles = detect_cycles(path)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,8 @@ from gg1lab.simulator import (
     lindley_fcfs,
     simulate,
 )
+
+import reference_engine
 
 # ---------------------------------------------------------------------------
 # Hand-traced D/D/1 case: inter-arrivals of 1, services of 2, window [0, 5].
@@ -176,12 +180,36 @@ def test_resolved_run_has_no_pending_at_window_end():
     assert np.isfinite(ledger.departure_time[ledger.in_window_mask()]).all()
 
 
-def test_event_cap_raises_with_context():
+def cap_error(run, *args, **kwargs):
     with pytest.raises(EventCapExceeded) as exc:
-        simulate(exponential(5.0), exponential(1.0), horizon=1e7, seed=0, event_cap=500)
-    assert exc.value.events >= 500
-    assert exc.value.time_reached > 0
-    assert exc.value.queue_length >= 0
+        run(*args, **kwargs)
+    err = exc.value
+    return str(err), err.events, err.time_reached, err.queue_length
+
+
+def test_event_cap_raises_with_context():
+    args = (exponential(5.0), exponential(1.0))
+    kwargs = dict(horizon=1e7, seed=0, event_cap=500)
+    got = cap_error(simulate, *args, **kwargs)
+    assert got == cap_error(reference_engine.simulate, *args, **kwargs)
+    _, events, time_reached, queue_length = got
+    assert events == 500
+    assert time_reached > 0
+    assert queue_length > 0
+
+
+# D/D/1 at rho=2.  LCFS never again serves the window's waiting
+# customers, so the drain after a short window runs until the cap; random
+# order does serve them, so its window is long enough to reach the cap.
+@pytest.mark.parametrize("discipline,horizon", [("lcfs", 100.0), ("random-order", 1e5)])
+def test_overloaded_run_stops_at_event_cap(discipline, horizon):
+    args = (deterministic(1.0), deterministic(2.0))
+    kwargs = dict(discipline=discipline, horizon=horizon, seed=5, event_cap=20_000)
+    start = time.perf_counter()
+    got = cap_error(simulate, *args, **kwargs)
+    assert time.perf_counter() - start < 1.0
+    assert got == cap_error(reference_engine.simulate, *args, **kwargs)
+    assert got[1] == 20_000
 
 
 def test_argument_validation():

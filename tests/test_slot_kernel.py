@@ -1,0 +1,105 @@
+"""The slot kernel in ``gg1lab.simulator`` against the event engine it
+replaced (``reference_engine``), bitwise on every output."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gg1lab.distributions import deterministic, exponential, gamma, lognormal, uniform
+from gg1lab.simulator import simulate
+
+import reference_engine
+
+LEDGER_COLUMNS = ("arrival_time", "service_start", "service_duration", "departure_time", "pre_window")
+
+
+def families(mean):
+    return {
+        "exponential": exponential(1.0 / mean),
+        "deterministic": deterministic(mean),
+        "uniform": uniform(0.5 * mean, 1.5 * mean),
+        "gamma": gamma(0.6, 1.0).with_mean(mean),
+        "lognormal": lognormal(0.0, 0.9).with_mean(mean),
+    }
+
+
+def assert_same_run(*args, **kwargs):
+    path, ledger = simulate(*args, **kwargs)
+    ref_path, ref_ledger = reference_engine.simulate(*args, **kwargs)
+    assert path.initial_count == ref_path.initial_count
+    assert path.times.tobytes() == ref_path.times.tobytes()
+    assert path.counts.tobytes() == ref_path.counts.tobytes()
+    assert ledger.window == ref_ledger.window
+    for name in LEDGER_COLUMNS:
+        got, want = getattr(ledger, name), getattr(ref_ledger, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    return path, ledger
+
+
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random-order"])
+@pytest.mark.parametrize("service_kind", sorted(families(1.0)))
+@pytest.mark.parametrize("arrival_kind", sorted(families(1.0)))
+def test_families_match_reference(arrival_kind, service_kind, discipline):
+    arrival = families(1.0)[arrival_kind]
+    service = families(0.85)[service_kind]
+    for k, (warmup, resolve) in enumerate(itertools.product((0.0, 40.0), (True, False))):
+        assert_same_run(
+            arrival, service, discipline=discipline, warmup=warmup, horizon=150.0,
+            seed=31 * k + len(arrival_kind) + 7 * len(service_kind), resolve_pending=resolve,
+        )
+
+
+# LCFS left to drain this overloaded queue never serves the oldest
+# customers again; the event-cap tests in test_simulator cover that case
+@pytest.mark.parametrize("discipline,resolve", [
+    ("fcfs", True), ("fcfs", False), ("lcfs", False), ("random-order", True), ("random-order", False),
+])
+@pytest.mark.parametrize("warmup", [0.0, 2.5])
+def test_hand_traced_dd1_matches_reference(discipline, warmup, resolve):
+    # D/D/1 with services of 2 every 1: every arrival after the first
+    # waits, and arrivals, departures and the window ends all coincide
+    assert_same_run(
+        deterministic(1.0), deterministic(2.0), discipline=discipline,
+        warmup=warmup, horizon=5.0, seed=7, resolve_pending=resolve,
+    )
+
+
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random-order"])
+def test_exact_ties_match_reference(discipline):
+    # arrivals every 0.5, services of 1.5 or 0.25: exact binary fractions,
+    # so departures land on arrival instants and on the window ends
+    for service in (deterministic(0.25), deterministic(0.5), uniform(0.25, 0.75)):
+        for warmup in (0.0, 3.0):
+            assert_same_run(
+                deterministic(0.5), service, discipline=discipline,
+                warmup=warmup, horizon=20.0, seed=2,
+            )
+
+
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random-order"])
+def test_runs_across_sample_blocks_match_reference(discipline):
+    # about 25k customers at rho 0.9: more than one block of service
+    # draws, and under random order more than one block of picks
+    path, ledger = assert_same_run(
+        exponential(1.0), exponential(1.0 / 0.9), discipline=discipline,
+        warmup=10.0, horizon=25_000.0, seed=99,
+    )
+    assert len(ledger) > 16384
+    waited = np.count_nonzero(ledger.service_start > ledger.arrival_time)
+    assert waited > 16384
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    discipline=st.sampled_from(["fcfs", "lcfs", "random-order"]),
+    resolve=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_random_seeds_match_reference(seed, discipline, resolve):
+    assert_same_run(
+        exponential(1.1), gamma(0.5, 1.6), discipline=discipline, warmup=25.0,
+        horizon=300.0, seed=seed, resolve_pending=resolve,
+    )
