@@ -12,6 +12,14 @@ equation is solved in the standard relative-value form
 by policy iteration or relative value iteration.  rho_bar is cost per
 uniformised stage; multiplying by the uniformisation constant recovers
 cost per unit time.
+
+The controlled chain is birth-death, and each solve tabulates it once
+(``_Chain``): the up/down neighbours of every state, the arrival
+probability, and action-major tables of the service, stay and stage-cost
+terms.  A greedy sweep is then three multiply-adds into reused buffers
+and a first-minimum scan over the actions; policy evaluation fills the
+dense I - P on its three diagonals from the same probabilities and
+hands it to one LAPACK solve.
 """
 
 from __future__ import annotations
@@ -40,17 +48,33 @@ class MdpInstance:
         grid = np.asarray(self.action_grid, dtype=float)
         if grid.size == 0:
             raise ValueError("action grid must be nonempty")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"service rates must be finite, got {grid.tolist()}")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("action grid must be strictly increasing")
         if np.any(grid <= 0):
             raise ValueError("service rates must be positive")
         object.__setattr__(self, "action_grid", grid)
-        if self.arrival_rate < 0:
-            raise ValueError(f"arrival rate must be nonnegative, got {self.arrival_rate}")
+        if not (np.isfinite(self.arrival_rate) and self.arrival_rate >= 0):
+            raise ValueError(f"arrival rate must be finite and nonnegative, got {self.arrival_rate}")
+        n = self.n_states
+        if not (isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())):
+            raise ValueError(f"number of states must be an integer, got {n!r}")
+        object.__setattr__(self, "n_states", int(n))
         if self.n_states < 2:
             raise ValueError(f"need at least 3 states (N >= 2), got N={self.n_states}")
-        if self.cost_weight < 0:
-            raise ValueError("cost weight must be nonnegative")
+        if not (np.isfinite(self.cost_weight) and self.cost_weight >= 0):
+            raise ValueError(f"cost weight must be finite and nonnegative, got {self.cost_weight}")
+        k0, k1 = self.penalty
+        if not (np.isfinite(k0) and np.isfinite(k1)):
+            raise ValueError(f"penalty coefficients must be finite, got {self.penalty}")
+        with np.errstate(over="ignore"):
+            wear = k0 * np.exp(-k1 * grid)
+        if not np.all(np.isfinite(wear)):
+            raise ValueError(
+                f"wear penalty k0 * exp(-k1 * mu) with (k0, k1) = {self.penalty} "
+                "overflows on the action grid"
+            )
         if self.arrival_rate >= grid[-1]:
             warnings.warn(
                 f"arrival rate {self.arrival_rate} is not below the fastest service "
@@ -69,23 +93,6 @@ class MdpInstance:
     @property
     def states(self) -> np.ndarray:
         return np.arange(self.n_states + 1)
-
-    def transition_matrix(self, policy: np.ndarray) -> np.ndarray:
-        """Row-stochastic matrix of the chain under a policy (action
-        index per state).  State 0 has no service transition; the
-        arrival at state N folds into the diagonal."""
-        lam = self.arrival_rate
-        big = self.uniformisation_rate
-        n = self.n_states
-        mu = self.action_grid[np.asarray(policy)]
-        p = np.zeros((n + 1, n + 1))
-        rows = np.arange(n + 1)
-        p[rows[:-1], rows[:-1] + 1] = lam / big
-        p[rows[1:], rows[1:] - 1] = mu[1:] / big
-        # the diagonal absorbs the slack; rounding in lam/big + mu/big can
-        # push the sum a hair past one, so clamp at exact zero
-        p[rows, rows] = np.maximum(1.0 - p.sum(axis=1), 0.0)
-        return p
 
     def stage_costs(self, policy: np.ndarray) -> np.ndarray:
         """Cost per uniformised stage under a policy: holding plus the
@@ -115,7 +122,7 @@ class MdpInstance:
         return cls(
             arrival_rate=data["arrival_rate"],
             action_grid=np.asarray(data["action_grid"], dtype=float),
-            n_states=int(data["n_states"]),
+            n_states=data["n_states"],
             cost_weight=data.get("cost_weight", 1.0),
             penalty=tuple(data.get("penalty", (0.0, 0.0))),
         )
@@ -125,7 +132,7 @@ def build_instance(arrival_rate, mu_grid, n_states, cost_weight=1.0, penalty=Non
     return MdpInstance(
         arrival_rate=arrival_rate,
         action_grid=np.asarray(mu_grid, dtype=float),
-        n_states=int(n_states),
+        n_states=n_states,
         cost_weight=cost_weight,
         penalty=(0.0, 0.0) if penalty is None else (float(penalty[0]), float(penalty[1])),
     )
@@ -161,6 +168,75 @@ def continuous_time_average(instance: MdpInstance, rho_bar: float) -> float:
     return rho_bar * instance.uniformisation_rate
 
 
+class _Chain:
+    """The controlled birth-death chain of one instance, tabulated once
+    per solve.
+
+    ``up``/``down`` index each state's neighbours; the arrival at N is a
+    self-loop, so ``up[N] = N``.  ``p_up`` is the arrival probability of
+    every state.  The action-major tables hold, at [a, x], the service
+    probability mu_a / Lambda (0 at x = 0), the stay probability
+    1 - p_up - p_down (unclamped) and the stage cost.
+    """
+
+    def __init__(self, instance: MdpInstance):
+        lam = instance.arrival_rate
+        big = instance.uniformisation_rate
+        k0, k1 = instance.penalty
+        n = instance.n_states
+        self.states = states = instance.states
+        self.up = np.minimum(states + 1, n)
+        self.down = np.maximum(states - 1, 0)
+        mu = instance.action_grid[:, None]
+        self.p_up = lam / big
+        self.p_down = np.where(states >= 1, mu, 0.0) / big
+        self.p_stay = 1.0 - self.p_up - self.p_down
+        self.cost = (instance.cost_weight * states + k0 * np.exp(-k1 * mu)) / big
+        self._q = np.empty_like(self.p_down)
+        self._term = np.empty_like(self.p_down)
+
+    def sweep(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One-step lookahead: per state, the action minimising stage cost
+        plus expected next value, and that minimal q-value.  A tie goes
+        to the lowest action index, as with ``argmin``."""
+        q, term = self._q, self._term
+        np.add(self.cost, self.p_up * values[self.up], out=q)
+        np.multiply(self.p_down, values[self.down], out=term)
+        q += term
+        np.multiply(self.p_stay, values, out=term)
+        q += term
+        best = np.zeros(len(values), dtype=np.intp)
+        q_best = q[0].copy()
+        for a in range(1, len(q)):
+            better = q[a] < q_best
+            q_best = np.where(better, q[a], q_best)
+            best = np.where(better, a, best)
+        return best, q_best
+
+    def i_minus_p(self, policy: np.ndarray) -> np.ndarray:
+        """Dense I - P under a policy (action index per state), filled on
+        its three diagonals.  Rounding in p_down + p_up can push a row
+        past one, so the stay probability on the diagonal is clamped at
+        exact zero."""
+        n = len(self.states) - 1
+        down = self.p_down[policy, self.states]
+        up = np.full(n + 1, self.p_up)
+        up[n] = 0.0
+        m = np.zeros((n + 1, n + 1))
+        flat = m.reshape(-1)
+        flat[:: n + 2] = 1.0 - np.maximum(1.0 - (down + up), 0.0)
+        flat[1 :: n + 2] = 0.0 - up[:-1]
+        flat[n + 1 :: n + 2] = 0.0 - down[1:]
+        return m
+
+
+def _state_index(instance: MdpInstance, state) -> int:
+    x0 = int(state)
+    if not 0 <= x0 <= instance.n_states:
+        raise ValueError(f"distinguished state {x0} outside state space")
+    return x0
+
+
 def policy_evaluation(
     instance: MdpInstance, policy, distinguished_state: int = 0
 ) -> tuple[np.ndarray, float]:
@@ -175,12 +251,9 @@ def policy_evaluation(
         raise ValueError(f"policy must assign an action to each of the {instance.n_states + 1} states")
     if np.any(policy < 0) or np.any(policy >= instance.n_actions):
         raise ValueError("policy contains out-of-range action indices")
-    x0 = int(distinguished_state)
-    if not 0 <= x0 <= instance.n_states:
-        raise ValueError(f"distinguished state {x0} outside state space")
-    p = instance.transition_matrix(policy)
+    x0 = _state_index(instance, distinguished_state)
+    m = _Chain(instance).i_minus_p(policy)
     cost = instance.stage_costs(policy)
-    m = np.eye(len(cost)) - p
     m[:, x0] = 1.0
     try:
         y = np.linalg.solve(m, cost)
@@ -192,32 +265,6 @@ def policy_evaluation(
     values = y.copy()
     values[x0] = 0.0
     return values, rho_bar
-
-
-def _greedy(instance: MdpInstance, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-step lookahead: per state, the action minimising stage cost
-    plus expected next value, and that minimal q-value."""
-    lam = instance.arrival_rate
-    big = instance.uniformisation_rate
-    k0, k1 = instance.penalty
-    n = instance.n_states
-    states = instance.states
-    up = np.minimum(states + 1, n)
-    down = np.maximum(states - 1, 0)
-    # q[x, a]: service applies only at x >= 1; at x = N the arrival stays put.
-    mu = instance.action_grid[None, :]
-    serv = np.where(states[:, None] >= 1, mu, 0.0)
-    p_up = np.full(n + 1, lam / big)
-    p_down = serv / big
-    p_stay = 1.0 - p_up[:, None] - p_down
-    q = (
-        (instance.cost_weight * states[:, None] + k0 * np.exp(-k1 * mu)) / big
-        + p_up[:, None] * values[up][:, None]
-        + p_down * values[down][:, None]
-        + p_stay * values[:, None]
-    )
-    best = np.argmin(q, axis=1)
-    return best, q[np.arange(n + 1), best]
 
 
 def solve_optimal(
@@ -232,28 +279,35 @@ def solve_optimal(
     improvement and is the reference solver; relative-value-iteration
     reaches the same fixed point by successive approximation.
     """
-    if method == "policy-iteration":
-        return _policy_iteration(instance, tol, distinguished_state)
-    if method == "relative-value-iteration":
-        return _relative_value_iteration(instance, tol, distinguished_state)
-    raise ValueError(f"unknown method {method!r}")
+    solvers = {
+        "policy-iteration": _policy_iteration,
+        "relative-value-iteration": _relative_value_iteration,
+    }
+    if method not in solvers:
+        raise ValueError(f"unknown method {method!r}")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    x0 = _state_index(instance, distinguished_state)
+    return solvers[method](instance, _Chain(instance), tol, x0)
 
 
-def _bellman_residual(instance, values, rho_bar) -> float:
-    _, q = _greedy(instance, values)
+def _bellman_residual(chain, values, rho_bar) -> float:
+    _, q = chain.sweep(values)
     return float(np.max(np.abs(q - rho_bar - values)))
 
 
-def _policy_iteration(instance, tol, x0) -> MdpSolution:
+def _policy_iteration(instance, chain, tol, x0) -> MdpSolution:
     policy = np.full(instance.n_states + 1, instance.n_actions - 1)
     values, rho_bar = policy_evaluation(instance, policy, x0)
     for it in range(1, 1000):
-        improved, _ = _greedy(instance, values)
-        new_values, new_rho = policy_evaluation(instance, improved, x0)
-        if np.array_equal(improved, policy) or abs(new_rho - rho_bar) <= tol * max(1.0, abs(rho_bar)):
-            values, rho_bar, policy = new_values, new_rho, improved
+        improved, _ = chain.sweep(values)
+        if np.array_equal(improved, policy):
             break
+        new_values, new_rho = policy_evaluation(instance, improved, x0)
+        converged = abs(new_rho - rho_bar) <= tol * max(1.0, abs(rho_bar))
         values, rho_bar, policy = new_values, new_rho, improved
+        if converged:
+            break
     else:
         raise RuntimeError("policy iteration failed to converge within 1000 sweeps")
     return MdpSolution(
@@ -261,17 +315,17 @@ def _policy_iteration(instance, tol, x0) -> MdpSolution:
         relative_values=values,
         rho_bar=rho_bar,
         iterations=it,
-        residual=_bellman_residual(instance, values, rho_bar),
+        residual=_bellman_residual(chain, values, rho_bar),
         method="policy-iteration",
         distinguished_state=x0,
     )
 
 
-def _relative_value_iteration(instance, tol, x0) -> MdpSolution:
+def _relative_value_iteration(instance, chain, tol, x0) -> MdpSolution:
     values = np.zeros(instance.n_states + 1)
     rho_bar = 0.0
     for it in range(1, MAX_ITERATIONS + 1):
-        policy, q = _greedy(instance, values)
+        policy, q = chain.sweep(values)
         rho_bar = float(q[x0])
         new_values = q - rho_bar
         gap = float(np.max(np.abs(new_values - values)))
@@ -287,7 +341,7 @@ def _relative_value_iteration(instance, tol, x0) -> MdpSolution:
         relative_values=values,
         rho_bar=rho_bar,
         iterations=it,
-        residual=_bellman_residual(instance, values, rho_bar),
+        residual=_bellman_residual(chain, values, rho_bar),
         method="relative-value-iteration",
         distinguished_state=x0,
     )

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from gg1lab.birthdeath import (
 )
 from gg1lab.mdp import (
     MdpInstance,
+    _Chain,
     build_instance,
     continuous_time_average,
     implied_response,
@@ -74,16 +77,18 @@ def test_transition_row_hand_example():
     inst = build_instance(0.1, [0.15, 0.2], n_states=6)
     assert inst.uniformisation_rate == pytest.approx(0.3)
     policy = np.zeros(7, dtype=int)
-    p = inst.transition_matrix(policy)
-    assert p[3, 2] == pytest.approx(0.5)
-    assert p[3, 4] == pytest.approx(1.0 / 3.0)
-    assert p[3, 3] == pytest.approx(1.0 / 6.0)
+    m = _Chain(inst).i_minus_p(policy)
+    assert m[3, 2] == pytest.approx(-0.5)
+    assert m[3, 4] == pytest.approx(-1.0 / 3.0)
+    assert m[3, 3] == pytest.approx(1.0 - 1.0 / 6.0)
     assert inst.stage_costs(policy)[3] == pytest.approx(10.0)
     # state 0 never serves; state N turns arrivals into a self-loop
-    assert p[0, 0] == pytest.approx(1.0 - 1.0 / 3.0)
-    assert p[0, 1] == pytest.approx(1.0 / 3.0)
-    assert p[6, 5] == pytest.approx(0.5)
-    assert p[6, 6] == pytest.approx(0.5)
+    assert m[0, 0] == pytest.approx(1.0 / 3.0)
+    assert m[0, 1] == pytest.approx(-1.0 / 3.0)
+    assert m[6, 5] == pytest.approx(-0.5)
+    assert m[6, 6] == pytest.approx(0.5)
+    # nothing off the three diagonals
+    assert np.count_nonzero(m) == 7 + 2 * 6
 
 
 @given(
@@ -100,9 +105,10 @@ def test_transition_rows_are_stochastic(lam, n_actions, n):
         inst = build_instance(lam, grid, n_states=n)
     rng = np.random.default_rng(0)
     policy = rng.integers(0, len(grid), n + 1)
-    p = inst.transition_matrix(policy)
-    assert (p >= 0).all()
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=1e-12)
+    m = _Chain(inst).i_minus_p(policy)
+    # P = I - (I - P) has no negative entry and rows of I - P sum to zero
+    assert (np.eye(n + 1) - m >= 0).all()
+    np.testing.assert_allclose(m.sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_instance_validation():
@@ -128,6 +134,50 @@ def test_policy_validation():
         policy_evaluation(inst, np.full(5, 7))
     with pytest.raises(ValueError):
         policy_evaluation(inst, np.zeros(5, dtype=int), distinguished_state=9)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"arrival_rate": float("nan")}, "arrival rate"),
+    ({"arrival_rate": float("inf")}, "arrival rate"),
+    ({"mu_grid": [0.8, float("inf")]}, "service rates must be finite"),
+    ({"mu_grid": [float("nan"), 1.2]}, "service rates must be finite"),
+    ({"cost_weight": float("nan")}, "cost weight"),
+    ({"cost_weight": float("inf")}, "cost weight"),
+    ({"penalty": (float("nan"), 1.0)}, "penalty coefficients"),
+    ({"penalty": (0.1, float("-inf"))}, "penalty coefficients"),
+    ({"penalty": (0.1, -1000.0)}, "overflows"),
+    ({"n_states": 20.7}, "integer"),
+    ({"n_states": float("nan")}, "integer"),
+])
+def test_instance_rejects_nonfinite_and_nonintegral_inputs(kwargs, match):
+    args = {"arrival_rate": 0.5, "mu_grid": [0.8, 1.2], "n_states": 20, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        build_instance(**args)
+
+
+def test_instance_state_count_must_be_integral():
+    data = build_instance(0.5, [0.8, 1.2], 20).to_dict()
+    with pytest.raises(ValueError, match="integer"):
+        MdpInstance.from_dict({**data, "n_states": 20.7})
+    # an integral float is a state count; it is stored as an int
+    inst = MdpInstance.from_dict({**data, "n_states": 20.0})
+    assert inst.n_states == 20 and type(inst.n_states) is int
+
+
+@pytest.mark.parametrize("method", ["policy-iteration", "relative-value-iteration"])
+@pytest.mark.parametrize("state", [-1, 21, 99])
+def test_solvers_reject_distinguished_state_outside(method, state):
+    inst = build_instance(0.5, [0.8, 1.2], n_states=20)
+    with pytest.raises(ValueError, match="distinguished state"):
+        solve_optimal(inst, method, distinguished_state=state)
+
+
+@pytest.mark.parametrize("method", ["policy-iteration", "relative-value-iteration"])
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10])
+def test_solvers_reject_nonpositive_tolerance(method, tol):
+    inst = build_instance(0.5, [0.8, 1.2], n_states=20)
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_optimal(inst, method, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +328,32 @@ def test_serialization_round_trips():
     assert data["method"] == "policy-iteration"
     assert len(data["policy"]) == 31
     assert data["rho_bar"] == pytest.approx(sol.rho_bar)
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+
+DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "mdp_demo.json")
+# sha256 of the demo instance's policy-iteration and relative-value-iteration
+# solutions (policy, relative values, rho_bar, residual, iterations) and
+# their implied responses, as the dense-matrix solvers computed them
+DEMO_SOLUTION_SHA256 = {
+    100: "8be7dc89916205b11844e58b8d422e59a308c9a3ebb0804e6c27c79f90c1c0a4",
+    1000: "b59474355668ca20cceac5b8743adea1e0ea549f60c1ef76f9b6a58537379808",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DEMO_SOLUTION_SHA256))
+def test_demo_solutions_match_recorded_bytes(n):
+    with open(DEMO_CONFIG) as fh:
+        data = json.load(fh)
+    inst = MdpInstance.from_dict({**data, "n_states": n})
+    digest = hashlib.sha256()
+    for method in ("policy-iteration", "relative-value-iteration"):
+        sol = solve_optimal(inst, method, tol=data["tol"])
+        digest.update(method.encode())
+        digest.update(np.asarray(sol.policy, dtype=np.int64).tobytes())
+        digest.update(np.asarray(sol.relative_values, dtype=np.float64).tobytes())
+        digest.update(f"{sol.rho_bar!r} {sol.residual!r} {sol.iterations} "
+                      f"{implied_response(sol, inst)!r}".encode())
+    assert digest.hexdigest() == DEMO_SOLUTION_SHA256[n]
