@@ -17,6 +17,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gg1lab import mdp
+from gg1lab.artifacts import write_json
 
 
 def describe_policy(policy: np.ndarray, grid) -> str:
@@ -71,9 +72,7 @@ def main() -> int:
         "H_bar_t": h_bar_t,
         "implied_R_bar_n": implied,
     }
-    with open(os.path.join(args.out, "solution.json"), "w", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "solution.json"), payload)
     print(f"wrote solution.json to {args.out}")
     return 0
 

@@ -17,7 +17,6 @@ expected to hold at scale 1.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import subprocess
@@ -29,6 +28,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from . import birthdeath, experiments, inspection, mdp, metrics, renewal
+from .artifacts import write_json
 from .distributions import (
     DistributionSpec,
     deterministic,
@@ -52,9 +52,6 @@ _DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "..", "configs", "s
 def demo_config_path() -> str:
     """Location of the committed sweep demo config, resolved relative to
     the package so the suite runs from any working directory."""
-    etc = os.environ.get("GG1LAB_SWEEP_DEMO")
-    if etc:
-        return etc
     return os.path.normpath(_DEMO_CONFIG)
 
 
@@ -135,7 +132,6 @@ class AcceptanceSuite:
                     entry["renewal"] = {
                         "n_cycles": len(cycles),
                         "sum_length": math.fsum(cycles.cycle_lengths.tolist()),
-                        "sum_busy": math.fsum(cycles.busy_lengths.tolist()),
                         "sum_holding": math.fsum(rewards.holding.tolist()),
                         "sum_response": math.fsum(rewards.response.tolist()),
                         "sum_count": int(rewards.count.sum()),
@@ -659,7 +655,5 @@ def write_report_files(results, out_dir, master_seed: int, scale: float) -> list
         "all_passed": n_pass == len(results),
         "results": [r.to_dict() for r in results],
     }
-    with open(json_path, "w", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(json_path, payload)
     return [txt_path, json_path]

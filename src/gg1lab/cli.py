@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import acceptance, experiments, inspection, mdp, metrics
+from .artifacts import write_json
 from .distributions import DistributionSpec
 from .simulator import simulate
 
@@ -54,9 +55,7 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ledger.to_csv(os.path.join(args.out, "customer.csv"))
     path.to_csv(os.path.join(args.out, "path.csv"))
-    with open(os.path.join(args.out, "report.json"), "w", newline="") as fh:
-        fh.write(report.to_json(indent=2))
-        fh.write("\n")
+    write_json(os.path.join(args.out, "report.json"), report.to_dict())
     print(f"customers={report.N_total} H_bar_t={report.H_bar_t!r} rho_hat={report.rho_hat!r}")
     print(f"wrote customer.csv, path.csv, report.json to {args.out}")
     return 0
@@ -79,9 +78,7 @@ def _cmd_sweep(args) -> int:
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             verdicts[f"{a}|{b}"] = experiments.check_equivalence(surface, a, b).to_dict()
-    with open(os.path.join(out, "equivalence.json"), "w", newline="") as fh:
-        json.dump(verdicts, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out, "equivalence.json"), verdicts)
     written.append(os.path.join(out, "equivalence.json"))
     for name in names:
         i = surface.argmin(name)
@@ -117,9 +114,7 @@ def _cmd_inspect(args) -> int:
         "expected_total": inspection.expected_total(service),
         "bias": inspection.bias(service),
     }
-    with open(os.path.join(args.out, "summary.json"), "w", newline="") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "summary.json"), summary)
     print(json.dumps(summary, sort_keys=True))
     print(f"wrote inspections.csv, pdf_curves.csv, summary.json to {args.out}")
     return 0
@@ -142,9 +137,7 @@ def _cmd_mdp_solve(args) -> int:
     }
     out = args.out or "mdp_out"
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "solution.json"), "w", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out, "solution.json"), payload)
     print(f"rho_bar={solution.rho_bar!r} H_bar_t={payload['H_bar_t']!r} "
           f"iterations={solution.iterations} residual={solution.residual!r}")
     print(f"wrote solution.json to {out}")

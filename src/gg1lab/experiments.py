@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
+from .artifacts import write_csv, write_json
 from .distributions import DistributionSpec
 from .simulator import simulate
 
@@ -131,7 +132,7 @@ class ResponseSurface:
         return int(np.argmin(self.surfaces[name]))
 
 
-def run_sweep(config: ExperimentConfig, keep_reports: bool = True) -> ResponseSurface:
+def run_sweep(config: ExperimentConfig) -> ResponseSurface:
     """Simulate every (rate, seed) pair and reduce to a ResponseSurface.
 
     Saturated runs (no measurable idle time) are annotated in
@@ -172,8 +173,7 @@ def run_sweep(config: ExperimentConfig, keep_reports: bool = True) -> ResponseSu
             per_seed["R_bar_n_act_with_penalty"][i, j] = rep.R_bar_n_act + per_customer_pen
             if not rep.stable:
                 unstable.append({"rate": float(rate), "seed": seed, "rho_hat": rep.rho_hat})
-            if keep_reports:
-                reports.append(({"mu": float(rate), "seed": seed}, rep))
+            reports.append(({"mu": float(rate), "seed": seed}, rep))
     surfaces = {name: vals.mean(axis=1) for name, vals in per_seed.items()}
     stderrs = {
         name: (vals.std(axis=1, ddof=1) / math.sqrt(n_s) if n_s > 1 else np.zeros(n_r))
@@ -259,15 +259,13 @@ def emit_reports(surface: ResponseSurface, config: ExperimentConfig, directory) 
     os.makedirs(directory, exist_ok=True)
     written = []
 
+    # one row per (rate, metric), metrics sorted within each rate
     csv_path = os.path.join(directory, "surface.csv")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("mu,metric,mean,stderr\n")
-        for i, rate in enumerate(surface.grid):
-            for name in sorted(surface.surfaces):
-                fh.write(
-                    f"{float(rate)!r},{name},{float(surface.surfaces[name][i])!r},"
-                    f"{float(surface.stderrs[name][i])!r}\n"
-                )
+    names = sorted(surface.surfaces)
+    write_csv(csv_path, ("mu", "metric", "mean", "stderr"),
+              (np.repeat(surface.grid, len(names)), names * len(surface.grid),
+               np.column_stack([surface.surfaces[n] for n in names]).ravel(),
+               np.column_stack([surface.stderrs[n] for n in names]).ravel()))
     written.append(csv_path)
 
     jsonl_path = os.path.join(directory, "reports.jsonl")
@@ -275,8 +273,6 @@ def emit_reports(surface: ResponseSurface, config: ExperimentConfig, directory) 
     written.append(jsonl_path)
 
     echo_path = os.path.join(directory, "config.echo.json")
-    with open(echo_path, "w", newline="") as fh:
-        json.dump(config.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(echo_path, config.to_dict())
     written.append(echo_path)
     return written

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import write_csv
 from .distributions import DistributionSpec
 from .simulator import CustomerLedger, PendingDepartureError, Trajectory
 
@@ -64,14 +65,9 @@ class InspectionSamples:
         return self.total[self.busy]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("epoch,busy,age,residual,total\n")
-            for i in range(len(self)):
-                fh.write(
-                    f"{float(self.inspect_time[i])!r},{int(self.busy[i])},"
-                    f"{float(self.age[i])!r},{float(self.residual[i])!r},"
-                    f"{float(self.total[i])!r}\n"
-                )
+        """Columns epoch, busy, age, residual, total."""
+        write_csv(path, ("epoch", "busy", "age", "residual", "total"),
+                  (self.inspect_time, self.busy, self.age, self.residual, self.total))
 
 
 def poisson_epochs(window: tuple[float, float], rate: float, rng) -> np.ndarray:
@@ -193,15 +189,11 @@ def total_cdf(spec: DistributionSpec, t) -> np.ndarray:
 
 
 def pdf_curve_csv(spec: DistributionSpec, t, path) -> None:
-    """Write (t, f_age, f_residual[, f_observed_total]) rows for plotting."""
+    """Columns t, f_age, [f_observed_total,] f_residual, for plotting."""
     t = np.asarray(t, dtype=float)
     curves = analytic_pdfs(spec, t)
     names = sorted(curves)
-    with open(path, "w", newline="") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        for i, ti in enumerate(t):
-            vals = ",".join(repr(float(curves[n][i])) for n in names)
-            fh.write(f"{float(ti)!r},{vals}\n")
+    write_csv(path, ["t", *names], [t, *(curves[n] for n in names)])
 
 
 def empirical_bias(samples: InspectionSamples, spec: DistributionSpec) -> float:

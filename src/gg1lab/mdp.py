@@ -231,10 +231,11 @@ class _Chain:
 
 
 def _state_index(instance: MdpInstance, state) -> int:
-    x0 = int(state)
-    if not 0 <= x0 <= instance.n_states:
-        raise ValueError(f"distinguished state {x0} outside state space")
-    return x0
+    integral = isinstance(state, (int, np.integer)) or (
+        isinstance(state, float) and state.is_integer())
+    if isinstance(state, bool) or not integral or not 0 <= state <= instance.n_states:
+        raise ValueError(f"distinguished state {state!r} not in 0..{instance.n_states}")
+    return int(state)
 
 
 def policy_evaluation(

@@ -173,7 +173,9 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
     """
     window = (path.initial_time, path.final_time)
     length = path.window_length
-    h_total = holding_cost(path, cost_weight)
+    # the path integral once: holding_cost(path, c) is c times it exactly
+    area = holding_cost(path, 1.0)
+    h_total = cost_weight * area
     r_obs = observed_response(ledger, window, cost_weight)
     r_act, r_un_initial, r_un_final = actual_response(ledger, cost_weight)
     n_total = int(np.count_nonzero(ledger.in_window_mask()))
@@ -197,7 +199,7 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
         H_bar_n=h_bar_n,
         R_bar_n_obs=r_bar_n_obs,
         R_bar_n_act=r_bar_n_act,
-        n_bar_t=holding_cost(path, 1.0) / length,
+        n_bar_t=area / length,
         lambda_hat=lam_hat,
         rho_hat=path.busy_time() / length,
         N_total=n_total,

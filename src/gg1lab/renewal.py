@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import write_csv
 from .simulator import CustomerLedger, PendingDepartureError, Trajectory
 
 
@@ -37,7 +38,6 @@ class RenewalCycles:
     cycle_end: np.ndarray
     leading_fragment: tuple[float, float] | None = None
     trailing_fragment: tuple[float, float] | None = None
-    complete_only: bool = True
 
     def __post_init__(self):
         for name in ("busy_start", "busy_end", "cycle_end"):
@@ -63,17 +63,18 @@ class RenewalCycles:
         return self.cycle_end - self.busy_start
 
     def to_csv(self, path, rewards=None, counts=None) -> None:
+        """Columns cycle_index, busy_len, idle_len, reward, count (rewards
+        and counts default to zeros)."""
         n = len(self)
         rewards = np.zeros(n) if rewards is None else np.asarray(rewards, dtype=float)
-        counts = np.zeros(n, dtype=int) if counts is None else np.asarray(counts)
+        counts = np.zeros(n, dtype=np.int64) if counts is None else np.asarray(counts)
         if not (len(rewards) == len(counts) == n):
             raise ValueError("rewards and counts must align with cycles")
-        rows = zip(self.busy_lengths.tolist(), self.idle_lengths.tolist(),
-                   rewards.tolist(), counts.tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("cycle_index,busy_len,idle_len,reward,count\n")
-            for i, (busy, idle, reward, count) in enumerate(rows):
-                fh.write(f"{i},{busy!r},{idle!r},{reward!r},{int(count)}\n")
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("cycle counts must be finite")
+        write_csv(path, ("cycle_index", "busy_len", "idle_len", "reward", "count"),
+                  (range(n), self.busy_lengths, self.idle_lengths, rewards,
+                   counts.astype(np.int64)))
 
 
 def detect_cycles(path: Trajectory) -> RenewalCycles:

@@ -25,6 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .artifacts import write_csv
 from .distributions import DistributionSpec
 
 DISCIPLINES = ("fcfs", "lcfs", "random-order")
@@ -68,18 +69,6 @@ def _normalise_discipline(name: str) -> int:
     raise ValueError(f"unknown discipline {name!r}; expected one of {DISCIPLINES}")
 
 
-@dataclass(frozen=True)
-class CustomerRecord:
-    """Per-customer view of one ledger row."""
-
-    id: int
-    arrival_time: float
-    service_start: float
-    service_duration: float
-    departure_time: float
-    pre_window: bool
-
-
 @dataclass
 class CustomerLedger:
     """Columnar per-customer ledger for every arrival up to the window end.
@@ -100,16 +89,6 @@ class CustomerLedger:
     def __len__(self) -> int:
         return len(self.arrival_time)
 
-    def record(self, i: int) -> CustomerRecord:
-        return CustomerRecord(
-            id=i,
-            arrival_time=float(self.arrival_time[i]),
-            service_start=float(self.service_start[i]),
-            service_duration=float(self.service_duration[i]),
-            departure_time=float(self.departure_time[i]),
-            pre_window=bool(self.pre_window[i]),
-        )
-
     def in_window_mask(self, up_to: float | None = None) -> np.ndarray:
         """Customers counted by the window: present at the open, or arriving
         inside [open, up_to]."""
@@ -127,14 +106,10 @@ class CustomerLedger:
         return self.in_window_mask() & (unresolved | (self.departure_time > at))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("id,t_A,svc_start,t_mu,t_D,pre_window\n")
-            for i in range(len(self)):
-                fh.write(
-                    f"{i},{float(self.arrival_time[i])!r},{float(self.service_start[i])!r},"
-                    f"{float(self.service_duration[i])!r},{float(self.departure_time[i])!r},"
-                    f"{int(self.pre_window[i])}\n"
-                )
+        """Columns id, t_A, svc_start, t_mu, t_D, pre_window."""
+        write_csv(path, ("id", "t_A", "svc_start", "t_mu", "t_D", "pre_window"),
+                  (range(len(self)), self.arrival_time, self.service_start,
+                   self.service_duration, self.departure_time, self.pre_window))
 
 
 @dataclass
@@ -187,11 +162,10 @@ class Trajectory:
         return float(np.sum(widths[levels > 0]))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("tau,n\n")
-            fh.write(f"{float(self.initial_time)!r},{int(self.initial_count)}\n")
-            for t, n in zip(self.times, self.counts):
-                fh.write(f"{float(t)!r},{int(n)}\n")
+        """Columns tau, n: the window open and initial count, then each event."""
+        write_csv(path, ("tau", "n"),
+                  (np.concatenate(([float(self.initial_time)], self.times)),
+                   np.concatenate(([int(self.initial_count)], self.counts))))
 
 
 

@@ -1,0 +1,195 @@
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from gg1lab.artifacts import _ROW_BLOCK, write_csv, write_json
+from gg1lab.cli import main
+from gg1lab.distributions import exponential
+from gg1lab.renewal import RenewalCycles, cycle_rewards, detect_cycles
+from gg1lab.simulator import simulate
+
+SWEEP_CONFIG = {
+    "version": 1,
+    "arrival": {"kind": "exponential", "params": [0.4]},
+    "service_shape": {"kind": "gamma", "params": [2.0, 0.5]},
+    "rate_grid": [0.6, 0.9, 1.3],
+    "seeds": [1, 2],
+    "penalty_k0": 0.2,
+    "penalty_k1": 1.5,
+    "warmup": 20.0,
+    "horizon": 800.0,
+}
+
+MDP_CONFIG = {
+    "arrival_rate": 0.1,
+    "action_grid": [0.15, 0.2, 0.25, 0.3, 0.35, 0.4],
+    "n_states": 60,
+    "cost_weight": 1.0,
+    "penalty": [0.1, -8.0],
+    "method": "relative-value-iteration",
+}
+
+# Fixed small runs of every CLI verb that writes files.  Config files are
+# written into the run's directory first; "{dir}" stands for it.
+GOLDEN_RUNS = {
+    "simulate-fcfs-warmup": [
+        "simulate", "--arrival", "exponential:0.5", "--service", "gamma:2,0.8",
+        "--warmup", "50", "--horizon", "1500", "--seed", "11", "--cost-weight", "3.7",
+    ],
+    "simulate-lcfs": [
+        "simulate", "--arrival", "uniform:0.5,2.5", "--service", "lognormal:-0.3,0.6",
+        "--discipline", "lcfs", "--horizon", "1500", "--seed", "4",
+    ],
+    "inspect-deterministic": [
+        "inspect", "--arrival", "exponential:0.5", "--service", "deterministic:1.0",
+        "--horizon", "2000", "--epoch-rate", "0.2", "--seed", "5",
+    ],
+    "inspect-lognormal": [
+        "inspect", "--arrival", "exponential:0.8", "--service", "lognormal:-0.3,0.6",
+        "--warmup", "10", "--horizon", "2000", "--epoch-rate", "0.3", "--seed", "6",
+    ],
+    "sweep": ["sweep", "--config", "{dir}/sweep.json"],
+    "mdp-solve": ["mdp", "solve", "--config", "{dir}/mdp.json"],
+}
+
+# sha256 of every file each run writes, recorded before the writers were
+# routed through gg1lab.artifacts.  A change that alters these bytes on
+# purpose records the new digests and says why.
+GOLDEN_SHA256 = {
+    "cycles": {
+        "cycles.csv": "13d91da03c5a7f84e2ee303bb266e268d8744908d219ca7a700c9d7e787b5d4f",
+        "cycles_zero.csv": "f9bf0f85b52a0d1a0da1138dbb6495f67b1659f4c7577433584dba286c35e300",
+    },
+    "inspect-deterministic": {
+        "inspections.csv": "6c4dd2a8567b891f2d2a92a7faec43cecfab91cd75d929a91d39f16fb87a235e",
+        "pdf_curves.csv": "4918b2e17f66db88ff6fb26a720d8ef3eba64c184b35bb40ae2d72c7e155c476",
+        "summary.json": "07fa0f4c1b37a9b8456f789d4cde63dff290968a50c5d065ca8cc645623393fa",
+    },
+    "inspect-lognormal": {
+        "inspections.csv": "31359308c7f0020113c3e5150082a1a42a20d3fced02a7cfbb4b9fc1eaec80f8",
+        "pdf_curves.csv": "f6a35b52237f932775ff449c9dd8687b344468acdbf4af2e0a48fde4704f460e",
+        "summary.json": "b89709fb3b17ebae2b1e4d6d583bd33d76738d905999da3cafbb3ea45b9f0a2b",
+    },
+    "mdp-solve": {
+        "solution.json": "9795f1d3fae243c4f600b576e7a77fd6c42296a3b25fcff6659e9182a97eeb6d",
+    },
+    "simulate-fcfs-warmup": {
+        "customer.csv": "cff8c739ea4fce4d54432143331d732624f9b2e4f7d7e8a4c57ef7c58f284d91",
+        "path.csv": "4f8c4f2b6c207acc1673e0e1fcbef718b03699dc541221d4f163e5feba589efd",
+        "report.json": "e0bfa4424a635654a7ffe41094e218732e07f327e0ece2fdbdfb6928ee7b3118",
+    },
+    "simulate-lcfs": {
+        "customer.csv": "1c7a2c94bb823bd3ae3a518d8919f79615863df0e51cd46e18eba6dae1aca598",
+        "path.csv": "e81691475b5ac5b86cdbebfe16b4968c98d380acd3d1656cdbae244029c08c83",
+        "report.json": "1ec235d0cfced7a89ff391c81709962bdc28f01ff9c33d81f22a10bcf794e47e",
+    },
+    "sweep": {
+        "config.echo.json": "89122980506f4311dce7db9bf618d843bd517f84d4c13cebb85cea5fda6c2ffd",
+        "equivalence.json": "4e7b2e4146ba509c2bc31365a7f3bb24cb429ff7d00e78615d454f54df0954ef",
+        "reports.jsonl": "698fd66d70bdac28caf0ca90102268f90eba93acdd3205bc5b59fbb8de1d2d51",
+        "surface.csv": "69925ea3c38316ff4d25736f749fc47214c2350187e490d8fb612901a15b392a",
+    },
+}
+
+
+def _digests(directory):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(directory.iterdir())
+    }
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_cli_artifacts_match_recorded_bytes(tmp_path, capsys, run):
+    (tmp_path / "sweep.json").write_text(json.dumps(SWEEP_CONFIG))
+    (tmp_path / "mdp.json").write_text(json.dumps(MDP_CONFIG))
+    out = tmp_path / "out"
+    argv = [a.format(dir=tmp_path) for a in GOLDEN_RUNS[run]] + ["--out", str(out)]
+    assert main(argv) == 0
+    assert _digests(out) == GOLDEN_SHA256[run]
+
+
+def test_cycles_csv_matches_recorded_bytes(tmp_path):
+    path, ledger = simulate(exponential(0.5), exponential(1.0), warmup=30.0,
+                            horizon=1500.0, seed=8)
+    cycles = detect_cycles(path)
+    rewards = cycle_rewards(cycles, path, ledger)
+    cycles.to_csv(tmp_path / "cycles.csv", rewards.holding, rewards.count)
+    cycles.to_csv(tmp_path / "cycles_zero.csv")
+    assert _digests(tmp_path) == GOLDEN_SHA256["cycles"]
+
+
+def test_write_csv_zero_rows_is_header_only(tmp_path):
+    out = tmp_path / "empty.csv"
+    write_csv(out, ("a", "b"), (np.empty(0), range(0)))
+    assert out.read_bytes() == b"a,b\n"
+    RenewalCycles(np.empty(0), np.empty(0), np.empty(0)).to_csv(out)
+    assert out.read_bytes() == b"cycle_index,busy_len,idle_len,reward,count\n"
+
+
+def test_write_csv_value_text(tmp_path):
+    out = tmp_path / "values.csv"
+    write_csv(out, ("x", "flag", "k", "name"), (
+        np.array([float("nan"), -0.0, float("inf"), -float("inf"), 0.1, 1e300]),
+        np.array([True, False, True, False, False, True]),
+        np.array([0, -1, 2**40, 7, 8, 9], dtype=np.int64),
+        ["a", "b", "c", "d", "e", "f"],
+    ))
+    assert out.read_text() == (
+        "x,flag,k,name\n"
+        "nan,1,0,a\n"
+        "-0.0,0,-1,b\n"
+        "inf,1,1099511627776,c\n"
+        "-inf,0,7,d\n"
+        "0.1,0,8,e\n"
+        "1e+300,1,9,f\n"
+    )
+
+
+def test_write_csv_rejects_misaligned_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", ("a", "b"), (np.zeros(3), np.zeros(2)))
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", ("a",), (np.zeros(3), np.zeros(3)))
+
+
+def test_cycles_csv_takes_counts_as_a_list(tmp_path):
+    path, ledger = simulate(exponential(0.5), exponential(1.0), horizon=300.0, seed=2)
+    cycles = detect_cycles(path)
+    rewards = cycle_rewards(cycles, path, ledger)
+    cycles.to_csv(tmp_path / "array.csv", rewards.holding, rewards.count)
+    cycles.to_csv(tmp_path / "list.csv", rewards.holding.tolist(), rewards.count.tolist())
+    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "array.csv").read_bytes()
+    with pytest.raises(ValueError, match="finite"):
+        cycles.to_csv(tmp_path / "nan.csv", counts=np.full(len(cycles), np.nan))
+
+
+def test_tables_longer_than_a_block_match_per_row_writers(tmp_path):
+    path, ledger = simulate(exponential(0.9), exponential(1.0), warmup=200.0,
+                            horizon=25_000.0, seed=5)
+    assert len(ledger) > _ROW_BLOCK + 1000 and len(path.times) > 2 * _ROW_BLOCK
+    ledger.to_csv(tmp_path / "customer.csv")
+    path.to_csv(tmp_path / "path.csv")
+    # references: one row at a time, indexing each column per row
+    expected_customer = "id,t_A,svc_start,t_mu,t_D,pre_window\n" + "".join(
+        f"{i},{float(ledger.arrival_time[i])!r},{float(ledger.service_start[i])!r},"
+        f"{float(ledger.service_duration[i])!r},{float(ledger.departure_time[i])!r},"
+        f"{int(ledger.pre_window[i])}\n"
+        for i in range(len(ledger))
+    )
+    expected_path = f"tau,n\n{float(path.initial_time)!r},{int(path.initial_count)}\n" + "".join(
+        f"{float(t)!r},{int(n)}\n" for t, n in zip(path.times, path.counts)
+    )
+    assert (tmp_path / "customer.csv").read_bytes() == expected_customer.encode()
+    assert (tmp_path / "path.csv").read_bytes() == expected_path.encode()
+
+
+def test_write_json_format(tmp_path):
+    out = tmp_path / "doc.json"
+    write_json(out, {"b": [1, 2.5], "a": {"z": None, "y": float("nan")}})
+    assert out.read_bytes() == (
+        b'{\n  "a": {\n    "y": NaN,\n    "z": null\n  },\n'
+        b'  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    )

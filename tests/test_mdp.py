@@ -165,11 +165,32 @@ def test_instance_state_count_must_be_integral():
 
 
 @pytest.mark.parametrize("method", ["policy-iteration", "relative-value-iteration"])
-@pytest.mark.parametrize("state", [-1, 21, 99])
+@pytest.mark.parametrize("state", [-1, 21, 99, 1.5, True, float("nan")])
 def test_solvers_reject_distinguished_state_outside(method, state):
     inst = build_instance(0.5, [0.8, 1.2], n_states=20)
     with pytest.raises(ValueError, match="distinguished state"):
         solve_optimal(inst, method, distinguished_state=state)
+
+
+@pytest.mark.parametrize("state", [1.5, True, np.True_, -1, 21])
+def test_policy_evaluation_rejects_distinguished_state_outside(state):
+    inst = build_instance(0.5, [0.8, 1.2], n_states=20)
+    with pytest.raises(ValueError, match="distinguished state"):
+        policy_evaluation(inst, np.zeros(21, dtype=int), distinguished_state=state)
+
+
+@pytest.mark.parametrize("state", [3.0, np.int64(3), np.float64(3.0)])
+def test_integral_distinguished_state_is_accepted(state):
+    inst = build_instance(0.5, [0.8, 1.2], n_states=20)
+    policy = np.arange(21) % 2
+    v, rho = policy_evaluation(inst, policy, distinguished_state=state)
+    v_ref, rho_ref = policy_evaluation(inst, policy, distinguished_state=3)
+    assert v.tobytes() == v_ref.tobytes() and rho == rho_ref
+    for method in ("policy-iteration", "relative-value-iteration"):
+        sol = solve_optimal(inst, method, distinguished_state=state)
+        ref = solve_optimal(inst, method, distinguished_state=3)
+        assert type(sol.distinguished_state) is int
+        assert sol.to_dict() == ref.to_dict()
 
 
 @pytest.mark.parametrize("method", ["policy-iteration", "relative-value-iteration"])
