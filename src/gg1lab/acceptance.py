@@ -131,9 +131,9 @@ class AcceptanceSuite:
                     rewards = renewal.cycle_rewards(cycles, path, ledger)
                     entry["renewal"] = {
                         "n_cycles": len(cycles),
-                        "sum_length": math.fsum(cycles.cycle_lengths.tolist()),
-                        "sum_holding": math.fsum(rewards.holding.tolist()),
-                        "sum_response": math.fsum(rewards.response.tolist()),
+                        "sum_length": metrics.exact_sum(cycles.cycle_lengths),
+                        "sum_holding": metrics.exact_sum(rewards.holding),
+                        "sum_response": metrics.exact_sum(rewards.response),
                         "sum_count": int(rewards.count.sum()),
                     }
             runs.append(entry)
@@ -514,6 +514,16 @@ class AcceptanceSuite:
         return ok and interior and not surface.unstable_points, details
 
     def _crit_11(self):
+        """The response gap R_act - R_obs does not grow with the horizon,
+        while R_act grows linearly.
+
+        Each seed's gap is fitted against the three horizons, and the
+        criterion asks that the 95% t-interval of the mean slope over the
+        seeds contain 0.  A true zero slope falls outside a 95% interval
+        in about 1 master seed in 20 by construction, so a failure at one
+        master seed alone is the expected false alarm: at master seed 404
+        the interval is [-6.08e-6, -4.07e-7].
+        """
         slopes = []
         act_rates = []
         for entry in self.theorem_runs():

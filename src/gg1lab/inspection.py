@@ -10,23 +10,14 @@ independent of the queue so the sampling itself adds no further bias.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import write_csv
 from .distributions import DistributionSpec
+from .metrics import exact_sum
 from .simulator import CustomerLedger, PendingDepartureError, Trajectory
-
-
-class InspectionSample(NamedTuple):
-    inspect_time: float
-    busy: bool
-    age: float
-    residual: float
-    total: float
 
 
 @dataclass(frozen=True)
@@ -41,12 +32,6 @@ class InspectionSamples:
 
     def __len__(self) -> int:
         return len(self.inspect_time)
-
-    def record(self, i: int) -> InspectionSample:
-        return InspectionSample(
-            float(self.inspect_time[i]), bool(self.busy[i]),
-            float(self.age[i]), float(self.residual[i]), float(self.total[i]),
-        )
 
     @property
     def busy_fraction(self) -> float:
@@ -201,4 +186,4 @@ def empirical_bias(samples: InspectionSamples, spec: DistributionSpec) -> float:
     totals = samples.totals
     if totals.size == 0:
         raise ValueError("no busy epochs; cannot estimate bias")
-    return float(math.fsum(totals.tolist()) / totals.size - spec.mean())
+    return float(exact_sum(totals) / totals.size - spec.mean())

@@ -213,21 +213,25 @@ class _Chain:
             best = np.where(better, a, best)
         return best, q_best
 
-    def i_minus_p(self, policy: np.ndarray) -> np.ndarray:
-        """Dense I - P under a policy (action index per state), filled on
-        its three diagonals.  Rounding in p_down + p_up can push a row
-        past one, so the stay probability on the diagonal is clamped at
-        exact zero."""
-        n = len(self.states) - 1
-        down = self.p_down[policy, self.states]
-        up = np.full(n + 1, self.p_up)
-        up[n] = 0.0
-        m = np.zeros((n + 1, n + 1))
-        flat = m.reshape(-1)
-        flat[:: n + 2] = 1.0 - np.maximum(1.0 - (down + up), 0.0)
-        flat[1 :: n + 2] = 0.0 - up[:-1]
-        flat[n + 1 :: n + 2] = 0.0 - down[1:]
-        return m
+
+def _i_minus_p(instance: MdpInstance, policy: np.ndarray) -> np.ndarray:
+    """Dense I - P under a policy (action index per state), filled on its
+    three diagonals from the arrival probability and the policy's service
+    probabilities, the same values as ``_Chain.p_up`` and
+    ``_Chain.p_down[policy, states]``.  Rounding in p_down + p_up can push
+    a row past one, so the stay probability on the diagonal is clamped at
+    exact zero."""
+    n = instance.n_states
+    big = instance.uniformisation_rate
+    down = np.where(instance.states >= 1, instance.action_grid[policy], 0.0) / big
+    up = np.full(n + 1, instance.arrival_rate / big)
+    up[n] = 0.0
+    m = np.zeros((n + 1, n + 1))
+    flat = m.reshape(-1)
+    flat[:: n + 2] = 1.0 - np.maximum(1.0 - (down + up), 0.0)
+    flat[1 :: n + 2] = 0.0 - up[:-1]
+    flat[n + 1 :: n + 2] = 0.0 - down[1:]
+    return m
 
 
 def _state_index(instance: MdpInstance, state) -> int:
@@ -253,7 +257,7 @@ def policy_evaluation(
     if np.any(policy < 0) or np.any(policy >= instance.n_actions):
         raise ValueError("policy contains out-of-range action indices")
     x0 = _state_index(instance, distinguished_state)
-    m = _Chain(instance).i_minus_p(policy)
+    m = _i_minus_p(instance, policy)
     cost = instance.stage_costs(policy)
     m[:, x0] = 1.0
     try:

@@ -9,9 +9,11 @@ per unit time:
   the observed total by exactly the pre-window and post-window slices.
 
 The observed total equals the holding cost identically, path by path,
-so the two give independent computations of the same number.  Totals
-are accumulated with exact (Shewchuk) summation so that identity can
-be asserted at 1e-9 relative tolerance.
+so the two give independent computations of the same number.  Every
+total is the correctly rounded sum of its terms, from ``exact_sum``
+(summation by exponent in NumPy, the same bits as ``math.fsum``), so
+that identity can be asserted at 1e-9 relative tolerance.  The rest of
+the package sums through ``exact_sum`` too.
 """
 
 from __future__ import annotations
@@ -46,17 +48,86 @@ _REPORT_FIELDS = (
 )
 
 
-def _fsum(values) -> float:
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return math.fsum(values)
+# exact_sum's layout: frexp exponents of finite doubles run from -1073
+# (the smallest subnormal, 0.5 * 2**-1073) to 1024, one bin each
+_EXP_MIN = -1073
+_BINS = 1024 - _EXP_MIN + 1
+_BLOCK = 1 << 16
+# a bin summing at most this many whole parts (integers below 2**27) or
+# fractions (multiples of 2**-26 below 1) stays an exact double
+_FLUSH_LIMIT = 1 << 26
+
+
+def exact_sum(values) -> float:
+    """Correctly rounded sum of a float64 array, the same bits as math.fsum.
+
+    Summation by exponent (Demmel & Hida 2003).  ``np.frexp`` writes
+    each value as m * 2**e with |m| < 1 and m * 2**53 an integer.  The
+    53-bit mantissa splits exactly into a truncated whole part
+    trunc(m * 2**27), below 2**27, and a fraction m * 2**27 - whole, a
+    multiple of 2**-26 below 1.  Both parts are added into one bin per
+    exponent with ``np.bincount``, 65,536 values at a time.  A bin stays
+    exact while it holds at most 2**26 parts; before more arrive the
+    bins are flushed into one Python int, and one int division rounds
+    the total correctly.
+
+    The result is the exact sum rounded once, so it matches
+    ``math.fsum`` (Shewchuk 1997) with these exceptions, all on purpose:
+
+    * a zero sum is always 0.0, also for [-0.0], as ``math.fsum`` gives
+      on Python 3.11; an empty input gives 0.0;
+    * an exact sum beyond the float range raises OverflowError, as
+      ``math.fsum`` does, but a partial sum out of range does not:
+      [1e308, 1e308, -1e308] gives 1e308 where ``math.fsum`` raises.
+
+    An input holding a NaN or an infinity is handed to ``math.fsum``,
+    which keeps its results and errors for those.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    n = x.size
+    whole = np.zeros(_BINS)
+    frac = np.zeros(_BINS)
+    total = 0
+    pending = 0
+    for start in range(0, n, _BLOCK):
+        mant, expo = np.frexp(x[start:start + _BLOCK])
+        mant *= 1 << 27
+        hi = np.trunc(mant)
+        with np.errstate(invalid="ignore"):  # inf - inf: the fsum fallback below
+            mant -= hi
+        idx = expo.astype(np.intp)
+        idx -= _EXP_MIN
+        whole += np.bincount(idx, weights=hi, minlength=_BINS)
+        frac += np.bincount(idx, weights=mant, minlength=_BINS)
+        pending += len(idx)
+        if pending + _BLOCK > _FLUSH_LIMIT or start + _BLOCK >= n:
+            if not math.isfinite(whole.sum() + frac.sum()):
+                return math.fsum(x.tolist())
+            total += _flush(whole, frac)
+            pending = 0
+    return total / (1 << (53 - _EXP_MIN))
+
+
+def _flush(whole: np.ndarray, frac: np.ndarray) -> int:
+    """The bins' exact total times 2**(53 - _EXP_MIN), as a Python int;
+    both bins are left zeroed.  Bin i holds parts of values m * 2**e
+    with e = i + _EXP_MIN, so after the scaling a whole part weighs
+    2**(i + 26) and a fraction times 2**26 weighs 2**i."""
+    total = 0
+    frac *= 1 << 26
+    for bins, shift in ((whole, 26), (frac, 0)):
+        nz = np.flatnonzero(bins)
+        for i, v in zip(nz.tolist(), bins[nz].tolist()):
+            total += int(v) << (i + shift)
+        bins[:] = 0.0
+    return total
 
 
 def holding_cost(path: Trajectory, cost_weight: float, up_to: float | None = None) -> float:
     """c times the integral of the queue length from the window open to up_to."""
     bounds, levels = path.segments(up_to)
     widths = np.diff(bounds)
-    return cost_weight * _fsum(levels * widths)
+    return cost_weight * exact_sum(levels * widths)
 
 
 def observed_response(ledger: CustomerLedger, window: tuple[float, float], cost_weight: float) -> float:
@@ -71,10 +142,13 @@ def observed_response(ledger: CustomerLedger, window: tuple[float, float], cost_
     if not (t_initial <= up_to <= ledger.window[1]):
         raise ValueError(f"window close {up_to} outside ledger window {ledger.window}")
     sel = ledger.in_window_mask(up_to)
-    dep = ledger.departure_time[sel]
+    return _observed_total(ledger.arrival_time[sel], ledger.departure_time[sel], window, cost_weight)
+
+
+def _observed_total(arr, dep, window, cost_weight) -> float:
     dep = np.where(np.isnan(dep), np.inf, dep)
-    clipped = np.minimum(dep, up_to) - np.maximum(ledger.arrival_time[sel], t_initial)
-    return cost_weight * _fsum(clipped)
+    clipped = np.minimum(dep, window[1]) - np.maximum(arr, window[0])
+    return cost_weight * exact_sum(clipped)
 
 
 def actual_response(ledger: CustomerLedger, cost_weight: float) -> tuple[float, float, float]:
@@ -84,19 +158,19 @@ def actual_response(ledger: CustomerLedger, cost_weight: float) -> tuple[float, 
     parts falling before the window opened and after it closed.  Raises
     PendingDepartureError when departures were left unresolved.
     """
-    t_initial, t_final = ledger.window
     sel = ledger.in_window_mask()
-    dep = ledger.departure_time[sel]
+    return _actual_totals(ledger, ledger.arrival_time[sel], ledger.departure_time[sel], cost_weight)
+
+
+def _actual_totals(ledger, arr, dep, cost_weight) -> tuple[float, float, float]:
+    t_initial, t_final = ledger.window
     if np.isnan(dep).any():
         raise PendingDepartureError(
             "actual response requires resolved departures; rerun with resolve_pending=True"
         )
-    arr = ledger.arrival_time[sel]
-    total = cost_weight * _fsum(dep - arr)
-    pre = ledger.pre_window
-    initial = cost_weight * _fsum(t_initial - ledger.arrival_time[pre])
-    post = dep[dep > t_final]
-    final = cost_weight * _fsum(post - t_final)
+    total = cost_weight * exact_sum(dep - arr)
+    initial = cost_weight * exact_sum(t_initial - ledger.arrival_time[ledger.pre_window])
+    final = cost_weight * exact_sum(dep[dep > t_final] - t_final)
     return total, initial, final
 
 
@@ -169,16 +243,26 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
     """Evaluate every functional over the full window and bundle them.
 
     Count averages are zero for an empty window population rather than
-    raising, so quiet windows still serialise cleanly.
+    raising, so quiet windows still serialise cleanly.  The path and the
+    ledger must cover the same window.
     """
     window = (path.initial_time, path.final_time)
+    if window != tuple(ledger.window):
+        raise ValueError(f"path window {window} does not match ledger {ledger.window}")
     length = path.window_length
-    # the path integral once: holding_cost(path, c) is c times it exactly
-    area = holding_cost(path, 1.0)
+    # the path and the window population are each read once: the area
+    # gives holding_cost(path, c) = c * area exactly, the widths give
+    # path.busy_time(), and the mask serves every response total
+    bounds, levels = path.segments()
+    widths = np.diff(bounds)
+    area = exact_sum(levels * widths)
     h_total = cost_weight * area
-    r_obs = observed_response(ledger, window, cost_weight)
-    r_act, r_un_initial, r_un_final = actual_response(ledger, cost_weight)
-    n_total = int(np.count_nonzero(ledger.in_window_mask()))
+    sel = ledger.in_window_mask()
+    arr = ledger.arrival_time[sel]
+    dep = ledger.departure_time[sel]
+    r_obs = _observed_total(arr, dep, window, cost_weight)
+    r_act, r_un_initial, r_un_final = _actual_totals(ledger, arr, dep, cost_weight)
+    n_total = int(np.count_nonzero(sel))
     lam_hat = n_total / length
     if n_total > 0:
         h_bar_n = count_average(h_total, n_total)
@@ -201,7 +285,7 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
         R_bar_n_act=r_bar_n_act,
         n_bar_t=area / length,
         lambda_hat=lam_hat,
-        rho_hat=path.busy_time() / length,
+        rho_hat=float(np.sum(widths[levels > 0])) / length,
         N_total=n_total,
         window=window,
     )

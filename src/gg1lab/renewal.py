@@ -14,13 +14,13 @@ seeds by plain concatenation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import write_csv
+from .metrics import exact_sum
 from .simulator import CustomerLedger, PendingDepartureError, Trajectory
 
 
@@ -175,7 +175,7 @@ def renewal_time_average(cycles: RenewalCycles, reward_per_cycle) -> float:
         raise ValueError("time average needs at least one complete cycle")
     if len(rewards) != len(cycles):
         raise ValueError(f"{len(rewards)} rewards for {len(cycles)} cycles")
-    return math.fsum(rewards.tolist()) / math.fsum(cycles.cycle_lengths.tolist())
+    return exact_sum(rewards) / exact_sum(cycles.cycle_lengths)
 
 
 def renewal_count_average(cycles: RenewalCycles, reward_per_cycle, count_per_cycle) -> float:
@@ -189,14 +189,14 @@ def renewal_count_average(cycles: RenewalCycles, reward_per_cycle, count_per_cyc
     total_count = int(counts.sum())
     if total_count <= 0:
         raise ValueError("count average needs a positive total count")
-    return math.fsum(rewards.tolist()) / total_count
+    return exact_sum(rewards) / total_count
 
 
 def utilization(cycles: RenewalCycles) -> float:
     """Fraction of cycle time the server is busy."""
     if len(cycles) == 0:
         raise ValueError("utilization needs at least one complete cycle")
-    return math.fsum(cycles.busy_lengths.tolist()) / math.fsum(cycles.cycle_lengths.tolist())
+    return exact_sum(cycles.busy_lengths) / exact_sum(cycles.cycle_lengths)
 
 
 def pooled_time_average(batches) -> float:
@@ -209,8 +209,8 @@ def pooled_time_average(batches) -> float:
         rewards = np.asarray(rewards, dtype=float)
         if len(rewards) != len(cycles):
             raise ValueError("rewards must align with cycles in every batch")
-        num += math.fsum(rewards.tolist())
-        den += math.fsum(cycles.cycle_lengths.tolist())
+        num += exact_sum(rewards)
+        den += exact_sum(cycles.cycle_lengths)
         used += len(cycles)
     if used == 0:
         raise ValueError("time average needs at least one complete cycle")

@@ -1,0 +1,158 @@
+"""exact_sum against math.fsum, the oracle: the same bits wherever fsum
+returns, and the documented results where it raises."""
+
+import math
+import pathlib
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gg1lab import metrics
+from gg1lab.metrics import exact_sum
+
+TINY = 5e-324  # smallest subnormal
+SPECIAL = [0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, -2.225073858507201e-308,
+           1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308,
+           1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def expected(xs):
+    """math.fsum, or where its partial sums overflow, the exact sum
+    rounded once (float(Fraction) is a correctly rounded int division
+    and raises OverflowError out of range)."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return float(sum(map(Fraction, xs), Fraction(0)))
+
+
+def assert_same(got, want):
+    if want == 0.0:
+        # a zero sum is +0.0, whatever the signs of the zeros summed
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    else:
+        assert got.hex() == want.hex()
+
+
+def check(xs):
+    arr = np.array(xs, dtype=float)
+    try:
+        want = expected(list(arr))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            exact_sum(arr)
+        return
+    assert_same(exact_sum(arr), want)
+
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from(SPECIAL),
+)
+
+
+@given(st.lists(finite, max_size=80), st.data())
+@settings(max_examples=400, deadline=None)
+def test_short_inputs_match_fsum(xs, data):
+    # mirror a random subset so huge terms cancel exactly
+    mirrored = data.draw(st.lists(st.sampled_from(xs), max_size=len(xs))) if xs else []
+    check(xs + [-v for v in mirrored])
+
+
+@given(
+    n=st.one_of(st.integers(0, 300_000),
+                st.sampled_from([65_535, 65_536, 65_537, 131_072, 131_073, 196_609])),
+    seed=st.integers(0, 2**32 - 1),
+    span=st.integers(0, 300),
+    cancel=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_long_inputs_across_blocks_match_fsum(n, seed, span, cancel):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-span, span + 1, n)
+    if cancel:
+        x[n // 2:] = -rng.permutation(x)[: n - n // 2]
+    assert_same(exact_sum(x), math.fsum(x.tolist()))
+
+
+def test_zero_sums_are_positive_zero():
+    for xs in ([], [0.0], [-0.0], [-0.0, -0.0], np.zeros(70_000), [1e300, -1e300]):
+        got = exact_sum(np.asarray(xs, dtype=float))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+def test_overflow_of_the_exact_sum_raises_like_fsum():
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308])
+    with pytest.raises(OverflowError):
+        exact_sum(np.array([1e308, 1e308]))
+
+
+def test_overflow_of_a_partial_sum_only_is_rounded_not_raised():
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    assert exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308
+
+
+@pytest.mark.parametrize("xs", [
+    [1.0, math.nan], [math.inf, 1.0], [-math.inf, 2.0, -3.0], [math.inf, math.inf],
+    [math.nan, math.inf],
+])
+def test_non_finite_inputs_match_fsum(xs):
+    got, want = exact_sum(np.array(xs)), math.fsum(xs)
+    assert got.hex() == want.hex()
+
+
+def test_inf_minus_inf_raises_like_fsum():
+    with pytest.raises(ValueError):
+        math.fsum([math.inf, -math.inf])
+    with pytest.raises(ValueError):
+        exact_sum(np.array([math.inf, 1.0, -math.inf]))
+
+
+def test_flush_bound_keeps_every_bin_exact():
+    # worst case at the real limit: every part is as large as it can be
+    assert metrics._BLOCK <= metrics._FLUSH_LIMIT
+    assert metrics._FLUSH_LIMIT * (2**27 - 1) < 2**53
+    assert metrics._FLUSH_LIMIT * (2**26 - 1) < 2**53  # fractions, in units of 2**-26
+
+
+def test_bins_are_flushed_before_the_limit(monkeypatch):
+    # with 4-value blocks and a limit of 8 values, no flush may see more
+    # than 8 values in a bin; every value of 1 - 2**-53 lands in one bin
+    # with the largest whole part, 2**27 - 1
+    monkeypatch.setattr(metrics, "_BLOCK", 4)
+    monkeypatch.setattr(metrics, "_FLUSH_LIMIT", 8)
+    seen = []
+    flush = metrics._flush
+
+    def counting(whole, frac):
+        seen.append(int(whole.max()) // (2**27 - 1))
+        return flush(whole, frac)
+
+    monkeypatch.setattr(metrics, "_flush", counting)
+    x = np.full(101, 1.0 - 2.0**-53)
+    assert_same(exact_sum(x), math.fsum(x.tolist()))
+    assert seen == [8] * 12 + [5]
+    # the fallback still sees a NaN that arrives after earlier flushes
+    seen.clear()
+    x[-1] = math.nan
+    assert math.isnan(exact_sum(x))
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal(997) * 10.0 ** rng.integers(-200, 200, 997)
+    assert_same(exact_sum(y), math.fsum(y.tolist()))
+
+
+def test_every_exact_sum_in_the_package_goes_through_exact_sum():
+    src = pathlib.Path(metrics.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        for line in path.read_text().splitlines():
+            if re.search(r"fsum\(|sum\([^)]*\.tolist\(\)", line):
+                hits.append((path.name, line.strip()))
+    # the one call left is exact_sum's fallback for non-finite input
+    assert hits == [("metrics.py", "return math.fsum(x.tolist())")]

@@ -90,12 +90,10 @@ def test_hand_placed_epochs():
     path, ledger = simulate(deterministic(2.0), deterministic(1.0), horizon=9.5, seed=0)
     samples = sample_inspections(ledger, path, [1.5, 2.25, 2.999, 3.0])
     assert samples.busy.tolist() == [False, True, True, False]
-    idle = samples.record(0)
-    assert np.isnan(idle.age) and np.isnan(idle.residual)
-    busy = samples.record(1)
-    assert busy.age == pytest.approx(0.25)
-    assert busy.residual == pytest.approx(0.75)
-    assert busy.total == pytest.approx(1.0)
+    assert np.isnan(samples.age[0]) and np.isnan(samples.residual[0])
+    assert samples.age[1] == pytest.approx(0.25)
+    assert samples.residual[1] == pytest.approx(0.75)
+    assert samples.total[1] == pytest.approx(1.0)
     assert samples.busy_fraction == 0.5
 
 

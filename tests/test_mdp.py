@@ -16,7 +16,7 @@ from gg1lab.birthdeath import (
 )
 from gg1lab.mdp import (
     MdpInstance,
-    _Chain,
+    _i_minus_p,
     build_instance,
     continuous_time_average,
     implied_response,
@@ -77,7 +77,7 @@ def test_transition_row_hand_example():
     inst = build_instance(0.1, [0.15, 0.2], n_states=6)
     assert inst.uniformisation_rate == pytest.approx(0.3)
     policy = np.zeros(7, dtype=int)
-    m = _Chain(inst).i_minus_p(policy)
+    m = _i_minus_p(inst, policy)
     assert m[3, 2] == pytest.approx(-0.5)
     assert m[3, 4] == pytest.approx(-1.0 / 3.0)
     assert m[3, 3] == pytest.approx(1.0 - 1.0 / 6.0)
@@ -105,7 +105,7 @@ def test_transition_rows_are_stochastic(lam, n_actions, n):
         inst = build_instance(lam, grid, n_states=n)
     rng = np.random.default_rng(0)
     policy = rng.integers(0, len(grid), n + 1)
-    m = _Chain(inst).i_minus_p(policy)
+    m = _i_minus_p(inst, policy)
     # P = I - (I - P) has no negative entry and rows of I - P sum to zero
     assert (np.eye(n + 1) - m >= 0).all()
     np.testing.assert_allclose(m.sum(axis=1), 0.0, atol=1e-12)

@@ -90,6 +90,28 @@ def test_identity_across_configurations(arrival, service, disc, warmup, horizon,
     assert rep.R_act_total >= rep.R_obs_total
 
 
+@pytest.mark.parametrize("arrival,service,disc,warmup,horizon,c", CONFIGS)
+def test_report_matches_the_public_functions(arrival, service, disc, warmup, horizon, c):
+    """compute_report reads the path and the ledger once; its totals are
+    still the public functionals' results, bit for bit."""
+    path, ledger = simulate(arrival, service, discipline=disc, warmup=warmup,
+                            horizon=horizon, seed=3)
+    rep = compute_report(path, ledger, cost_weight=c)
+    assert rep.H_total == holding_cost(path, c)
+    assert rep.n_bar_t == holding_cost(path, 1.0) / path.window_length
+    assert rep.R_obs_total == observed_response(ledger, rep.window, c)
+    assert (rep.R_act_total, rep.R_un_initial, rep.R_un_final) == actual_response(ledger, c)
+    assert rep.rho_hat == path.busy_time() / path.window_length
+    assert rep.N_total == int(ledger.in_window_mask().sum())
+
+
+def test_report_rejects_a_ledger_from_another_window(dd1):
+    path, _ = dd1
+    _, longer = simulate(deterministic(1.0), deterministic(2.0), horizon=6.0, seed=7)
+    with pytest.raises(ValueError, match="does not match ledger"):
+        compute_report(path, longer)
+
+
 @given(seed=st.integers(0, 2**31 - 1), c=st.floats(0.1, 5.0))
 @settings(max_examples=25, deadline=None)
 def test_identity_property(seed, c):
