@@ -1,6 +1,7 @@
 """Simulation and analysis toolkit for single-server queues.
 
-Event-driven G/G/1 simulation with exact cost accounting, renewal-cycle
+G/G/1 simulation by the service-slot recursion with exact cost
+accounting, shorter windows of one run by ``restrict``, renewal-cycle
 estimators, inspection-paradox sampling, and an average-cost control
 model for the service rate, all verified by a runnable acceptance
 suite (`gg1lab verify`).

@@ -4,8 +4,9 @@ CSV: a header row, then one row per index of equal-length columns;
 fields joined by "," and rows ended by "\\n" on every platform.  Floats
 are written as ``repr`` (``nan``, ``inf``, ``-0.0``), integers in
 decimal, bool arrays as 0/1, strings as is.  JSON: sorted keys, a
-2-space indent and one trailing "\\n".  No timestamps or paths enter
-either, so reruns compare byte for byte.
+2-space indent and one trailing "\\n".  JSON lines: sorted keys, one
+compact object per line.  No timestamps or paths enter any of them, so
+reruns compare byte for byte.
 """
 
 from __future__ import annotations
@@ -38,3 +39,10 @@ def write_json(path, payload) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_jsonl(path, rows) -> None:
+    """Write an iterable of dicts as one JSON object per line."""
+    with open(path, "w", newline="") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")

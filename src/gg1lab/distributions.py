@@ -256,12 +256,3 @@ def gamma(shape: float, scale: float) -> DistributionSpec:
 def lognormal(log_mean: float, log_sigma: float) -> DistributionSpec:
     return DistributionSpec("lognormal", (log_mean, log_sigma))
 
-
-def moments(spec: DistributionSpec) -> tuple[float, float, float]:
-    """(mean, second moment, squared coefficient of variation)."""
-    return spec.mean(), spec.second_moment(), spec.cv2()
-
-
-def sample(spec: DistributionSpec, rng: np.random.Generator, size: int | None = None):
-    """Functional form of DistributionSpec.sample."""
-    return spec.sample(rng, size)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .artifacts import write_csv, write_json
+from .artifacts import write_csv, write_json, write_jsonl
 from .distributions import DistributionSpec
 from .simulator import simulate
 
@@ -269,7 +269,7 @@ def emit_reports(surface: ResponseSurface, config: ExperimentConfig, directory) 
     written.append(csv_path)
 
     jsonl_path = os.path.join(directory, "reports.jsonl")
-    metrics.write_reports_jsonl(surface.reports, jsonl_path)
+    write_jsonl(jsonl_path, ({**extra, **report.to_dict()} for extra, report in surface.reports))
     written.append(jsonl_path)
 
     echo_path = os.path.join(directory, "config.echo.json")

@@ -24,7 +24,6 @@ hands it to one LAPACK solve.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -158,9 +157,6 @@ class MdpSolution:
             "method": self.method,
             "distinguished_state": self.distinguished_state,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def continuous_time_average(instance: MdpInstance, rho_bar: float) -> float:

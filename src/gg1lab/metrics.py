@@ -123,26 +123,22 @@ def _flush(whole: np.ndarray, frac: np.ndarray) -> int:
     return total
 
 
-def holding_cost(path: Trajectory, cost_weight: float, up_to: float | None = None) -> float:
-    """c times the integral of the queue length from the window open to up_to."""
-    bounds, levels = path.segments(up_to)
+def holding_cost(path: Trajectory, cost_weight: float) -> float:
+    """c times the integral of the queue length over the window."""
+    bounds, levels = path.segments()
     widths = np.diff(bounds)
     return cost_weight * exact_sum(levels * widths)
 
 
-def observed_response(ledger: CustomerLedger, window: tuple[float, float], cost_weight: float) -> float:
+def observed_response(ledger: CustomerLedger, cost_weight: float) -> float:
     """Window-clipped in-system time, summed over the window population.
 
     Customers still present at the window close contribute up to the
     close only, so this never needs resolved departures.
     """
-    t_initial, up_to = window
-    if t_initial != ledger.window[0]:
-        raise ValueError(f"window open {t_initial} does not match ledger {ledger.window[0]}")
-    if not (t_initial <= up_to <= ledger.window[1]):
-        raise ValueError(f"window close {up_to} outside ledger window {ledger.window}")
-    sel = ledger.in_window_mask(up_to)
-    return _observed_total(ledger.arrival_time[sel], ledger.departure_time[sel], window, cost_weight)
+    sel = ledger.in_window_mask()
+    return _observed_total(ledger.arrival_time[sel], ledger.departure_time[sel],
+                           ledger.window, cost_weight)
 
 
 def _observed_total(arr, dep, window, cost_weight) -> float:
@@ -363,15 +359,3 @@ def indirect_estimate_Rn(h_bar_t: float, arrival_rate: float) -> float:
         raise ValueError(f"arrival rate must be > 0, got {arrival_rate}")
     return h_bar_t / arrival_rate
 
-
-def write_reports_jsonl(reports, path) -> None:
-    """Write an iterable of MetricsReport (or (extra_fields, report)
-    pairs) as one JSON object per line."""
-    with open(path, "w", newline="") as fh:
-        for item in reports:
-            if isinstance(item, MetricsReport):
-                payload = item.to_dict()
-            else:
-                extra, report = item
-                payload = {**extra, **report.to_dict()}
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -14,7 +14,8 @@ The observation window is [warmup, warmup + horizon].  The system
 starts empty at time zero; customers present when the window opens are
 flagged ``pre_window``.  Customers still in the system when the window
 closes are by default resolved by continuing the simulation (those
-later events never extend the recorded path).
+later events never extend the recorded path).  ``restrict`` takes a
+shorter window of a run.
 """
 
 from __future__ import annotations
@@ -89,21 +90,23 @@ class CustomerLedger:
     def __len__(self) -> int:
         return len(self.arrival_time)
 
-    def in_window_mask(self, up_to: float | None = None) -> np.ndarray:
+    def in_window_mask(self) -> np.ndarray:
         """Customers counted by the window: present at the open, or arriving
-        inside [open, up_to]."""
+        inside it."""
         t_initial, t_final = self.window
-        if up_to is None:
-            up_to = t_final
-        arrivals = (self.arrival_time >= t_initial) & (self.arrival_time <= up_to)
+        arrivals = (self.arrival_time >= t_initial) & (self.arrival_time <= t_final)
         return self.pre_window | arrivals
 
-    def pending_mask(self, at: float | None = None) -> np.ndarray:
-        """In-window customers whose departure falls after ``at`` (or is unresolved)."""
-        if at is None:
-            at = self.window[1]
-        unresolved = np.isnan(self.departure_time)
-        return self.in_window_mask() & (unresolved | (self.departure_time > at))
+    def restrict(self, t_final: float) -> "CustomerLedger":
+        """The rows arriving at or before ``t_final``, as views, over the
+        window [open, t_final]; see ``Trajectory.restrict``."""
+        t_initial, end = self.window
+        if not (t_initial <= t_final <= end):
+            raise ValueError(f"t_final={t_final} outside window [{t_initial}, {end}]")
+        cut = slice(_count_upto(self.arrival_time, t_final))
+        return CustomerLedger(self.arrival_time[cut], self.service_start[cut],
+                              self.service_duration[cut], self.departure_time[cut],
+                              self.pre_window[cut], (t_initial, t_final))
 
     def to_csv(self, path) -> None:
         """Columns id, t_A, svc_start, t_mu, t_D, pre_window."""
@@ -127,7 +130,6 @@ class Trajectory:
     initial_count: int
     times: np.ndarray
     counts: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -137,27 +139,28 @@ class Trajectory:
     def window_length(self) -> float:
         return self.final_time - self.initial_time
 
-    def segments(self, up_to: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
         """(boundaries, levels): levels[i] holds on [boundaries[i], boundaries[i+1])."""
-        if up_to is None:
-            up_to = self.final_time
-        if not (self.initial_time <= up_to <= self.final_time):
-            raise ValueError(
-                f"up_to={up_to} outside window [{self.initial_time}, {self.final_time}]"
-            )
-        cut = int(np.searchsorted(self.times, up_to, side="right"))
-        bounds = np.concatenate(([self.initial_time], self.times[:cut], [up_to]))
-        levels = np.concatenate(([self.initial_count], self.counts[:cut]))
+        bounds = np.concatenate(([self.initial_time], self.times, [self.final_time]))
+        levels = np.concatenate(([self.initial_count], self.counts))
         return bounds, levels
 
-    def queue_length_at(self, t: float) -> int:
-        if not (self.initial_time <= t <= self.final_time):
-            raise ValueError(f"t={t} outside window")
-        i = int(np.searchsorted(self.times, t, side="right"))
-        return int(self.counts[i - 1]) if i else self.initial_count
+    def restrict(self, t_final: float) -> "Trajectory":
+        """The same run observed over [initial_time, t_final]: the events
+        at or before ``t_final``, as views.  For a run that resolved its
+        pending customers (the ``simulate`` default) this path and the
+        ledger's ``restrict`` are, bit for bit, those of a fresh
+        ``simulate`` on the same seed whose window ends at ``t_final``."""
+        if not (self.initial_time <= t_final <= self.final_time):
+            raise ValueError(
+                f"t_final={t_final} outside window [{self.initial_time}, {self.final_time}]"
+            )
+        cut = _count_upto(self.times, t_final)
+        return Trajectory(self.initial_time, t_final, self.initial_count,
+                          self.times[:cut], self.counts[:cut])
 
-    def busy_time(self, up_to: float | None = None) -> float:
-        bounds, levels = self.segments(up_to)
+    def busy_time(self) -> float:
+        bounds, levels = self.segments()
         widths = np.diff(bounds)
         return float(np.sum(widths[levels > 0]))
 
@@ -315,7 +318,6 @@ def simulate(
         initial_count=initial_count,
         times=times,
         counts=counts,
-        seed=seed,
     )
 
     # the kept slots that started: all up to the last window customer's,

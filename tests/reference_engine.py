@@ -196,7 +196,6 @@ def simulate(
         initial_count=initial_count,
         times=times,
         counts=counts,
-        seed=seed,
     )
 
     arr_a = np.asarray(col_arr, dtype=float)

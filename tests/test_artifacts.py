@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gg1lab.artifacts import _ROW_BLOCK, write_csv, write_json
+from gg1lab.artifacts import _ROW_BLOCK, write_csv, write_json, write_jsonl
 from gg1lab.cli import main
 from gg1lab.distributions import exponential
 from gg1lab.renewal import RenewalCycles, cycle_rewards, detect_cycles
@@ -193,3 +193,14 @@ def test_write_json_format(tmp_path):
         b'{\n  "a": {\n    "y": NaN,\n    "z": null\n  },\n'
         b'  "b": [\n    1,\n    2.5\n  ]\n}\n'
     )
+
+
+def test_write_jsonl_format(tmp_path):
+    out = tmp_path / "rows.jsonl"
+    write_jsonl(out, ({"seed": k, "b": [1, 2.5], "a": None} for k in (7, 8)))
+    assert out.read_bytes() == (
+        b'{"a": null, "b": [1, 2.5], "seed": 7}\n'
+        b'{"a": null, "b": [1, 2.5], "seed": 8}\n'
+    )
+    write_jsonl(out, [])
+    assert out.read_bytes() == b""

@@ -11,7 +11,6 @@ from gg1lab.distributions import (
     exponential,
     gamma,
     lognormal,
-    moments,
     uniform,
 )
 
@@ -167,8 +166,3 @@ def test_deterministic_has_no_density():
     assert float(d.cdf(1.999)) == 0.0
     assert float(d.cdf(2.0)) == 1.0
     assert float(d.sf(1.999)) == 1.0
-
-
-def test_moments_helper():
-    m, m2, cv2 = moments(exponential(2.0))
-    assert (m, m2, cv2) == pytest.approx((0.5, 0.5, 1.0))

@@ -345,7 +345,7 @@ def test_serialization_round_trips():
     again = MdpInstance.from_dict(inst.to_dict())
     assert again.to_dict() == inst.to_dict()
     sol = solve_optimal(inst)
-    data = json.loads(sol.to_json())
+    data = sol.to_dict()
     assert data["method"] == "policy-iteration"
     assert len(data["policy"]) == 31
     assert data["rho_bar"] == pytest.approx(sol.rho_bar)

@@ -17,7 +17,6 @@ from gg1lab.metrics import (
     observed_response,
     time_average,
     verify_theorem,
-    write_reports_jsonl,
 )
 from gg1lab.simulator import PendingDepartureError, simulate
 
@@ -36,8 +35,8 @@ def test_hand_traced_primitives(dd1):
     path, ledger = dd1
     assert holding_cost(path, 1.0) == 8.0
     assert holding_cost(path, 2.5) == 20.0
-    assert holding_cost(path, 1.0, up_to=3.0) == 3.0
-    assert observed_response(ledger, (0.0, 5.0), 1.0) == 8.0
+    assert holding_cost(path.restrict(3.0), 1.0) == 3.0
+    assert observed_response(ledger, 1.0) == 8.0
     total, initial, final = actual_response(ledger, 1.0)
     assert (total, initial, final) == (20.0, 0.0, 12.0)
 
@@ -99,7 +98,7 @@ def test_report_matches_the_public_functions(arrival, service, disc, warmup, hor
     rep = compute_report(path, ledger, cost_weight=c)
     assert rep.H_total == holding_cost(path, c)
     assert rep.n_bar_t == holding_cost(path, 1.0) / path.window_length
-    assert rep.R_obs_total == observed_response(ledger, rep.window, c)
+    assert rep.R_obs_total == observed_response(ledger, c)
     assert (rep.R_act_total, rep.R_un_initial, rep.R_un_final) == actual_response(ledger, c)
     assert rep.rho_hat == path.busy_time() / path.window_length
     assert rep.N_total == int(ledger.in_window_mask().sum())
@@ -135,19 +134,6 @@ def test_report_json_fields_and_round_trip(dd1):
     assert again == rep
     with pytest.raises(ValueError):
         MetricsReport.from_dict({"H_total": 1.0})
-
-
-def test_reports_jsonl(tmp_path, dd1):
-    path, ledger = dd1
-    rep = compute_report(path, ledger)
-    out = tmp_path / "reports.jsonl"
-    write_reports_jsonl([({"seed": 7}, rep), rep], out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2
-    first = json.loads(lines[0])
-    assert first["seed"] == 7
-    assert first["H_total"] == 8.0
-    assert "seed" not in json.loads(lines[1])
 
 
 def test_relation_gap_zero_when_no_clipping():
@@ -229,7 +215,7 @@ def test_pending_departures_are_rejected():
     with pytest.raises(PendingDepartureError):
         actual_response(ledger, 1.0)
     # the clipped total is still well defined: pending counts as "beyond T"
-    assert observed_response(ledger, (0.0, 5.0), 1.0) == 8.0
+    assert observed_response(ledger, 1.0) == 8.0
 
 
 def test_cost_weight_scales_linearly(dd1):

@@ -21,8 +21,7 @@ from gg1lab.simulator import Trajectory, simulate
 
 def make_path(times, counts, t0=0.0, t1=10.0, n0=0):
     return Trajectory(initial_time=t0, final_time=t1, initial_count=n0,
-                      times=np.asarray(times, float), counts=np.asarray(counts, int),
-                      seed=0)
+                      times=np.asarray(times, float), counts=np.asarray(counts, int))
 
 
 # hand case: busy [0,4), idle [4,6), busy [6,9), idle [9,10)

@@ -43,10 +43,6 @@ def test_hand_traced_path():
     assert path.initial_count == 0
     np.testing.assert_array_equal(path.times, [1.0, 2.0, 4.0])
     np.testing.assert_array_equal(path.counts, [1, 2, 3])
-    assert path.queue_length_at(0.5) == 0
-    assert path.queue_length_at(1.0) == 1
-    assert path.queue_length_at(3.5) == 2
-    assert path.queue_length_at(4.0) == 3
     assert path.busy_time() == pytest.approx(4.0)
 
 
@@ -54,11 +50,11 @@ def test_hand_traced_segments_integral():
     path, _ = dd1()
     bounds, levels = path.segments()
     assert float(np.dot(np.diff(bounds), levels)) == pytest.approx(8.0)
-    # truncated at t=3: 0*1 + 1*1 + 2*1 = 3
-    bounds, levels = path.segments(up_to=3.0)
+    # restricted to [0, 3]: 0*1 + 1*1 + 2*1 = 3
+    bounds, levels = path.restrict(3.0).segments()
     assert float(np.dot(np.diff(bounds), levels)) == pytest.approx(3.0)
     with pytest.raises(ValueError):
-        path.segments(up_to=6.0)
+        path.restrict(6.0)
 
 
 def test_warmup_initial_count():
@@ -166,7 +162,7 @@ def test_unresolved_customers_are_nan():
     # customer 2 is in service at t=5 (started 3, needs 2); 3 and 4 queued
     assert np.isnan(ledger.departure_time[2:]).all()
     assert np.isfinite(ledger.departure_time[:2]).all()
-    pending = ledger.pending_mask()
+    pending = ledger.in_window_mask() & np.isnan(ledger.departure_time)
     np.testing.assert_array_equal(pending, [False, False, True, True, True])
     # the path still covers the whole window
     assert path.final_time == 5.0
