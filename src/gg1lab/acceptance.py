@@ -531,7 +531,12 @@ class AcceptanceSuite:
         seeds contain 0.  A true zero slope falls outside a 95% interval
         in about 1 master seed in 20 by construction, so a failure at one
         master seed alone is the expected false alarm: at master seed 404
-        the interval is [-6.08e-6, -4.07e-7].
+        the interval is [-6.08e-6, -4.07e-7].  That rate holds for master
+        seeds at least 10 apart.  Master seed m runs seeds m, ..., m + 9
+        (``_seeds``), so neighbouring master seeds share nine of their ten
+        slopes and fail together: 7100 to 7104 all fail on correct code
+        (at 7101 the interval is [-4.44e-6, -2.01e-7]), and 7099 and 7105
+        pass by 7.5e-8 and 1.5e-7.
         """
         slopes = []
         act_rates = []

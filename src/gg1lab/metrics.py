@@ -49,13 +49,16 @@ _REPORT_FIELDS = (
 
 
 # exact_sum's layout: frexp exponents of finite doubles run from -1073
-# (the smallest subnormal, 0.5 * 2**-1073) to 1024, one bin each
+# (the smallest subnormal, 0.5 * 2**-1073) to 1024; the bins cover only
+# the exponents the input holds, one bin each
 _EXP_MIN = -1073
-_BINS = 1024 - _EXP_MIN + 1
 _BLOCK = 1 << 16
 # a bin summing at most this many whole parts (integers below 2**27) or
 # fractions (multiples of 2**-26 below 1) stays an exact double
 _FLUSH_LIMIT = 1 << 26
+# inputs shorter than this are summed as Python ints: below it that
+# beats the bins' fixed cost of about 30 us a call
+_SHORT = 64
 
 
 def exact_sum(values) -> float:
@@ -66,10 +69,13 @@ def exact_sum(values) -> float:
     53-bit mantissa splits exactly into a truncated whole part
     trunc(m * 2**27), below 2**27, and a fraction m * 2**27 - whole, a
     multiple of 2**-26 below 1.  Both parts are added into one bin per
-    exponent with ``np.bincount``, 65,536 values at a time.  A bin stays
-    exact while it holds at most 2**26 parts; before more arrive the
-    bins are flushed into one Python int, and one int division rounds
-    the total correctly.
+    exponent with ``np.bincount``, 65,536 values at a time; the bins
+    span only the exponents seen so far.  A bin stays exact while it
+    holds at most 2**26 parts; before more arrive the bins are flushed
+    into one Python int, and one int division rounds the total
+    correctly.  An input of fewer than ``_SHORT`` values skips the
+    bins: each value is an exact multiple of 2**-1074, so the sum of
+    those multiples is one Python int, rounded by the same division.
 
     The result is the exact sum rounded once, so it matches
     ``math.fsum`` (Shewchuk 1997) with these exceptions, all on purpose:
@@ -85,8 +91,16 @@ def exact_sum(values) -> float:
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     n = x.size
-    whole = np.zeros(_BINS)
-    frac = np.zeros(_BINS)
+    if n < _SHORT:
+        try:
+            parts = [v.as_integer_ratio() for v in x.tolist()]
+        except (OverflowError, ValueError):
+            pass  # an infinity or a NaN: the bins hand it to math.fsum
+        else:
+            # num / den with den = 2**k, k <= 1074, is num * 2**(1074 - k) / 2**1074
+            return sum(num << (1075 - den.bit_length()) for num, den in parts) / (1 << 1074)
+    whole, frac = np.zeros(0), np.zeros(0)
+    low = 0  # exponent of bin 0
     total = 0
     pending = 0
     for start in range(0, n, _BLOCK):
@@ -95,24 +109,39 @@ def exact_sum(values) -> float:
         hi = np.trunc(mant)
         with np.errstate(invalid="ignore"):  # inf - inf: the fsum fallback below
             mant -= hi
+        first, last = int(expo.min()), int(expo.max())
+        if first < low or last >= low + len(whole):
+            whole, frac, low = _widen(whole, frac, low, first, last)
         idx = expo.astype(np.intp)
-        idx -= _EXP_MIN
-        whole += np.bincount(idx, weights=hi, minlength=_BINS)
-        frac += np.bincount(idx, weights=mant, minlength=_BINS)
+        idx -= low
+        whole += np.bincount(idx, weights=hi, minlength=len(whole))
+        frac += np.bincount(idx, weights=mant, minlength=len(frac))
         pending += len(idx)
         if pending + _BLOCK > _FLUSH_LIMIT or start + _BLOCK >= n:
             if not math.isfinite(whole.sum() + frac.sum()):
                 return math.fsum(x.tolist())
-            total += _flush(whole, frac)
+            total += _flush(whole, frac) << (low - _EXP_MIN)
             pending = 0
     return total / (1 << (53 - _EXP_MIN))
 
 
+def _widen(whole: np.ndarray, frac: np.ndarray, low: int, first: int,
+           last: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bins spanning the exponents of ``whole``/``frac`` (bin 0 at
+    ``low``) and ``first``..``last``, holding the same parts."""
+    if len(whole):
+        first, last = min(first, low), max(last, low + len(whole) - 1)
+    grown = np.zeros((2, last - first + 1))
+    grown[0, low - first:low - first + len(whole)] = whole
+    grown[1, low - first:low - first + len(frac)] = frac
+    return grown[0], grown[1], first
+
+
 def _flush(whole: np.ndarray, frac: np.ndarray) -> int:
-    """The bins' exact total times 2**(53 - _EXP_MIN), as a Python int;
-    both bins are left zeroed.  Bin i holds parts of values m * 2**e
-    with e = i + _EXP_MIN, so after the scaling a whole part weighs
-    2**(i + 26) and a fraction times 2**26 weighs 2**i."""
+    """The bins' exact total times 2**(53 - e0), e0 the exponent of bin
+    0, as a Python int; both bins are left zeroed.  Bin i holds parts
+    of values m * 2**e with e = i + e0, so after the scaling a whole
+    part weighs 2**(i + 26) and a fraction times 2**26 weighs 2**i."""
     total = 0
     frac *= 1 << 26
     for bins, shift in ((whole, 26), (frac, 0)):

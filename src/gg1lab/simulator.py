@@ -10,6 +10,16 @@ seed; the discipline only decides which waiting customer fills each
 slot: the oldest under FCFS, the newest under LCFS, a uniform pick
 under random order.
 
+The recursion is solved one busy period at a time.  A slot opens a
+busy period iff its arrival comes after the previous departure, and
+inside a period each departure is the previous one plus a service
+time.  On long chunks the periods are guessed from the max-plus closed
+form, summed side by side in NumPy with the recursion's own float
+additions, and every guessed start is then checked exactly against the
+departures; a chunk that passes the check holds the unique solution of
+the recursion, so its bits are those of the scalar loop, which still
+computes short chunks and any chunk the check keeps rejecting.
+
 The observation window is [warmup, warmup + horizon].  The system
 starts empty at time zero; customers present when the window opens are
 flagged ``pre_window``.  Customers still in the system when the window
@@ -36,6 +46,14 @@ _SAMPLE_BLOCK = 16384
 # slots per chunk while the number of window arrivals is unknown or the
 # drain is resolving the last window customers; doubles up to a block
 _FIRST_CHUNK = 256
+
+# chunks shorter than this keep the scalar slot loop: below it the
+# busy-period kernel's fixed cost, about 100 us a chunk, outweighs its
+# gain
+_PARALLEL_MIN = 2048
+
+# rounds of exact start checks before a chunk falls back to the loop
+_ROUNDS = 4
 
 # the queue entry and slot owner standing for a customer arriving after
 # the window, who gets no ledger row
@@ -204,7 +222,11 @@ def simulate(
     Service slots are computed a chunk at a time until every slot the
     run needs is known: those of the window's arrivals, plus, when
     ``resolve_pending`` holds under LCFS or random order, the drain
-    slots up to the departure of the last window customer.  Arrivals
+    slots up to the departure of the last window customer.  A chunk of
+    ``_PARALLEL_MIN`` slots or more is computed a busy period at a
+    time (guessed starts, NumPy sums, an exact check of every start);
+    shorter ones, such as the first chunks and the drain's, by the
+    scalar loop.  Both give the same bits.  Arrivals
     after the window end take slots and service draws but get no
     ledger row, and the drain keeps only the slots of window customers.
     The event cap is checked after every chunk, so a run stops within
@@ -266,7 +288,7 @@ def simulate(
         arrivals.ensure_count(hi)
         a = arrivals.between(k, hi)
         s = services.take(hi - k)
-        d = np.array(_slot_departures(a, s, dep))
+        d = _departures(a, s, dep)
         if drain:
             tail = (k, d)
         else:
@@ -474,9 +496,21 @@ class _Arrivals:
         self._first = n
 
 
-def _slot_departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> list[float]:
+def _departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> np.ndarray:
     """D_k = max(D_{k-1}, A_k) + s_k over one chunk of slots, starting
-    from the departure ``dep`` of the slot before the chunk."""
+    from the departure ``dep`` of the slot before the chunk: by the
+    busy-period kernel from ``_PARALLEL_MIN`` slots on, below that by
+    the scalar loop.  Both give the loop's bits."""
+    if len(arrivals) < _PARALLEL_MIN:
+        return np.array(_slot_departures(arrivals, services, dep))
+    return _busy_period_departures(arrivals, services, dep, _guess_starts(arrivals, services, dep))
+
+
+def _slot_departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> list[float]:
+    """D_k = max(D_{k-1}, A_k) + s_k over a run of slots, starting from
+    the departure ``dep`` of the slot before the run, one Python step
+    per slot.  The one scalar path: chunks below ``_PARALLEL_MIN`` and
+    the busy-period kernel's fallback."""
     out = []
     append = out.append
     for a, s in zip(arrivals.tolist(), services.tolist()):
@@ -485,6 +519,88 @@ def _slot_departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> 
         dep += s
         append(dep)
     return out
+
+
+def _guess_starts(arrivals: np.ndarray, services: np.ndarray, dep: float) -> np.ndarray:
+    """The slots that open a busy period by the max-plus closed form
+    D_k = S_k + max(dep, max_{j<=k} (A_j - S_{j-1})), S the running sum
+    of the services (Baccelli, Cohen, Olsder & Quadrat 1992): slot k
+    opens one iff A_k - S_{k-1} exceeds every earlier term.  The form
+    rounds differently from the recursion, so this is only a guess."""
+    x = arrivals - (np.cumsum(services) - services)
+    return x > np.maximum.accumulate(np.concatenate(([dep], x[:-1])))
+
+
+def _busy_period_departures(arrivals: np.ndarray, services: np.ndarray, dep: float,
+                            starts: np.ndarray) -> np.ndarray:
+    """The slot departures from a guess of the busy-period starts,
+    checked exactly.
+
+    Slot k opens a busy period iff A_k > D_{k-1} (``dep`` standing in
+    for D_{-1}).  Departures summed over the guessed periods that agree
+    with that test at every slot solve the recursion, whose solution is
+    unique, so they are the loop's bits.  Up to the first slot that
+    disagrees they are exact and that slot's start is then known, so
+    the next round sums from there with the corrected starts.  After
+    ``_ROUNDS`` rounds the rest goes to the scalar loop.
+    """
+    d = np.empty(len(arrivals))
+    lo = 0
+    for _ in range(_ROUNDS):
+        _period_sums(arrivals[lo:], services[lo:], dep, starts, d[lo:])
+        opens = arrivals[lo:] > _previous_departures(dep, d[lo:])
+        wrong = np.flatnonzero(opens != starts)
+        if not wrong.size:
+            return d
+        lo += int(wrong[0])
+        if lo:
+            dep = float(d[lo - 1])
+        starts = opens[wrong[0]:]
+    d[lo:] = _slot_departures(arrivals[lo:], services[lo:], dep)
+    return d
+
+
+def _period_sums(arrivals: np.ndarray, services: np.ndarray, dep: float,
+                 starts: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with the departures of the busy periods opening at
+    ``starts``; a period runs up to the next start.
+
+    A period opening at slot b departs at A_b + s_b, A_b + s_b + s_{b+1},
+    ...: the loop's float additions in the loop's order.  Slot 0 when
+    it opens no period continues from ``dep``.  The periods are sorted
+    longest first, so step p adds the p-th service of every period
+    longer than p in one NumPy operation.  One such step costs about as
+    much as one ``np.cumsum`` over the rest of a period, so the steps
+    stop at the p that minimises p plus the periods still longer than
+    p, and those few long periods each finish by ``np.cumsum`` (which
+    adds in sequence, as the loop does).
+    """
+    n = len(arrivals)
+    first = np.flatnonzero(starts)
+    base = arrivals[first]
+    if not starts[0]:
+        first = np.concatenate(([0], first))
+        base = np.concatenate(([dep], base))
+    lengths = np.empty_like(first)
+    lengths[:-1] = first[1:] - first[:-1]
+    lengths[-1] = n - first[-1]
+    # a stable sort of small ints is a radix sort
+    key = -lengths.astype(np.int16 if n < 1 << 15 else np.intp)
+    order = np.argsort(key, kind="stable")
+    first = first[order]
+    cur = base[order] + services[first]
+    out[first] = cur
+    active = len(first) - np.cumsum(np.bincount(lengths))  # periods longer than p
+    stop = 1 + int(np.argmin(active[1:] + np.arange(1, len(active))))
+    for p, m in enumerate(active[1:stop].tolist(), 1):
+        at = first[:m] + p
+        cur = cur[:m] + services[at]
+        out[at] = cur
+    m = int(active[stop])
+    for b, length in zip(first[:m].tolist(), lengths[order[:m]].tolist()):
+        lo, hi = b + stop, b + length
+        out[lo:hi] = services[lo:hi]
+        np.cumsum(out[lo - 1 : hi], out=out[lo - 1 : hi])
 
 
 class _Queue:

@@ -6,6 +6,9 @@ draws each service duration when service starts, and keeps the waiting
 customers in a queue that the discipline pops.  The kernel must match it
 bitwise on every output column, on the path and on the fields of
 ``EventCapExceeded``.
+
+``_slot_departures`` is the slot kernel's scalar loop as it was before
+the busy-period kernel, kept verbatim as the chunk-level oracle.
 """
 
 from __future__ import annotations
@@ -230,3 +233,16 @@ def _canonical_path(ev_times, ev_counts, initial_count: int) -> tuple[np.ndarray
         times = times[changed]
         counts = counts[changed]
     return times, counts
+
+
+def _slot_departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> list[float]:
+    """D_k = max(D_{k-1}, A_k) + s_k over one chunk of slots, starting
+    from the departure ``dep`` of the slot before the chunk."""
+    out = []
+    append = out.append
+    for a, s in zip(arrivals.tolist(), services.tolist()):
+        if a > dep:
+            dep = a
+        dep += s
+        append(dep)
+    return out
