@@ -68,8 +68,8 @@ class ExperimentConfig:
             raise ValueError("rate grid must be strictly increasing")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be a nonempty list of distinct integers")
-        if not 0 <= self.warmup < self.warmup + self.horizon:
-            raise ValueError("need horizon > 0 and warmup >= 0")
+        if not (0 <= self.warmup < self.warmup + self.horizon < math.inf):
+            raise ValueError("need finite horizon > 0 and warmup >= 0")
         if self.version != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {self.version}")
 

@@ -17,9 +17,11 @@ The controlled chain is birth-death, and each solve tabulates it once
 (``_Chain``): the up/down neighbours of every state, the arrival
 probability, and action-major tables of the service, stay and stage-cost
 terms.  A greedy sweep is then three multiply-adds into reused buffers
-and a first-minimum scan over the actions; policy evaluation fills the
-dense I - P on its three diagonals from the same probabilities and
-hands it to one LAPACK solve.
+and a first-minimum scan over the actions.  Policy evaluation works on
+the flows J(x+1) - J(x): differencing neighbouring rows of the Poisson
+equation removes the gain and leaves a tridiagonal system, solved in
+O(N) by one LAPACK call; the gain and J follow from the flows by one
+multiply-add and a running sum.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 200_000
@@ -210,26 +213,6 @@ class _Chain:
         return best, q_best
 
 
-def _i_minus_p(instance: MdpInstance, policy: np.ndarray) -> np.ndarray:
-    """Dense I - P under a policy (action index per state), filled on its
-    three diagonals from the arrival probability and the policy's service
-    probabilities, the same values as ``_Chain.p_up`` and
-    ``_Chain.p_down[policy, states]``.  Rounding in p_down + p_up can push
-    a row past one, so the stay probability on the diagonal is clamped at
-    exact zero."""
-    n = instance.n_states
-    big = instance.uniformisation_rate
-    down = np.where(instance.states >= 1, instance.action_grid[policy], 0.0) / big
-    up = np.full(n + 1, instance.arrival_rate / big)
-    up[n] = 0.0
-    m = np.zeros((n + 1, n + 1))
-    flat = m.reshape(-1)
-    flat[:: n + 2] = 1.0 - np.maximum(1.0 - (down + up), 0.0)
-    flat[1 :: n + 2] = 0.0 - up[:-1]
-    flat[n + 1 :: n + 2] = 0.0 - down[1:]
-    return m
-
-
 def _state_index(instance: MdpInstance, state) -> int:
     integral = isinstance(state, (int, np.integer)) or (
         isinstance(state, float) and state.is_integer())
@@ -243,9 +226,25 @@ def policy_evaluation(
 ) -> tuple[np.ndarray, float]:
     """Relative values and average stage cost of a fixed policy.
 
-    Solves (I - P) J + rho_bar * 1 = cost with J pinned to zero at the
-    distinguished state, by replacing that column of (I - P) with ones
-    so rho_bar takes its slot in the unknown vector.
+    Under a fixed policy the chain is birth-death, so with the flows
+    d_x = J(x+1) - J(x), the arrival probability p = lambda / Lambda and
+    the service probabilities q_x = mu_policy(x) / Lambda (q_0 = 0, and
+    d_N = 0 for the self-loop at N), row x of the Poisson equation
+    (I - P) J + rho_bar * 1 = cost reads
+
+        rho_bar = cost_x + p d_x - q_x d_{x-1}.
+
+    Subtracting row x+1 from row x removes rho_bar and leaves an N x N
+    tridiagonal system in d, with p + q_{x+1} on the diagonal, -q_x
+    below it and -p above it.  That matrix is column diagonally dominant
+    for any p >= 0 and q > 0, so one LAPACK tridiagonal solve is backward
+    stable.  rho_bar is then row 0, cost_0 + p d_0, and J the running sum
+    of d, shifted to zero at the distinguished state.
+
+    J and rho_bar satisfy the Poisson equation to a few ulps of
+    max(|J|, |rho_bar|).  Their forward error grows with the chain's
+    conditioning, as any solver's does: by up to the product of p / q_x
+    across a stretch of states served slower than arrivals come.
     """
     policy = np.asarray(policy)
     if policy.shape != (instance.n_states + 1,):
@@ -253,18 +252,20 @@ def policy_evaluation(
     if np.any(policy < 0) or np.any(policy >= instance.n_actions):
         raise ValueError("policy contains out-of-range action indices")
     x0 = _state_index(instance, distinguished_state)
-    m = _i_minus_p(instance, policy)
+    n = instance.n_states
+    big = instance.uniformisation_rate
+    p = instance.arrival_rate / big
+    q = instance.action_grid[policy] / big
     cost = instance.stage_costs(policy)
-    m[:, x0] = 1.0
-    try:
-        y = np.linalg.solve(m, cost)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"policy evaluation system is singular (policy={policy.tolist()}): {exc}"
-        ) from exc
-    rho_bar = float(y[x0])
-    values = y.copy()
-    values[x0] = 0.0
+    banded = np.zeros((3, n))  # solve_banded's layout: above, on, below the diagonal
+    banded[0, 1:] = -p
+    banded[1] = p + q[1:]
+    banded[2, :-1] = -q[1:-1]
+    flows = solve_banded((1, 1), banded, np.diff(cost))
+    rho_bar = float(cost[0] + p * flows[0])
+    values = np.zeros(n + 1)
+    np.cumsum(flows, out=values[1:])
+    values -= values[x0]
     return values, rho_bar
 
 

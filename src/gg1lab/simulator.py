@@ -232,13 +232,15 @@ def simulate(
     The event cap is checked after every chunk, so a run stops within
     one chunk of reaching it.
     """
-    if warmup < 0:
+    if not warmup >= 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     mode = _normalise_discipline(discipline)
     t_initial = float(warmup)
     t_final = t_initial + float(horizon)
+    if not math.isfinite(t_final):
+        raise ValueError(f"window end warmup + horizon must be finite, got {warmup} + {horizon}")
 
     arr_ss, svc_ss, disc_ss = np.random.SeedSequence(seed).spawn(3)
     arrivals = _Arrivals(arrival, np.random.default_rng(arr_ss))

@@ -73,7 +73,7 @@ GOLDEN_SHA256 = {
         "summary.json": "b89709fb3b17ebae2b1e4d6d583bd33d76738d905999da3cafbb3ea45b9f0a2b",
     },
     "mdp-solve": {
-        "solution.json": "9795f1d3fae243c4f600b576e7a77fd6c42296a3b25fcff6659e9182a97eeb6d",
+        "solution.json": "36f6582760f69aff507b8e36f427b9844754733c984fcaea28ce99ac712a5b56",
     },
     "simulate-fcfs-warmup": {
         "customer.csv": "cff8c739ea4fce4d54432143331d732624f9b2e4f7d7e8a4c57ef7c58f284d91",

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -121,3 +122,15 @@ def test_errors_exit_2_with_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "rate" in err["message"]
+
+
+def test_simulate_rejects_nan_horizon_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    rc = main(["simulate", "--arrival", "exponential:0.5", "--service", "exponential:1",
+               "--horizon", "nan", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "horizon" in err["message"]
+    assert not any(tmp_path.iterdir())

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ def test_config_validation():
         small_config(horizon=0.0)
     with pytest.raises(ValueError):
         small_config(version=99)
+
+
+@pytest.mark.parametrize("window", [
+    {"horizon": float("nan")},
+    {"warmup": float("nan")},
+    {"horizon": float("inf")},
+    {"warmup": float("inf")},
+])
+def test_config_rejects_window_that_is_not_finite(window):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="finite horizon"):
+        small_config(**window)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_service_rescaling_preserves_family():

@@ -2,11 +2,15 @@ import hashlib
 import itertools
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gg1lab
 from gg1lab.birthdeath import (
     expected_queue_length,
     mm1_queue_length,
@@ -16,7 +20,7 @@ from gg1lab.birthdeath import (
 )
 from gg1lab.mdp import (
     MdpInstance,
-    _i_minus_p,
+    _Chain,
     build_instance,
     continuous_time_average,
     implied_response,
@@ -76,19 +80,17 @@ def test_transition_row_hand_example():
     # 0.15 from state 3 moves down w.p. 1/2, up w.p. 1/3, stays w.p. 1/6
     inst = build_instance(0.1, [0.15, 0.2], n_states=6)
     assert inst.uniformisation_rate == pytest.approx(0.3)
-    policy = np.zeros(7, dtype=int)
-    m = _i_minus_p(inst, policy)
-    assert m[3, 2] == pytest.approx(-0.5)
-    assert m[3, 4] == pytest.approx(-1.0 / 3.0)
-    assert m[3, 3] == pytest.approx(1.0 - 1.0 / 6.0)
-    assert inst.stage_costs(policy)[3] == pytest.approx(10.0)
+    chain = _Chain(inst)
+    assert chain.p_down[0, 3] == pytest.approx(0.5)
+    assert chain.p_up == pytest.approx(1.0 / 3.0)
+    assert chain.p_stay[0, 3] == pytest.approx(1.0 / 6.0)
+    assert (chain.down[3], chain.up[3]) == (2, 4)
+    assert inst.stage_costs(np.zeros(7, dtype=int))[3] == pytest.approx(10.0)
     # state 0 never serves; state N turns arrivals into a self-loop
-    assert m[0, 0] == pytest.approx(1.0 / 3.0)
-    assert m[0, 1] == pytest.approx(-1.0 / 3.0)
-    assert m[6, 5] == pytest.approx(-0.5)
-    assert m[6, 6] == pytest.approx(0.5)
-    # nothing off the three diagonals
-    assert np.count_nonzero(m) == 7 + 2 * 6
+    assert (chain.p_down[:, 0] == 0.0).all()
+    assert chain.p_stay[0, 0] == pytest.approx(2.0 / 3.0)
+    assert (chain.down[0], chain.up[6], chain.down[6]) == (0, 6, 5)
+    assert chain.p_up + chain.p_stay[0, 6] == pytest.approx(0.5)
 
 
 @given(
@@ -99,16 +101,16 @@ def test_transition_row_hand_example():
 @settings(max_examples=60, deadline=None)
 def test_transition_rows_are_stochastic(lam, n_actions, n):
     grid = np.linspace(0.5, 2.5, n_actions + 1)[1:]
-    import warnings as w
-    with w.catch_warnings():
-        w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         inst = build_instance(lam, grid, n_states=n)
-    rng = np.random.default_rng(0)
-    policy = rng.integers(0, len(grid), n + 1)
-    m = _i_minus_p(inst, policy)
-    # P = I - (I - P) has no negative entry and rows of I - P sum to zero
-    assert (np.eye(n + 1) - m >= 0).all()
-    np.testing.assert_allclose(m.sum(axis=1), 0.0, atol=1e-12)
+    chain = _Chain(inst)
+    # every action's row has nonnegative moves summing to one; the stay
+    # probability is unclamped, so rounding may leave it a hair below 0
+    eps = np.finfo(float).eps
+    assert chain.p_up >= 0 and (chain.p_down >= 0).all()
+    assert (chain.p_stay >= -4 * eps).all()
+    np.testing.assert_allclose(chain.p_up + chain.p_down + chain.p_stay, 1.0, atol=1e-12)
 
 
 def test_instance_validation():
@@ -242,6 +244,52 @@ def test_distinguished_state_only_shifts_values():
     assert v5[5] == 0.0
 
 
+def poisson_residual(inst, policy, values, rho_bar):
+    """max_x |cost + P J - rho_bar - J| under a fixed policy, from the
+    sweep tables."""
+    chain = _Chain(inst)
+    a, x = np.asarray(policy), inst.states
+    lookahead = (chain.cost[a, x] + chain.p_up * values[chain.up]
+                 + chain.p_down[a, x] * values[chain.down] + chain.p_stay[a, x] * values)
+    return float(np.max(np.abs(lookahead - rho_bar - values)))
+
+
+# A policy that serves slower than arrivals come: the chain drifts up to N,
+# and the backward recursion d_{x-1} = (c_x - g + p d_x) / q_x multiplies
+# its error by p / q = 5/3 a state, so its residual was 0.25 max|J| at
+# N = 200 and NaN at N = 2000.  The differenced system stays at an ulp.
+@pytest.mark.parametrize("grid, n", [([0.3], 200), ([0.3, 1.0], 2000)])
+def test_evaluation_of_a_policy_slower_than_arrivals(grid, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = build_instance(0.5, grid, n_states=n)
+    policy = np.zeros(n + 1, dtype=int)
+    values, rho_bar = policy_evaluation(inst, policy)
+    assert np.isfinite(values).all()
+    scale = np.max(np.abs(values))
+    assert poisson_residual(inst, policy, values, rho_bar) <= 4 * np.finfo(float).eps * scale
+    # the queue sits near N: the time average is within 2 of N
+    assert n - 2 < continuous_time_average(inst, rho_bar) < n
+
+
+def test_policy_iteration_residual_does_not_grow_with_n():
+    with open(DEMO_CONFIG) as fh:
+        data = json.load(fh)
+    inst = MdpInstance.from_dict({**data, "n_states": 100_000})
+    sol = solve_optimal(inst, tol=data["tol"])
+    assert sol.residual <= 64 * np.finfo(float).eps * np.max(np.abs(sol.relative_values))
+
+
+def test_mdp_does_not_import_the_birth_death_oracle():
+    # criterion 9 checks the solver's gain against ``birthdeath``; the
+    # check means something only while mdp computes it another way
+    code = "import sys, gg1lab.mdp; print('gg1lab.birthdeath' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(gg1lab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # optimisation
 
@@ -357,10 +405,11 @@ def test_serialization_round_trips():
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "mdp_demo.json")
 # sha256 of the demo instance's policy-iteration and relative-value-iteration
 # solutions (policy, relative values, rho_bar, residual, iterations) and
-# their implied responses, as the dense-matrix solvers computed them
+# their implied responses, with policies evaluated by the tridiagonal
+# solve of the differenced Poisson equation
 DEMO_SOLUTION_SHA256 = {
-    100: "8be7dc89916205b11844e58b8d422e59a308c9a3ebb0804e6c27c79f90c1c0a4",
-    1000: "b59474355668ca20cceac5b8743adea1e0ea549f60c1ef76f9b6a58537379808",
+    100: "36e3700a889e85ed9796e2934f5781a57eaf1687f6c992353b371690ab0ba16a",
+    1000: "e739b749be597f5d280e493ef65808553a6e3d8e1396b638c5db7523d229836e",
 }
 
 

@@ -1,6 +1,14 @@
-"""The sweep tables and three-diagonal I - P in ``gg1lab.mdp`` against the
-dense-matrix solvers they replaced (``reference_mdp``), bitwise on the
-greedy sweep, on policy evaluation and on full PI/RVI solutions."""
+"""The sweep tables and the tridiagonal policy evaluation in ``gg1lab.mdp``
+against the dense-matrix solvers they replaced (``reference_mdp``).
+
+The greedy sweep and relative value iteration, which never evaluates a
+policy, match bitwise.  Policy evaluation solves a different (differenced)
+linear system.  Its solution satisfies the oracle's Poisson equation to a
+few ulps of max(|J|, |rho_bar|), and its gain and values match the
+oracle's within ``EVAL_ULPS`` such ulps, times the factor by which a
+stretch of slow service amplifies rounding (``amplification``).  Policy
+iteration then visits the same policies in the same number of iterations.
+"""
 
 import json
 import os
@@ -17,6 +25,14 @@ import reference_mdp
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "mdp_demo.json")
 METHODS = ("policy-iteration", "relative-value-iteration")
+EPS = np.finfo(float).eps
+# Divided by the amplification, the largest gap between the two
+# evaluations over 6,000 instances drawn like ``instances()`` (with its
+# boundary values made common), each with a random policy, was 563 ulps.
+EVAL_ULPS = 4096
+RESIDUAL_ULPS = 64
+# below the normal range, numbers are spaced wider than EPS times their size
+SCALE_FLOOR = 1024 * np.finfo(float).tiny
 
 
 def demo_instance(n):
@@ -39,22 +55,66 @@ def assert_same_sweep(inst, values):
     assert_same_array(q, ref_q)
 
 
+def amplification(inst, policy):
+    """The largest product of lambda / mu_policy(x) over a run of
+    consecutive states, or 1.  Rounding error in either solver can grow
+    by this factor across a stretch served slower than arrivals come: the
+    chain then has two nearly separate basins, and the solution is that
+    ill-conditioned."""
+    if inst.arrival_rate == 0:
+        return 1.0
+    climb = np.cumsum(np.log(inst.arrival_rate / inst.action_grid[policy[1:]]))
+    climb = np.concatenate(([0.0], climb))
+    return float(np.exp(np.max(climb - np.minimum.accumulate(climb))))
+
+
+def scale(values, rho_bar):
+    return max(np.max(np.abs(values)), abs(rho_bar), SCALE_FLOOR)
+
+
+def evaluation_bound(inst, policy, values, rho_bar):
+    """EVAL_ULPS ulps of max(|J|, |rho_bar|), times the amplification."""
+    return EVAL_ULPS * EPS * amplification(inst, policy) * scale(values, rho_bar)
+
+
 def assert_same_evaluation(inst, policy, x0=0):
     values, rho = mdp.policy_evaluation(inst, policy, x0)
     ref_values, ref_rho = reference_mdp.policy_evaluation(inst, policy, x0)
-    assert_same_array(values, ref_values)
-    assert_same_array(rho, ref_rho)
+    assert type(rho) is float and values.shape == ref_values.shape
+    assert values[x0] == 0.0
+    p = reference_mdp.transition_matrix(inst, policy)
+    residual = inst.stage_costs(policy) + p @ values - values - rho
+    assert np.max(np.abs(residual)) <= RESIDUAL_ULPS * EPS * scale(values, rho)
+    bound = evaluation_bound(inst, policy, ref_values, ref_rho)
+    assert np.max(np.abs(values - ref_values)) <= bound
+    assert abs(rho - ref_rho) <= bound
 
 
-def assert_same_solution(inst, method, tol=mdp.DEFAULT_TOL, x0=0):
+def assert_same_solution(inst, method, tol=mdp.DEFAULT_TOL, x0=0, ties=False):
+    """The solution the oracle finds.  With ``ties``, policy iteration may
+    instead return another policy with the same gain: where actions tie
+    to within rounding, rounding picks one, and a different policy then
+    changes the path."""
     sol = mdp.solve_optimal(inst, method, tol=tol, distinguished_state=x0)
     ref = reference_mdp.solve_optimal(inst, method, tol=tol, distinguished_state=x0)
-    assert_same_array(sol.policy, ref.policy)
-    assert_same_array(sol.relative_values, ref.relative_values)
-    assert_same_array(sol.rho_bar, ref.rho_bar)
-    assert_same_array(sol.residual, ref.residual)
-    assert sol.iterations == ref.iterations
     assert (sol.method, sol.distinguished_state) == (ref.method, ref.distinguished_state)
+    if method == "relative-value-iteration":
+        assert_same_array(sol.policy, ref.policy)
+        assert_same_array(sol.relative_values, ref.relative_values)
+        assert_same_array(sol.rho_bar, ref.rho_bar)
+        assert_same_array(sol.residual, ref.residual)
+        assert sol.iterations == ref.iterations
+        return sol
+    bound = evaluation_bound(inst, ref.policy, ref.relative_values, ref.rho_bar)
+    assert abs(sol.rho_bar - ref.rho_bar) <= bound
+    if ties and not np.array_equal(sol.policy, ref.policy):
+        _, rho = reference_mdp.policy_evaluation(inst, sol.policy, x0)
+        assert abs(rho - ref.rho_bar) <= bound
+        return sol
+    assert_same_array(sol.policy, ref.policy)
+    assert sol.iterations == ref.iterations
+    assert np.max(np.abs(sol.relative_values - ref.relative_values)) <= bound
+    assert abs(sol.residual - ref.residual) <= bound
     return sol
 
 
@@ -136,4 +196,4 @@ def test_random_instances_match_reference(case, seed):
     assert_same_sweep(inst, rng.normal(scale=10.0, size=inst.n_states + 1))
     assert_same_evaluation(inst, rng.integers(0, inst.n_actions, inst.n_states + 1), x0)
     for method in METHODS:
-        assert_same_solution(inst, method, tol=1e-9, x0=x0)
+        assert_same_solution(inst, method, tol=1e-9, x0=x0, ties=True)

@@ -217,6 +217,20 @@ def test_argument_validation():
         simulate(exponential(1.0), exponential(1.0), discipline="priority")
 
 
+@pytest.mark.parametrize("warmup,horizon", [
+    (0.0, float("nan")),
+    (float("nan"), 100.0),
+    (0.0, float("inf")),
+    (float("inf"), 100.0),
+    (1e308, 1e308),  # finite ends whose sum overflows
+])
+def test_window_that_is_not_finite_fails_fast(warmup, horizon):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="warmup|horizon"):
+        simulate(exponential(1.0), exponential(1.0), warmup=warmup, horizon=horizon)
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # statistical sanity: M/M/1 utilisation
 
