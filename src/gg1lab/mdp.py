@@ -242,9 +242,17 @@ def policy_evaluation(
     of d, shifted to zero at the distinguished state.
 
     J and rho_bar satisfy the Poisson equation to a few ulps of
-    max(|J|, |rho_bar|).  Their forward error grows with the chain's
-    conditioning, as any solver's does: by up to the product of p / q_x
-    across a stretch of states served slower than arrivals come.
+    max(|J|, |rho_bar|), and rho_bar is within a few such ulps of the
+    exact gain (which can be many ulps of rho_bar itself when |J| is far
+    larger).  J loses accuracy where a stretch of states served slower
+    than arrivals come follows one served faster: LAPACK forms each pivot
+    as (p + q_{x+1}) - q_x p / b_{x-1}, which cancels on the fast stretch,
+    and the slow stretch can grow that error by up to the product of
+    p / q_x across it.  This is the elimination's loss, not the
+    problem's: a subtraction-free elimination, with pivots
+    b_x = q_{x+1} + e_x where e_0 = p and e_x = p e_{x-1} / b_{x-1},
+    avoids it, at the price of a sequential loop in place of one LAPACK
+    call.
     """
     policy = np.asarray(policy)
     if policy.shape != (instance.n_states + 1,):

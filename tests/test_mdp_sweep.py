@@ -3,11 +3,14 @@ against the dense-matrix solvers they replaced (``reference_mdp``).
 
 The greedy sweep and relative value iteration, which never evaluates a
 policy, match bitwise.  Policy evaluation solves a different (differenced)
-linear system.  Its solution satisfies the oracle's Poisson equation to a
-few ulps of max(|J|, |rho_bar|), and its gain and values match the
-oracle's within ``EVAL_ULPS`` such ulps, times the factor by which a
-stretch of slow service amplifies rounding (``amplification``).  Policy
-iteration then visits the same policies in the same number of iterations.
+linear system, so its last bits differ.  Both its values and the values
+policy iteration returns must satisfy the oracle's Poisson equation to
+``RESIDUAL_ULPS`` ulps of max(|J|, |rho_bar|), and their gain must match
+the oracle's to ``GAIN_ULPS`` such ulps.  Their values match the oracle's
+within ``VALUES_ULPS`` such ulps, times the factor by which a stretch of
+slow service can amplify both solvers' rounding (``amplification``).
+Policy iteration visits the same policies in the same number of
+iterations, except where ``ties`` allows a genuine tie to go either way.
 """
 
 import json
@@ -26,11 +29,17 @@ import reference_mdp
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "mdp_demo.json")
 METHODS = ("policy-iteration", "relative-value-iteration")
 EPS = np.finfo(float).eps
-# Divided by the amplification, the largest gap between the two
-# evaluations over 6,000 instances drawn like ``instances()`` (with its
-# boundary values made common), each with a random policy, was 563 ulps.
-EVAL_ULPS = 4096
+# Against exact rational solutions of the same system, both solvers'
+# gains were within 4 ulps of max(|J|, |rho_bar|) over 6,000 instances
+# drawn like ``instances()``, with random and stretched policies.
+GAIN_ULPS = 64
 RESIDUAL_ULPS = 64
+# Divided by the amplification, the largest gap between the two solvers'
+# values over 6,000 such instances was 563 ulps.
+VALUES_ULPS = 4096
+# actions whose q-values differ by no more than this many ulps of
+# max(|J|, |rho_bar|) are tied
+TIE_ULPS = 64
 # below the normal range, numbers are spaced wider than EPS times their size
 SCALE_FLOOR = 1024 * np.finfo(float).tiny
 
@@ -57,10 +66,10 @@ def assert_same_sweep(inst, values):
 
 def amplification(inst, policy):
     """The largest product of lambda / mu_policy(x) over a run of
-    consecutive states, or 1.  Rounding error in either solver can grow
-    by this factor across a stretch served slower than arrivals come: the
-    chain then has two nearly separate basins, and the solution is that
-    ill-conditioned."""
+    consecutive states, or 1.  Where a stretch served slower than
+    arrivals come follows one served faster, both solvers' eliminations
+    can lose this factor in the accuracy of the values (see
+    ``mdp.policy_evaluation``).  Their gains stay within a few ulps."""
     if inst.arrival_rate == 0:
         return 1.0
     climb = np.cumsum(np.log(inst.arrival_rate / inst.action_grid[policy[1:]]))
@@ -68,13 +77,20 @@ def amplification(inst, policy):
     return float(np.exp(np.max(climb - np.minimum.accumulate(climb))))
 
 
-def scale(values, rho_bar):
-    return max(np.max(np.abs(values)), abs(rho_bar), SCALE_FLOOR)
+def ulp_scale(values, rho_bar):
+    """EPS times max(|J|, |rho_bar|): one ulp of the solution."""
+    return EPS * max(np.max(np.abs(values)), abs(rho_bar), SCALE_FLOOR)
 
 
-def evaluation_bound(inst, policy, values, rho_bar):
-    """EVAL_ULPS ulps of max(|J|, |rho_bar|), times the amplification."""
-    return EVAL_ULPS * EPS * amplification(inst, policy) * scale(values, rho_bar)
+def values_bound(inst, policy, values, rho_bar):
+    return VALUES_ULPS * amplification(inst, policy) * ulp_scale(values, rho_bar)
+
+
+def assert_solves_poisson(inst, policy, values, rho_bar):
+    """(I - P) J + rho_bar = cost under the oracle's P, to RESIDUAL_ULPS."""
+    p = reference_mdp.transition_matrix(inst, policy)
+    residual = inst.stage_costs(policy) + p @ values - values - rho_bar
+    assert np.max(np.abs(residual)) <= RESIDUAL_ULPS * ulp_scale(values, rho_bar)
 
 
 def assert_same_evaluation(inst, policy, x0=0):
@@ -82,18 +98,30 @@ def assert_same_evaluation(inst, policy, x0=0):
     ref_values, ref_rho = reference_mdp.policy_evaluation(inst, policy, x0)
     assert type(rho) is float and values.shape == ref_values.shape
     assert values[x0] == 0.0
-    p = reference_mdp.transition_matrix(inst, policy)
-    residual = inst.stage_costs(policy) + p @ values - values - rho
-    assert np.max(np.abs(residual)) <= RESIDUAL_ULPS * EPS * scale(values, rho)
-    bound = evaluation_bound(inst, policy, ref_values, ref_rho)
-    assert np.max(np.abs(values - ref_values)) <= bound
-    assert abs(rho - ref_rho) <= bound
+    assert_solves_poisson(inst, policy, values, rho)
+    assert abs(rho - ref_rho) <= GAIN_ULPS * ulp_scale(ref_values, ref_rho)
+    assert np.max(np.abs(values - ref_values)) <= values_bound(inst, policy, ref_values, ref_rho)
+
+
+def assert_tied(inst, sol, ref):
+    """Policy iteration's ``sol`` found another optimal policy than the
+    oracle's ``ref``: the oracle gives that policy the same gain, and its
+    actions tie with the best ones in the oracle's sweep of ``sol``'s
+    values.  The oracle's own values cannot stand in for ``sol``'s: on
+    instances whose actions tie, they are rounding noise, hundreds of
+    ulps across."""
+    _, rho = reference_mdp.policy_evaluation(inst, sol.policy, ref.distinguished_state)
+    assert abs(rho - ref.rho_bar) <= GAIN_ULPS * ulp_scale(ref.relative_values, ref.rho_bar)
+    _, best_q = reference_mdp.greedy(inst, sol.relative_values)
+    p = reference_mdp.transition_matrix(inst, sol.policy)
+    q = inst.stage_costs(sol.policy) + p @ sol.relative_values
+    assert np.max(q - best_q) <= TIE_ULPS * ulp_scale(sol.relative_values, sol.rho_bar)
 
 
 def assert_same_solution(inst, method, tol=mdp.DEFAULT_TOL, x0=0, ties=False):
     """The solution the oracle finds.  With ``ties``, policy iteration may
-    instead return another policy with the same gain: where actions tie
-    to within rounding, rounding picks one, and a different policy then
+    instead return another optimal policy (``assert_tied``): where
+    actions tie, rounding picks between them, and a different pick
     changes the path."""
     sol = mdp.solve_optimal(inst, method, tol=tol, distinguished_state=x0)
     ref = reference_mdp.solve_optimal(inst, method, tol=tol, distinguished_state=x0)
@@ -105,14 +133,14 @@ def assert_same_solution(inst, method, tol=mdp.DEFAULT_TOL, x0=0, ties=False):
         assert_same_array(sol.residual, ref.residual)
         assert sol.iterations == ref.iterations
         return sol
-    bound = evaluation_bound(inst, ref.policy, ref.relative_values, ref.rho_bar)
-    assert abs(sol.rho_bar - ref.rho_bar) <= bound
+    assert_solves_poisson(inst, sol.policy, sol.relative_values, sol.rho_bar)
+    assert abs(sol.rho_bar - ref.rho_bar) <= GAIN_ULPS * ulp_scale(ref.relative_values, ref.rho_bar)
     if ties and not np.array_equal(sol.policy, ref.policy):
-        _, rho = reference_mdp.policy_evaluation(inst, sol.policy, x0)
-        assert abs(rho - ref.rho_bar) <= bound
+        assert_tied(inst, sol, ref)
         return sol
     assert_same_array(sol.policy, ref.policy)
     assert sol.iterations == ref.iterations
+    bound = values_bound(inst, ref.policy, ref.relative_values, ref.rho_bar)
     assert np.max(np.abs(sol.relative_values - ref.relative_values)) <= bound
     assert abs(sol.residual - ref.residual) <= bound
     return sol
