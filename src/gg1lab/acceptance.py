@@ -181,8 +181,8 @@ class AcceptanceSuite:
         return out
 
     def sweep_run(self):
-        """The documented interior-optimum sweep (shared by criterion 10
-        and the CLI demo), rescaled like everything else."""
+        """The interior-optimum sweep of configs/sweep_demo.json for
+        criterion 10, rescaled like everything else."""
         if self._sweep_cache is not None:
             return self._sweep_cache
         config = experiments.ExperimentConfig.from_json_file(demo_config_path())
@@ -502,13 +502,8 @@ class AcceptanceSuite:
     def _crit_10(self):
         config, surface = self.sweep_run()
         names = experiments.PENALISED_SURFACES
-        verdicts = {}
-        ok = True
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                v = experiments.check_equivalence(surface, a, b, tolerance_steps=1)
-                verdicts[f"{a}|{b}"] = v.to_dict()
-                ok = ok and v.equivalent
+        verdicts = experiments.pairwise_equivalence(surface, names)
+        ok = all(v.equivalent for v in verdicts.values())
         argmins = {name: surface.argmin(name) for name in names}
         interior = all(0 < i < len(surface.grid) - 1 for i in argmins.values())
         details = {
@@ -517,7 +512,7 @@ class AcceptanceSuite:
             "argmin_rates": {n: float(surface.grid[i]) for n, i in argmins.items()},
             "interior_optimum": interior,
             "n_seeds": len(config.seeds),
-            "verdicts": verdicts,
+            "verdicts": {pair: v.to_dict() for pair, v in verdicts.items()},
             "unstable_points": surface.unstable_points,
         }
         return ok and interior and not surface.unstable_points, details

@@ -2,9 +2,13 @@
 
 Verbs:
   simulate   one replication; writes customer.csv, path.csv, report.json
-  sweep      response-surface study from a JSON config
+  sweep      response-surface study from a JSON config; prints each
+             surface's argmin with its mean and stderr, then whether all
+             surfaces share the minimiser
   inspect    sample in-progress services and export samples + curves
-  mdp solve  solve the service-rate control model from a JSON config
+  mdp solve  solve the service-rate control model from a JSON config;
+             prints the gain, implied_R_bar_n and the policy as
+             run-length spans (x=2..3: mu=0.35)
   verify     run the acceptance suite and write its report files
 
 Distributions on the command line are written kind:params, e.g.
@@ -21,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, experiments, inspection, mdp, metrics
+from . import experiments, inspection, mdp, metrics
 from .artifacts import write_json
 from .distributions import DistributionSpec
 from .simulator import simulate
@@ -73,17 +77,18 @@ def _cmd_sweep(args) -> int:
     surface = experiments.run_sweep(config)
     out = args.out or "sweep_out"
     written = experiments.emit_reports(surface, config, out)
-    verdicts = {}
     names = experiments.PENALISED_SURFACES if config.penalty_k0 else experiments.RAW_SURFACES
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            verdicts[f"{a}|{b}"] = experiments.check_equivalence(surface, a, b).to_dict()
-    write_json(os.path.join(out, "equivalence.json"), verdicts)
+    verdicts = experiments.pairwise_equivalence(surface, names)
+    write_json(os.path.join(out, "equivalence.json"),
+               {pair: v.to_dict() for pair, v in verdicts.items()})
     written.append(os.path.join(out, "equivalence.json"))
     for name in names:
         i = surface.argmin(name)
         print(f"{name}: argmin mu={float(surface.grid[i])!r} "
-              f"mean={float(surface.surfaces[name][i])!r}")
+              f"mean={float(surface.surfaces[name][i])!r} "
+              f"stderr={float(surface.stderrs[name][i])!r}")
+    print("all surfaces share the minimiser" if all(v.equivalent for v in verdicts.values())
+          else "warning: the surfaces disagree on the minimiser")
     if surface.unstable_points:
         print(f"warning: {len(surface.unstable_points)} saturated (rate, seed) points")
     print("wrote " + ", ".join(os.path.basename(w) for w in written) + f" to {out}")
@@ -120,6 +125,16 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+def _describe_policy(policy: np.ndarray, grid) -> str:
+    """A state-to-rate policy as run-length spans of equal rate."""
+    cuts = np.flatnonzero(np.diff(policy)) + 1
+    spans = []
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(policy)] - 1):
+        label = f"x={lo}" if lo == hi else f"x={lo}..{hi}"
+        spans.append(f"{label}: mu={grid[policy[lo]]:g}")
+    return ", ".join(spans)
+
+
 def _cmd_mdp_solve(args) -> int:
     with open(args.config) as fh:
         data = json.load(fh)
@@ -140,11 +155,15 @@ def _cmd_mdp_solve(args) -> int:
     write_json(os.path.join(out, "solution.json"), payload)
     print(f"rho_bar={solution.rho_bar!r} H_bar_t={payload['H_bar_t']!r} "
           f"iterations={solution.iterations} residual={solution.residual!r}")
+    print(f"implied_R_bar_n={payload['implied_R_bar_n']!r}")
+    print("policy: " + _describe_policy(solution.policy, instance.action_grid))
     print(f"wrote solution.json to {out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import acceptance
+
     suite = acceptance.AcceptanceSuite(
         scale=args.scale, master_seed=args.seed, self_check=not args.no_self_check
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 KINDS = ("exponential", "deterministic", "uniform", "gamma", "lognormal")
 
@@ -142,6 +141,8 @@ class DistributionSpec:
 
         Accepts scalars or arrays; t must be nonnegative.
         """
+        from scipy import stats
+
         arr = np.asarray(t, dtype=float)
         if np.any(arr < 0):
             raise ValueError("truncated_mean requires t >= 0")
@@ -222,6 +223,8 @@ class DistributionSpec:
 @lru_cache(maxsize=128)
 def _frozen(spec: DistributionSpec):
     """Frozen scipy distribution for pdf/cdf/ppf evaluation."""
+    from scipy import stats
+
     k, p = spec.kind, spec.params
     if k == "exponential":
         return stats.expon(scale=1.0 / p[0])

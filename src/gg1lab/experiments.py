@@ -250,6 +250,16 @@ def check_equivalence(
     )
 
 
+def pairwise_equivalence(surface: ResponseSurface, names) -> dict[str, EquivalenceVerdict]:
+    """check_equivalence on every pair of the named surfaces, keyed
+    "a|b" with a before b in names."""
+    return {
+        f"{a}|{b}": check_equivalence(surface, a, b)
+        for i, a in enumerate(names)
+        for b in names[i + 1:]
+    }
+
+
 def emit_reports(surface: ResponseSurface, config: ExperimentConfig, directory) -> list[str]:
     """Write surface.csv, reports.jsonl, and config.echo.json.
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gg1lab
 from gg1lab.cli import main, parse_distribution
 from gg1lab.metrics import MetricsReport
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def test_parse_distribution():
@@ -108,6 +114,39 @@ def test_mdp_solve_verb(tmp_path, capsys):
     assert payload["H_bar_t"] > 0
     assert payload["implied_R_bar_n"] > 0
     assert "rho_bar=" in capsys.readouterr().out
+
+
+def test_mdp_solve_prints_demo_policy_spans(tmp_path, capsys):
+    rc = main(["mdp", "solve", "--config", os.path.join(CONFIGS, "mdp_demo.json"),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    payload = json.loads((tmp_path / "solution.json").read_text())
+    assert f"implied_R_bar_n={payload['implied_R_bar_n']!r}" in out
+    assert "policy: x=0: mu=0.15, x=1: mu=0.3, x=2..3: mu=0.35, x=4..100: mu=0.4\n" in out
+
+
+def test_sweep_prints_stderrs_and_shared_minimiser(tmp_path, capsys):
+    rc = main(["sweep", "--config", os.path.join(CONFIGS, "sweep_demo.json"),
+               "--horizon", "2000", "--seeds", "101,102", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    argmin_lines = [line for line in lines if "argmin mu=" in line]
+    assert len(argmin_lines) == 4
+    assert all(" stderr=" in line for line in argmin_lines)
+    verdicts = json.loads((tmp_path / "equivalence.json").read_text())
+    assert all(v["equivalent"] for v in verdicts.values())
+    assert "all surfaces share the minimiser" in lines
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; only the verbs that
+    # evaluate densities or run the acceptance suite should pay for it
+    code = "import sys, gg1lab.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(gg1lab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_errors_exit_2_with_json(tmp_path, capsys):

@@ -12,6 +12,7 @@ from gg1lab.experiments import (
     ResponseSurface,
     check_equivalence,
     emit_reports,
+    pairwise_equivalence,
     run_sweep,
 )
 from gg1lab.metrics import compute_report
@@ -160,6 +161,20 @@ def test_equivalence_shifted_minimiser_fails():
     assert verdict.to_dict()["equivalent"] is False
     with pytest.raises(KeyError):
         check_equivalence(synthetic_surface(0), "a", "nope")
+
+
+def test_pairwise_equivalence_checks_each_pair_once():
+    surface = synthetic_surface(0)
+    shifted = synthetic_surface(2)
+    for table in ("surfaces", "stderrs", "per_seed"):
+        getattr(surface, table)["c"] = getattr(shifted, table)["b"]
+    verdicts = pairwise_equivalence(surface, ("a", "b", "c"))
+    assert list(verdicts) == ["a|b", "a|c", "b|c"]
+    for pair, verdict in verdicts.items():
+        assert verdict == check_equivalence(surface, *pair.split("|"))
+    assert verdicts["a|b"].equivalent
+    assert not verdicts["a|c"].equivalent
+    assert not verdicts["b|c"].equivalent
 
 
 def test_emitted_files(tmp_path):

@@ -419,11 +419,16 @@ def test_demo_solutions_match_recorded_bytes(n):
         data = json.load(fh)
     inst = MdpInstance.from_dict({**data, "n_states": n})
     digest = hashlib.sha256()
+    sols = {}
     for method in ("policy-iteration", "relative-value-iteration"):
-        sol = solve_optimal(inst, method, tol=data["tol"])
+        sol = sols[method] = solve_optimal(inst, method, tol=data["tol"])
         digest.update(method.encode())
         digest.update(np.asarray(sol.policy, dtype=np.int64).tobytes())
         digest.update(np.asarray(sol.relative_values, dtype=np.float64).tobytes())
         digest.update(f"{sol.rho_bar!r} {sol.residual!r} {sol.iterations} "
                       f"{implied_response(sol, inst)!r}".encode())
     assert digest.hexdigest() == DEMO_SOLUTION_SHA256[n]
+    # the two solvers cross-check each other on the demo instance
+    pi, rvi = sols["policy-iteration"], sols["relative-value-iteration"]
+    np.testing.assert_array_equal(pi.policy, rvi.policy)
+    assert abs(pi.rho_bar - rvi.rho_bar) <= data["tol"]
