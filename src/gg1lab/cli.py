@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, inspection, mdp, metrics
+from . import experiments, inspection, metrics
 from .artifacts import write_json
 from .distributions import DistributionSpec
 from .simulator import simulate
@@ -136,6 +136,8 @@ def _describe_policy(policy: np.ndarray, grid) -> str:
 
 
 def _cmd_mdp_solve(args) -> int:
+    from . import mdp
+
     with open(args.config) as fh:
         data = json.load(fh)
     instance = mdp.MdpInstance.from_dict(data)

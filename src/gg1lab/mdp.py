@@ -16,16 +16,23 @@ cost per unit time.
 The controlled chain is birth-death, and each solve tabulates it once
 (``_Chain``): the up/down neighbours of every state, the arrival
 probability, and action-major tables of the service, stay and stage-cost
-terms.  A greedy sweep is then three multiply-adds into reused buffers
-and a first-minimum scan over the actions.  Policy evaluation works on
-the flows J(x+1) - J(x): differencing neighbouring rows of the Poisson
-equation removes the gain and leaves a tridiagonal system, solved in
-O(N) by one LAPACK call; the gain and J follow from the flows by one
-multiply-add and a running sum.
+terms.  For x >= 1 each action's q-value is a line in the flow
+J(x) - J(x-1), so a greedy sweep looks up each state's flow among the
+lines' crossing points: where a stated bound on rounding error (see
+``_Chain``) certifies one action as the least, only that action's
+q-value is computed, by the same multiply-adds as the full scan.  The
+first-minimum scan over all actions runs only on the states left
+uncertified, so every sweep's bits are the full scan's.
+
+Policy evaluation works on the flows J(x+1) - J(x): differencing
+neighbouring rows of the Poisson equation removes the gain and leaves a
+tridiagonal system, solved in O(N) by one LAPACK call; the gain and J
+follow from the flows by one multiply-add and a running sum.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +41,8 @@ from scipy.linalg import solve_banded
 
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 200_000
+_EPS = float(np.finfo(float).eps)  # 2u, twice the unit roundoff
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -169,13 +178,57 @@ def continuous_time_average(instance: MdpInstance, rho_bar: float) -> float:
 
 class _Chain:
     """The controlled birth-death chain of one instance, tabulated once
-    per solve.
+    per solve, and its greedy sweep.
 
     ``up``/``down`` index each state's neighbours; the arrival at N is a
     self-loop, so ``up[N] = N``.  ``p_up`` is the arrival probability of
     every state.  The action-major tables hold, at [a, x], the service
     probability mu_a / Lambda (0 at x = 0), the stay probability
     1 - p_up - p_down (unclamped) and the stage cost.
+
+    The sweep's q-value of action a at state x is
+
+        cost[a, x] + p_up J(x+1) + p_down[a, x] J(x-1) + p_stay[a, x] J(x),
+
+    summed left to right.  In exact arithmetic, with c_a = cost[a, 0]
+    (the wear penalty per stage) and s_a = mu_a / Lambda, it is a line in
+    the flow d_x = J(x) - J(x-1) for x >= 1,
+
+        q_a(x) = common(x) + c_a - s_a d_x,
+
+    where common(x) is the same for every action; at x = 0, where no
+    action serves, it is common(0) + c_a.  So a state's greedy action
+    depends only on where d_x falls among the crossing points of the A
+    lines.  The computed q-value of each action strays from its line by
+    at most
+
+        3u max|cost| + 4u max|J|   rounding of the four products and three sums,
+        3u max|cost|               cost[a, x] against c_a plus a common term,
+        2u max|J|                  p_stay[a, x] against 1 - p_up - s_a,
+        u max|J|                   its share of the rounding of d_x,
+
+    with u = 2**-53.  The sweep's margin
+
+        m = 16u (max|cost| + 4 max|J|) + tiny
+
+    is over twice that sum; ``tiny``, the smallest normal number, covers
+    underflow.  So where action a's line lies below every other line by
+    more than 2m, a's computed q-value is strictly the least, with room
+    left for the rounding of the crossing points themselves (under 8u
+    max|cost| + 6u m), and the full scan would pick a.
+
+    ``_tabulate`` finds each action's safe interval of d, where its line
+    lies below every other by more than 2m, and whether state 0 has a
+    safe action.  The intervals are disjoint and ordered by action, so
+    one ``searchsorted`` of d over their ends certifies each state's
+    action or leaves it uncertified.  A certified state computes the
+    q-value of its action only, from the same table entries in the same
+    order, so its bits are the full scan's.  The full first-minimum scan
+    runs on the rest: ties and flows near a crossing, state 0 when some
+    action's cost exceeds the least by more than 0 but at most 2m, and
+    every state of a sweep whose values are not all finite.  The
+    intervals are tabulated at twice the margin a sweep needs, and again
+    only when a sweep's margin outgrows the one they were built with.
     """
 
     def __init__(self, instance: MdpInstance):
@@ -191,26 +244,76 @@ class _Chain:
         self.p_down = np.where(states >= 1, mu, 0.0) / big
         self.p_stay = 1.0 - self.p_up - self.p_down
         self.cost = (instance.cost_weight * states + k0 * np.exp(-k1 * mu)) / big
-        self._q = np.empty_like(self.p_down)
-        self._term = np.empty_like(self.p_down)
+        self._cost_scale = float(np.max(np.abs(self.cost)))
+        self._margin = -np.inf  # no safe intervals yet
+
+    def _tabulate(self, margin: float) -> None:
+        """The safe intervals of d for this margin: ``_edges`` lists the
+        ends of the nonempty ones in ascending order, ``_action_at[k]``
+        is the action of a flow that ``searchsorted`` places at k (-1
+        between intervals), and ``_action_at_0`` is state 0's safe
+        action, or -1."""
+        c = self.cost[:, 0]
+        s = self.p_down[:, -1]
+        gap = 2.0 * margin
+        dc = c[:, None] - c[None, :]
+        ds = s[:, None] - s[None, :]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # line a is below line b by more than gap where
+            # (c_a - c_b + gap) - (s_a - s_b) d < 0: above this crossing
+            # if s_a > s_b, below it if s_a < s_b, nowhere if c_a - c_b +
+            # gap >= 0 and s_a = s_b
+            cross = (dc + gap) / ds
+        lo = np.max(np.where(ds > 0, cross, -np.inf), axis=1)
+        hi = np.min(np.where(ds < 0, cross, np.inf), axis=1)
+        others = ~np.eye(len(c), dtype=bool)
+        blocked = np.any(others & (ds == 0) & ~(dc + gap < 0), axis=1)
+        safe = np.flatnonzero((lo < hi) & ~blocked)
+        self._edges = np.column_stack((lo[safe], hi[safe])).ravel()
+        self._action_at = np.full(len(self._edges) + 1, -1, dtype=np.intp)
+        self._action_at[1::2] = safe
+        # at x = 0 all actions share p_down and p_stay, so the computed
+        # q-value rises with c_a and actions of equal cost tie exactly
+        a0 = int(np.argmin(c))
+        rise = dc[:, a0]
+        self._action_at_0 = a0 if np.all((rise == 0) | (rise > gap)) else -1
+        self._margin = margin
+
+    def _certified_actions(self, values: np.ndarray) -> np.ndarray:
+        """Per state, the action whose line is safely the lowest, or -1."""
+        best = np.full(len(values), -1, dtype=np.intp)
+        margin = 8 * _EPS * (self._cost_scale + 4 * np.abs(values).max()) + _TINY
+        if not math.isfinite(margin):
+            return best
+        if margin > self._margin:
+            self._tabulate(2.0 * margin)
+        best[0] = self._action_at_0
+        flows = values[1:] - values[:-1]
+        self._action_at.take(np.searchsorted(self._edges, flows, side="right"), out=best[1:])
+        return best
 
     def sweep(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One-step lookahead: per state, the action minimising stage cost
-        plus expected next value, and that minimal q-value.  A tie goes
-        to the lowest action index, as with ``argmin``."""
-        q, term = self._q, self._term
-        np.add(self.cost, self.p_up * values[self.up], out=q)
-        np.multiply(self.p_down, values[self.down], out=term)
-        q += term
-        np.multiply(self.p_stay, values, out=term)
-        q += term
-        best = np.zeros(len(values), dtype=np.intp)
-        q_best = q[0].copy()
-        for a in range(1, len(q)):
-            better = q[a] < q_best
-            q_best = np.where(better, q[a], q_best)
-            best = np.where(better, a, best)
-        return best, q_best
+        plus expected next value, and that minimal q-value.  As with
+        ``argmin``, a tie goes to the lowest action index and a NaN
+        q-value counts as the least."""
+        up_term = self.p_up * values[self.up]
+        v_down = values[self.down]
+        best = self._certified_actions(values)
+        # an uncertified -1 wraps to the last action's row; the scan
+        # below replaces its q-value
+        at = best * len(values) + self.states
+        q = np.add(self.cost.take(at), up_term)
+        q += self.p_down.take(at) * v_down
+        q += self.p_stay.take(at) * values
+        if best.min() < 0:
+            scan = np.flatnonzero(best < 0)
+            q_all = self.cost[:, scan] + up_term[scan]
+            q_all += self.p_down[:, scan] * v_down[scan]
+            q_all += self.p_stay[:, scan] * values[scan]
+            best[scan] = pick = np.argmin(q_all, axis=0)
+            q[scan] = q_all[pick, np.arange(len(scan))]
+        return best, q
 
 
 def _state_index(instance: MdpInstance, state) -> int:
@@ -338,7 +441,7 @@ def _relative_value_iteration(instance, chain, tol, x0) -> MdpSolution:
         policy, q = chain.sweep(values)
         rho_bar = float(q[x0])
         new_values = q - rho_bar
-        gap = float(np.max(np.abs(new_values - values)))
+        gap = float(np.abs(new_values - values).max())
         values = new_values
         if gap <= tol:
             break

@@ -149,6 +149,15 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_control_model_unloaded():
+    # the control model pulls in scipy.linalg; only `mdp solve` needs it
+    code = "import sys, gg1lab.cli; print(sorted({'gg1lab.mdp', 'scipy.linalg'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(gg1lab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
 def test_errors_exit_2_with_json(tmp_path, capsys):
     rc = main(["sweep", "--config", str(tmp_path / "missing.json")])
     assert rc == 2

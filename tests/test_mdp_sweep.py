@@ -11,6 +11,13 @@ within ``VALUES_ULPS`` such ulps, times the factor by which a stretch of
 slow service can amplify both solvers' rounding (``amplification``).
 Policy iteration visits the same policies in the same number of
 iterations, except where ``ties`` allows a genuine tie to go either way.
+
+The sweep computes all actions' q-values only where its rounding bound
+leaves a state uncertified (``mdp._Chain``).  It is checked against the
+oracle at every sweep of whole relative value iteration runs, and at
+flows on and a few ulps beside the crossing points of the actions'
+q-value lines, at state-0 costs that tie only after rounding and at
+non-finite values, all of which must take the full scan.
 """
 
 import json
@@ -203,12 +210,145 @@ def test_sweep_ties_go_to_the_lowest_action():
     assert_same_sweep(inst, np.zeros(11))
 
 
+@pytest.mark.parametrize("inst, tol", [
+    demo_instance(100),
+    demo_instance(1000),
+    (mdp.build_instance(THEOREM_ARRIVAL_RATE, [0.75, 1.0, 1.25], 100), 1e-10),
+], ids=["demo-100", "demo-1000", "criterion-9-grid"])
+def test_every_rvi_sweep_matches_reference(monkeypatch, inst, tol):
+    # the values of a whole run, from zeros to the fixed point, including
+    # the final residual sweep; criterion 9's grid has no penalty, so all
+    # its lines cross at d = 0 and its state 0 ties in every sweep
+    real = mdp._Chain.sweep
+    swept = []
+
+    def checked(chain, values):
+        best, q = real(chain, values)
+        ref_best, ref_q = reference_mdp.greedy(inst, values)
+        assert_same_array(best, ref_best)
+        assert_same_array(q, ref_q)
+        swept.append(values)
+        return best, q
+
+    monkeypatch.setattr(mdp._Chain, "sweep", checked)
+    sol = mdp.solve_optimal(inst, "relative-value-iteration", tol=tol)
+    assert len(swept) == sol.iterations + 1
+
+
+def uncertified(inst, values):
+    """The states whose sweep takes the full scan over all actions."""
+    return mdp._Chain(inst)._certified_actions(values) < 0
+
+
+def near(point, ulps=4):
+    """point and its floating-point neighbours up to ulps either side."""
+    below, above = [point], [point]
+    for _ in range(ulps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def values_with_flows(n, flows, base=0.0):
+    """Value vectors on states 0..n, base everywhere but at odd states x,
+    which take base + flows[i] in turn.  With base 0, J(x) - J(x-1) is
+    exactly flows[i]."""
+    per = (n + 1) // 2
+    out = []
+    for i in range(0, len(flows), per):
+        chunk = np.asarray(flows[i:i + per])
+        values = np.full(n + 1, base)
+        values[1:2 * len(chunk):2] = chunk + base
+        out.append(values)
+    return out
+
+
+def crossings(inst):
+    """Where each pair of actions' q-value lines c_a - s_a d cross
+    (``mdp._Chain``), and whether no other line is below them there."""
+    chain = mdp._Chain(inst)
+    c, s = chain.cost[:, 0], chain.p_down[:, -1]
+    out = []
+    for a in range(len(c)):
+        for b in range(a + 1, len(c)):
+            if s[a] != s[b]:
+                point = (c[a] - c[b]) / (s[a] - s[b])
+                lines = c - s * point
+                others = np.delete(lines, [a, b])
+                out.append((point, bool(np.all(others >= lines[a] - 1e-9 * (1 + abs(lines[a]))))))
+    return out
+
+
+CROSSING_INSTANCES = {
+    "demo": demo_instance(30)[0],
+    "zero-penalty": mdp.build_instance(0.5, [0.75, 1.0, 1.25], 30),
+    "equal-intercepts": mdp.build_instance(0.5, [0.75, 1.0, 1.25], 30, penalty=(0.3, 0.0)),
+    "negative-wear": mdp.build_instance(0.3, [0.2, 0.5, 0.6, 1.1], 30, penalty=(-1.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_INSTANCES))
+def test_flows_at_crossings_take_the_full_scan(name):
+    # where two lines cross with no other below them, rounding decides
+    # between them: flows there and a few ulps either side are never
+    # certified
+    inst = CROSSING_INSTANCES[name]
+    lowest = 0
+    for point, on_envelope in crossings(inst):
+        (values,) = values_with_flows(inst.n_states, near(point))
+        if on_envelope:
+            lowest += 1
+            assert uncertified(inst, values)[1:19:2].all()
+        assert_same_sweep(inst, values)
+        for base in (-3.0, 1e3):
+            for values in values_with_flows(inst.n_states, near(point), base):
+                assert_same_sweep(inst, values)
+    assert lowest >= 1
+
+
+def test_state_0_ties_after_rounding_take_the_full_scan():
+    # faster actions wear less, so the last action has the least cost at
+    # state 0, but a large J(1) rounds every c_a + p_up J(1) to one value
+    # and the first minimum is action 0
+    inst = mdp.build_instance(0.5, [0.75, 1.0, 1.25], 6, penalty=(0.2, 1.0))
+    c = mdp._Chain(inst).cost[:, 0]
+    assert np.argmin(c) == 2 and len(set(c)) == 3
+    for big in (1e12, 1e14, 1e16, 1e20):
+        values = np.linspace(0.0, big, 7)
+        assert uncertified(inst, values)[0]
+        assert_same_sweep(inst, values)
+    best, _ = mdp._Chain(inst).sweep(np.linspace(0.0, 1e16, 7))
+    assert best[0] == 0
+
+
+@pytest.mark.parametrize("grid", [[0.75, 1.0, 1.25], [0.5, 1.0, 1.5]])
+def test_non_finite_values_take_the_full_scan(grid):
+    # with grid [0.5, 1, 1.5] and arrival rate 0.5 the last action never
+    # stays, and 0 * inf makes its q-value NaN where the others are inf;
+    # like argmin, the sweep then picks the NaN
+    inst = mdp.build_instance(0.5, grid, 6, penalty=(0.1, 1.0))
+    finite = np.linspace(0.0, 3.0, 7)
+    cases = []
+    for bad in (np.inf, -np.inf, np.nan):
+        for x in (0, 3, 6):
+            values = finite.copy()
+            values[x] = bad
+            cases.append(values)
+    cases.append(np.array([np.inf, -np.inf, np.nan, 0.0, np.inf, 1.0, np.nan]))
+    for values in cases:
+        assert uncertified(inst, values).all()
+        with np.errstate(invalid="ignore"):
+            assert_same_sweep(inst, values)
+
+
 @st.composite
 def instances(draw):
-    grid = sorted(draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4, unique=True)))
+    grid = sorted(draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=8, unique=True)))
     load = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
     n = draw(st.integers(2, 30))
-    penalty = (draw(st.floats(0.0, 2.0)), draw(st.floats(-4.0, 4.0)))
+    k0 = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    k1 = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
+    penalty = (k0, k1)
     cost_weight = draw(st.floats(0.0, 5.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -225,3 +365,14 @@ def test_random_instances_match_reference(case, seed):
     assert_same_evaluation(inst, rng.integers(0, inst.n_actions, inst.n_states + 1), x0)
     for method in METHODS:
         assert_same_solution(inst, method, tol=1e-9, x0=x0, ties=True)
+
+
+@given(case=instances(), scale=st.sampled_from([1e-3, 1.0, 1e4]))
+@settings(max_examples=60, deadline=None)
+def test_random_sweeps_at_crossings_match_reference(case, scale):
+    inst, _ = case
+    for point, _ in crossings(inst):
+        for values in values_with_flows(inst.n_states, near(point), base=scale):
+            assert_same_sweep(inst, values)
+    n = inst.n_states
+    assert_same_sweep(inst, scale * np.linspace(0.0, 1.0, n + 1) ** 2)
