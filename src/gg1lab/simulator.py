@@ -701,10 +701,14 @@ def _cap_exceeded(event_cap: int, index: int, arrivals: _Arrivals, first_slot: i
 
 
 def _canonical_path(ev_times, ev_counts, initial_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the last event of each timestamp, then drop no-op levels."""
+    """Keep the last event of each timestamp, then drop no-op levels.
+
+    Each event moves the level by one, so only tied timestamps leave a
+    no-op level: a path whose times strictly increase comes back as is.
+    """
     times = np.asarray(ev_times, dtype=float)
     counts = np.asarray(ev_counts, dtype=np.int64)
-    if times.size:
+    if not np.all(times[1:] > times[:-1]):
         keep = np.ones(times.size, dtype=bool)
         keep[:-1] = times[1:] != times[:-1]
         times = times[keep]

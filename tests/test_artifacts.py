@@ -1,14 +1,19 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gg1lab.artifacts import _ROW_BLOCK, write_csv, write_json, write_jsonl
+from gg1lab import experiments, inspection, renewal, simulator
+from gg1lab.artifacts import _ROW_BLOCK, _shortest, write_csv, write_json, write_jsonl
 from gg1lab.cli import main
-from gg1lab.distributions import exponential
+from gg1lab.distributions import exponential, gamma, lognormal
 from gg1lab.renewal import RenewalCycles, cycle_rewards, detect_cycles
 from gg1lab.simulator import simulate
+
+import reference_artifacts
 
 SWEEP_CONFIG = {
     "version": 1,
@@ -153,6 +158,195 @@ def test_write_csv_rejects_misaligned_columns(tmp_path):
         write_csv(tmp_path / "bad.csv", ("a", "b"), (np.zeros(3), np.zeros(2)))
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", ("a",), (np.zeros(3), np.zeros(3)))
+
+
+def test_write_csv_rejects_columns_that_are_not_1d(tmp_path):
+    # a 2-D column would write cells like "[0.0, 0.0]", whose commas
+    # break the table
+    for bad in (np.zeros((3, 2)), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="1-D"):
+            write_csv(tmp_path / "bad.csv", ("a", "b"), (np.zeros(3), bad))
+
+
+def _written(path, *columns, writer=write_csv):
+    writer(path, [f"c{k}" for k in range(len(columns))], columns)
+    return path.read_bytes()
+
+
+def assert_repr_text(path, values):
+    """One float64 column: write_csv's bytes are the reference writer's
+    and ``repr``'s."""
+    values = np.asarray(values, dtype=np.float64)
+    got = _written(path, values)
+    assert got == _written(path, values, writer=reference_artifacts.write_csv)
+    expected = "c0\n" + "".join(repr(v) + "\n" for v in values.tolist())
+    assert got == expected.encode()
+
+
+def _nudged(values, ulps):
+    values = np.asarray(values, dtype=np.float64)
+    for _ in range(abs(ulps)):
+        values = np.nextafter(values, np.copysign(np.inf, ulps))
+    return values
+
+
+def as_floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# raw float64 bit patterns: any of them, or ones whose exponent lies in
+# the band that is written without an exponent (1e-4 <= |x| < 1e16)
+_ANY_BITS = st.integers(0, 2**64 - 1)
+_FIXED_BITS = st.builds(lambda sign, exp, mantissa: sign << 63 | exp << 52 | mantissa,
+                        st.integers(0, 1), st.integers(1009, 1076), st.integers(0, 2**52 - 1))
+
+
+@given(st.lists(st.one_of(_ANY_BITS, _FIXED_BITS), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_float_text_is_repr_on_raw_bit_patterns(tmp_path, bits):
+    assert_repr_text(tmp_path / "bits.csv", as_floats(bits))
+
+
+def test_float_text_is_repr_in_bulk(tmp_path):
+    # more rows than a block: every decimal exponent of the band and
+    # beyond, decimals rounded to a few places, and random bits
+    rng = np.random.default_rng(2026)
+    n = 40_000
+    values = np.concatenate([
+        10.0 ** rng.uniform(-5.0, 17.0, n) * rng.choice([-1.0, 1.0], n),
+        np.round(rng.uniform(0.0, 1e4, n) * 10.0 ** (places := rng.integers(0, 8, n))) / 10.0**places,
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+    ])
+    assert_repr_text(tmp_path / "bulk.csv", values)
+
+
+def test_float_text_at_notation_and_binary_boundaries(tmp_path):
+    band_ends = np.array([1e-4, 1e15, 1e16, 2.0**-14, 2.0**52, 2.0**53])
+    powers = np.concatenate([2.0 ** np.arange(-15, 55), 10.0 ** np.arange(-5, 18)])
+    values = np.concatenate([_nudged(band_ends, k) for k in range(-3, 4)]
+                            + [_nudged(powers, k) for k in (-1, 0, 1)])
+    values = np.concatenate([values, -values, [0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                                              1.7976931348623157e308, 0.1, 0.3, 1 / 3]])
+    assert_repr_text(tmp_path / "edges.csv", values)
+
+
+def test_exact_ties_take_repr(tmp_path):
+    # 18 significant digits ending in 5, both 17-digit neighbours inside
+    # the rounding interval: repr rounds the tie half to even
+    ties = np.array([118504338674058.625, 118504338674058.875, 100000000000000.125,
+                     2.0**50 + 0.25, 2.0**50 + 0.75, 1234567890123456.25])
+    assert _shortest(ties)[3].all()
+    assert_repr_text(tmp_path / "ties.csv", np.concatenate([ties, -ties]))
+
+
+def test_every_nan_writes_nan(tmp_path):
+    nans = as_floats([0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000, 0x7FF0_0000_0000_0001,
+                      0xFFF0_0000_DEAD_BEEF, 0x7FFF_FFFF_FFFF_FFFF, 0xFFFF_FFFF_FFFF_FFFF])
+    assert np.isnan(nans).all() and np.signbit(nans).any()
+    write_csv(tmp_path / "nan.csv", ("x",), (nans,))
+    assert (tmp_path / "nan.csv").read_bytes() == b"x\n" + b"nan\n" * len(nans)
+
+
+def test_narrow_and_unsigned_dtypes_match_reference(tmp_path):
+    rng = np.random.default_rng(9)
+    wide = 10.0 ** rng.uniform(-6.0, 18.0, 500) * rng.choice([-1.0, 1.0], 500)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-4, 0.1, 65504.0]
+    columns = [
+        np.concatenate([wide, specials]).astype(np.float32),
+        # scaled into float16's range, subnormals included
+        np.concatenate([wide / 1e14, specials]).astype(np.float16),
+        np.concatenate([rng.integers(2**63, 2**64, 505, dtype=np.uint64),
+                        np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)]),
+        np.concatenate([rng.integers(-2**63, 2**63, 505, dtype=np.int64),
+                        np.array([-2**63, 2**63 - 1, -1], dtype=np.int64)]),
+        rng.integers(-128, 128, 508).astype(np.int8),
+        rng.integers(0, 2**16, 508).astype(np.uint16),
+        rng.integers(-2**31, 2**31, 508).astype(np.int32),
+    ]
+    path = tmp_path / "dtypes.csv"
+    assert _written(path, *columns) == _written(path, *columns, writer=reference_artifacts.write_csv)
+
+
+def test_mixed_lists_and_other_dtypes_keep_str(tmp_path):
+    columns = (
+        [1, 2.5, "x", None, True, (1, 2)],
+        ["a", "b,c", "", "d", "e", "f"],
+        np.array(["u", "vv", "w", "x", "y", "z"]),
+        np.arange(6, dtype=np.complex128),
+        np.array([0.1, 1e-20, 2.5, -0.0, 7.0, 1e300], dtype=np.longdouble),
+        range(10, 16),
+    )
+    path = tmp_path / "mixed.csv"
+    assert _written(path, *columns) == _written(path, *columns, writer=reference_artifacts.write_csv)
+
+
+def test_long_str_cells_keep_memory_bounded(tmp_path):
+    # str cells are as wide as the longest value of their block, so a
+    # column written by str takes short blocks
+    columns = (["a"] * 4095 + ["x" * 10_000], np.arange(4096.0))
+    path = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = _written(path, *columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _written(path, *columns, writer=reference_artifacts.write_csv)
+    assert peak - before < 16 * 2**20
+
+
+@pytest.mark.parametrize("discipline", simulator.DISCIPLINES)
+@pytest.mark.parametrize("resolve", [True, False])
+def test_every_writer_matches_reference(tmp_path, monkeypatch, discipline, resolve):
+    # each CSV the library writes, once through write_csv and once
+    # through the row-at-a-time writer it replaced
+    service = lognormal(-0.3, 0.6)
+    path, ledger = simulate(exponential(0.8), service, discipline=discipline, warmup=40.0,
+                            horizon=6000.0, seed=21, resolve_pending=resolve)
+    cycles = detect_cycles(path)
+    rewards = cycle_rewards(cycles, path, ledger) if resolve else None
+    samples = inspection.sample_inspections(
+        ledger, path, inspection.poisson_epochs((path.initial_time, path.final_time), 0.3, 22))
+    grid = np.linspace(0.0, service.quantile(0.999), 300)
+    surface = experiments.ResponseSurface(
+        grid=np.array([0.9, 1.3]), surfaces={"R": np.array([1.5, np.nan]), "H": np.array([0.1, 2e-7])},
+        stderrs={"R": np.array([0.01, 0.2]), "H": np.array([1e-3, 0.0])}, per_seed={}, seeds=())
+
+    def write_all(out):
+        out.mkdir()
+        ledger.to_csv(out / "customer.csv")
+        path.to_csv(out / "path.csv")
+        if rewards is None:
+            cycles.to_csv(out / "cycles.csv")
+        else:
+            cycles.to_csv(out / "cycles.csv", rewards.holding, rewards.count)
+        samples.to_csv(out / "inspections.csv")
+        inspection.pdf_curve_csv(service, grid, out / "pdf_curves.csv")
+        experiments.emit_reports(surface, experiments.ExperimentConfig.from_dict(SWEEP_CONFIG), out)
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+    got = write_all(tmp_path / "new")
+    for module in (simulator, renewal, inspection, experiments):
+        monkeypatch.setattr(module, "write_csv", reference_artifacts.write_csv)
+    want = write_all(tmp_path / "reference")
+    assert len(got) == 6 and got == want
+    assert resolve or b"nan" in got["customer.csv"]
+
+
+def test_write_csv_transient_memory_is_bounded(tmp_path):
+    # a customer table of 1e5 rows: the blocks' cell matrices and
+    # temporaries, not the table, set the peak
+    path, ledger = simulate(exponential(1.0), gamma(2.0, 0.25), horizon=1e5, seed=4)
+    assert len(ledger) > 99_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ledger.to_csv(tmp_path / "customer.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 4 * 2**20
 
 
 def test_cycles_csv_takes_counts_as_a_list(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gg1lab.distributions import deterministic, exponential, gamma, lognormal, uniform
-from gg1lab.simulator import simulate
+from gg1lab.simulator import _canonical_path, _queue_path, fcfs_departure_times, simulate
 
 import reference_engine
 
@@ -103,3 +103,24 @@ def test_random_seeds_match_reference(seed, discipline, resolve):
         exponential(1.1), gamma(0.5, 1.6), discipline=discipline, warmup=25.0,
         horizon=300.0, seed=seed, resolve_pending=resolve,
     )
+
+
+@pytest.mark.parametrize("arrival, service, tied", [
+    (exponential(1.0), lognormal(-0.3, 0.6), False),
+    (exponential(1.0), exponential(1.2), False),
+    (deterministic(0.5), deterministic(0.5), True),
+    (deterministic(1.0), deterministic(2.0), True),
+])
+@pytest.mark.parametrize("first", [0, 1, 57])
+def test_canonical_path_matches_full_pass(arrival, service, tied, first):
+    # a path without repeated times is returned as it is; a tied one
+    # takes the full pass; both give the reference's bits
+    rng = np.random.default_rng(11)
+    arrivals = np.cumsum(arrival.sample(rng, 400))
+    times, counts = _queue_path(arrivals, fcfs_departure_times(arrivals, service.sample(rng, 400)))
+    times, counts, initial = times[first:], counts[first:], int(counts[first - 1]) if first else 0
+    got = _canonical_path(times, counts, initial)
+    want = reference_engine._canonical_path(times, counts, initial)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert bool(np.any(np.diff(times) == 0)) == tied
+    assert (got[0] is times and got[1] is counts) == (not tied)
