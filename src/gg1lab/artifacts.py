@@ -4,10 +4,11 @@ CSV: a header row, then one row per index of equal-length 1-D columns;
 fields joined by "," and rows ended by "\\n" on every platform.  Floats
 are written as ``repr`` (``nan``, ``inf``, ``-0.0``), integers in
 decimal, bool arrays as 0/1, and every other value (list items,
-strings, other dtypes) as ``str``.  JSON: sorted keys, a 2-space indent
-and one trailing "\\n".  JSON lines: sorted keys, one compact object per
-line.  No timestamps or paths enter any of them, so reruns compare byte
-for byte.
+strings, other dtypes) as ``str``.  Nothing is quoted, so a header
+name or ``str`` cell holding ",", "\\n" or "\\r" raises ValueError.
+JSON: sorted keys, a 2-space indent and one trailing "\\n".  JSON
+lines: sorted keys, one compact object per line.  No timestamps or
+paths enter any of them, so reruns compare byte for byte.
 
 ``write_csv`` builds the text of a block of rows in NumPy.  Each column
 becomes a ``uint8`` cell matrix holding each row's text in one window
@@ -85,13 +86,15 @@ _FIRST = np.tri(65, 64, -1, dtype=bool)
 
 def write_csv(path, header, columns) -> None:
     """Write ``columns`` (1-D arrays, lists or ranges) under the names
-    ``header``; a column of another length, or an array that is not
-    1-D, raises ValueError."""
+    ``header``; a column of another length, an array that is not 1-D,
+    or a name or str cell holding ",", "\\n" or "\\r" raises
+    ValueError."""
     n = len(columns[0])
     if len(header) != len(columns) or any(len(c) != n for c in columns):
         raise ValueError("need one name per column and columns of equal length")
     if any(c.ndim != 1 for c in columns if isinstance(c, np.ndarray)):
         raise ValueError("every array column must be 1-D")
+    _check_text(header)
     # the text-mode file only fixes the encoding of the header and the
     # str cells; the rows go to its binary buffer as built
     with open(path, "w", newline="") as text:
@@ -167,10 +170,20 @@ def _mark_windows(start, end, keep) -> None:
 def _str_cells(block, encoding):
     """The ``str`` of each value, left-aligned."""
     values = block.tolist() if isinstance(block, np.ndarray) else block
-    data = [str(v).encode(encoding) for v in values]
+    text = [str(v) for v in values]
+    _check_text(text)
+    data = [t.encode(encoding) for t in text]
     width = max(max(map(len, data)), 1)
     cells = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
     return cells, np.zeros(len(data), dtype=np.int64), np.array([len(d) for d in data])
+
+
+def _check_text(fields):
+    """Raise ValueError for a field that would split its row or table:
+    the writer quotes nothing."""
+    for field in fields:
+        if "," in field or "\n" in field or "\r" in field:
+            raise ValueError(f"CSV field {field!r} holds a field or row separator")
 
 
 def _range_cells(block):

@@ -65,8 +65,15 @@ class DistributionSpec:
                 raise ValueError(f"uniform requires 0 <= low < high, got ({low}, {high})")
         if self.kind == "gamma" and (self.params[0] <= 0 or self.params[1] <= 0):
             raise ValueError(f"gamma requires shape > 0 and scale > 0, got {self.params}")
-        if self.kind == "lognormal" and self.params[1] <= 0:
-            raise ValueError(f"lognormal requires log_sigma > 0, got {self.params[1]}")
+        if self.kind == "lognormal":
+            if self.params[1] <= 0:
+                raise ValueError(f"lognormal requires log_sigma > 0, got {self.params[1]}")
+            try:
+                self.mean(), self.second_moment()
+            except OverflowError:
+                raise ValueError(
+                    f"lognormal{self.params} has a mean or second moment that overflows"
+                ) from None
 
     # ------------------------------------------------------------------
     # moments

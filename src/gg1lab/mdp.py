@@ -17,12 +17,14 @@ The controlled chain is birth-death, and each solve tabulates it once
 (``_Chain``): the up/down neighbours of every state, the arrival
 probability, and action-major tables of the service, stay and stage-cost
 terms.  For x >= 1 each action's q-value is a line in the flow
-J(x) - J(x-1), so a greedy sweep looks up each state's flow among the
-lines' crossing points: where a stated bound on rounding error (see
-``_Chain``) certifies one action as the least, only that action's
-q-value is computed, by the same multiply-adds as the full scan.  The
-first-minimum scan over all actions runs only on the states left
-uncertified, so every sweep's bits are the full scan's.
+J(x) - J(x-1), and a stated bound on rounding error (see ``_Chain``)
+gives each action an interval of flows where it is certainly the least.
+The chain keeps each state's action from one sweep to the next.  A
+sweep tests each state's flow against its kept action's interval, looks
+the flow up among all the intervals only where that test fails, and
+computes only the certified action's q-value, by the same multiply-adds
+as the full scan.  The first-minimum scan over all actions runs only on
+the states left uncertified, so every sweep's bits are the full scan's.
 
 Policy evaluation works on the flows J(x+1) - J(x): differencing
 neighbouring rows of the Poisson equation removes the gain and leaves a
@@ -43,6 +45,7 @@ DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 200_000
 _EPS = float(np.finfo(float).eps)  # 2u, twice the unit roundoff
 _TINY = float(np.finfo(float).tiny)
+_NONE = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,8 @@ def continuous_time_average(instance: MdpInstance, rho_bar: float) -> float:
 
 class _Chain:
     """The controlled birth-death chain of one instance, tabulated once
-    per solve, and its greedy sweep.
+    per solve, and its greedy sweep, which keeps each state's certified
+    action from one sweep to the next.
 
     ``up``/``down`` index each state's neighbours; the arrival at N is a
     self-loop, so ``up[N] = N``.  ``p_up`` is the arrival probability of
@@ -217,18 +221,28 @@ class _Chain:
     left for the rounding of the crossing points themselves (under 8u
     max|cost| + 6u m), and the full scan would pick a.
 
-    ``_tabulate`` finds each action's safe interval of d, where its line
-    lies below every other by more than 2m, and whether state 0 has a
-    safe action.  The intervals are disjoint and ordered by action, so
-    one ``searchsorted`` of d over their ends certifies each state's
-    action or leaves it uncertified.  A certified state computes the
-    q-value of its action only, from the same table entries in the same
-    order, so its bits are the full scan's.  The full first-minimum scan
-    runs on the rest: ties and flows near a crossing, state 0 when some
-    action's cost exceeds the least by more than 0 but at most 2m, and
-    every state of a sweep whose values are not all finite.  The
-    intervals are tabulated at twice the margin a sweep needs, and again
-    only when a sweep's margin outgrows the one they were built with.
+    ``_tabulate`` finds each action's safe interval [lo, hi) of d, where
+    its line lies below every other by more than 2m, and whether state 0
+    has a safe action.  The intervals are disjoint and ordered by action.
+    The chain keeps one action per state, with that action's table
+    entries and the ends lo[x], hi[x] of its safe interval; state 0, which
+    has no flow, tests 0 against (-inf, inf) if its kept action is safe
+    and against an empty interval if not.  A sweep certifies state x when
+    lo[x] <= d_x < hi[x], the test a lookup of d_x among the intervals
+    makes for that action; a NaN flow fails it.  Where it fails, one
+    ``searchsorted`` of d_x over the ends of all the intervals finds the
+    safe action, if there is one, and the state keeps that action from
+    then on.  A certified state computes the q-value of its kept action
+    only, from the same table entries in the same order, so its bits are
+    the full scan's.  The full first-minimum scan runs on the rest (its
+    pick is returned, not kept): ties and flows near a crossing, state 0
+    when some action's cost exceeds the least by more than 0 but at most
+    2m, and every state of a sweep whose values are not all finite.  The
+    intervals are tabulated at twice the margin a sweep needs, and again,
+    with every state's ends, only when a sweep's margin outgrows the one
+    they were built with.  The greedy policy of value iteration changes in
+    few sweeps, so most sweeps gather no table entries and look nothing
+    up.
     """
 
     def __init__(self, instance: MdpInstance):
@@ -245,14 +259,35 @@ class _Chain:
         self.p_stay = 1.0 - self.p_up - self.p_down
         self.cost = (instance.cost_weight * states + k0 * np.exp(-k1 * mu)) / big
         self._cost_scale = float(np.max(np.abs(self.cost)))
+        # safe-interval ends by action (see _tabulate); the extra last
+        # column, where the action -1 kept by a state never certified
+        # points, is empty
+        self._lo_end = np.full((2, instance.n_actions + 1), np.inf)
+        self._hi_end = np.full((2, instance.n_actions + 1), -np.inf)
+        self._row = np.minimum(states, 1)
         self._margin = -np.inf  # no safe intervals yet
+        # the kept policy, its table entries and its intervals' ends
+        self._policy = np.full(n + 1, -1, dtype=np.intp)
+        self._kept_cost = np.zeros(n + 1)
+        self._kept_p_down = np.zeros(n + 1)
+        self._kept_p_stay = np.zeros(n + 1)
+        self._lo = np.full(n + 1, np.inf)
+        self._hi = np.full(n + 1, -np.inf)
+        # work space; state 0 has no flow and tests 0 against its ends
+        self._flows = np.zeros(n + 1)
+        self._ok = np.empty(n + 1, dtype=bool)
+        self._below = np.empty(n + 1, dtype=bool)
+        self._up_term = np.empty(n + 1)
+        self._term = np.empty(n + 1)
 
     def _tabulate(self, margin: float) -> None:
-        """The safe intervals of d for this margin: ``_edges`` lists the
-        ends of the nonempty ones in ascending order, ``_action_at[k]``
-        is the action of a flow that ``searchsorted`` places at k (-1
-        between intervals), and ``_action_at_0`` is state 0's safe
-        action, or -1."""
+        """The safe intervals of d for this margin.  ``_lo_end[1, a]`` and
+        ``_hi_end[1, a]`` are the ends of action a's interval (empty if it
+        has none), and row 0 holds state 0's.  ``_edges`` lists the ends of
+        the nonempty intervals in ascending order, ``_action_at[k]`` is the
+        action of a flow that ``searchsorted`` places at k (-1 between
+        intervals), and ``_action_at_0`` is state 0's safe action, or -1.
+        Every state's kept ends are refreshed."""
         c = self.cost[:, 0]
         s = self.p_down[:, -1]
         gap = 2.0 * margin
@@ -268,7 +303,10 @@ class _Chain:
         hi = np.min(np.where(ds < 0, cross, np.inf), axis=1)
         others = ~np.eye(len(c), dtype=bool)
         blocked = np.any(others & (ds == 0) & ~(dc + gap < 0), axis=1)
-        safe = np.flatnonzero((lo < hi) & ~blocked)
+        safe = (lo < hi) & ~blocked
+        self._lo_end[1, :-1] = np.where(safe, lo, np.inf)
+        self._hi_end[1, :-1] = np.where(safe, hi, -np.inf)
+        safe = np.flatnonzero(safe)
         self._edges = np.column_stack((lo[safe], hi[safe])).ravel()
         self._action_at = np.full(len(self._edges) + 1, -1, dtype=np.intp)
         self._action_at[1::2] = safe
@@ -277,39 +315,72 @@ class _Chain:
         a0 = int(np.argmin(c))
         rise = dc[:, a0]
         self._action_at_0 = a0 if np.all((rise == 0) | (rise > gap)) else -1
+        self._lo_end[0, :-1] = np.inf
+        self._hi_end[0, :-1] = -np.inf
+        if self._action_at_0 >= 0:
+            self._lo_end[0, a0], self._hi_end[0, a0] = -np.inf, np.inf
         self._margin = margin
+        self._lo = self._lo_end[self._row, self._policy]
+        self._hi = self._hi_end[self._row, self._policy]
 
-    def _certified_actions(self, values: np.ndarray) -> np.ndarray:
-        """Per state, the action whose line is safely the lowest, or -1."""
-        best = np.full(len(values), -1, dtype=np.intp)
+    def _keep(self, states: np.ndarray, actions: np.ndarray) -> None:
+        """Make ``actions`` (none of them -1) the kept policy at ``states``,
+        with their table entries and safe-interval ends."""
+        self._policy[states] = actions
+        at = actions * len(self._policy) + states
+        self._kept_cost[states] = self.cost.take(at)
+        self._kept_p_down[states] = self.p_down.take(at)
+        self._kept_p_stay[states] = self.p_stay.take(at)
+        ends = self._row[states] * self._lo_end.shape[1] + actions
+        self._lo[states] = self._lo_end.take(ends)
+        self._hi[states] = self._hi_end.take(ends)
+
+    def _uncertified(self, values: np.ndarray) -> np.ndarray:
+        """The states where no action is safely the least at these values.
+        A state whose kept action is not, but whose flow lies in another
+        action's safe interval (one ``searchsorted`` over their ends),
+        keeps that action instead."""
         margin = 8 * _EPS * (self._cost_scale + 4 * np.abs(values).max()) + _TINY
         if not math.isfinite(margin):
-            return best
+            return self.states
         if margin > self._margin:
             self._tabulate(2.0 * margin)
-        best[0] = self._action_at_0
-        flows = values[1:] - values[:-1]
-        self._action_at.take(np.searchsorted(self._edges, flows, side="right"), out=best[1:])
-        return best
+        flows, ok = self._flows, self._ok
+        np.subtract(values[1:], values[:-1], out=flows[1:])
+        np.less_equal(self._lo, flows, out=ok)
+        ok &= np.less(flows, self._hi, out=self._below)
+        if ok.all():
+            return _NONE
+        moved = np.flatnonzero(~ok)
+        found = self._action_at.take(np.searchsorted(self._edges, flows[moved], side="right"))
+        if moved[0] == 0:
+            found[0] = self._action_at_0
+        hit = found >= 0
+        self._keep(moved[hit], found[hit])
+        return moved[~hit]
 
     def sweep(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One-step lookahead: per state, the action minimising stage cost
         plus expected next value, and that minimal q-value.  As with
         ``argmin``, a tie goes to the lowest action index and a NaN
-        q-value counts as the least."""
-        up_term = self.p_up * values[self.up]
-        v_down = values[self.down]
-        best = self._certified_actions(values)
-        # an uncertified -1 wraps to the last action's row; the scan
-        # below replaces its q-value
-        at = best * len(values) + self.states
-        q = np.add(self.cost.take(at), up_term)
-        q += self.p_down.take(at) * v_down
-        q += self.p_stay.take(at) * values
-        if best.min() < 0:
-            scan = np.flatnonzero(best < 0)
+        q-value counts as the least.  The policy returned is a new array,
+        which later sweeps leave alone."""
+        scan = self._uncertified(values)
+        # the kept action's q-value at every state; the scan below
+        # replaces it where the kept action is not certified
+        up_term = self._up_term
+        np.multiply(self.p_up, values[1:], out=up_term[:-1])
+        up_term[-1] = up_term[-2]  # the arrival at N stays at N
+        term = self._term
+        np.multiply(self._kept_p_down[1:], values[:-1], out=term[1:])
+        term[0] = self._kept_p_down[0] * values[0]
+        q = np.add(self._kept_cost, up_term)
+        q += term
+        q += np.multiply(self._kept_p_stay, values, out=term)
+        best = self._policy.copy()
+        if len(scan):
             q_all = self.cost[:, scan] + up_term[scan]
-            q_all += self.p_down[:, scan] * v_down[scan]
+            q_all += self.p_down[:, scan] * values[self.down[scan]]
             q_all += self.p_stay[:, scan] * values[scan]
             best[scan] = pick = np.argmin(q_all, axis=0)
             q[scan] = q_all[pick, np.arange(len(scan))]

@@ -269,8 +269,11 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
 
     Count averages are zero for an empty window population rather than
     raising, so quiet windows still serialise cleanly.  The path and the
-    ledger must cover the same window.
+    ledger must cover the same window, and the cost weight must be
+    finite and nonnegative.
     """
+    if not (math.isfinite(cost_weight) and cost_weight >= 0):
+        raise ValueError(f"cost weight must be finite and nonnegative, got {cost_weight!r}")
     window = (path.initial_time, path.final_time)
     if window != tuple(ledger.window):
         raise ValueError(f"path window {window} does not match ledger {ledger.window}")

@@ -64,7 +64,8 @@ class RenewalCycles:
 
     def to_csv(self, path, rewards=None, counts=None) -> None:
         """Columns cycle_index, busy_len, idle_len, reward, count (rewards
-        and counts default to zeros)."""
+        and counts default to zeros); counts that are not integers raise
+        ValueError."""
         n = len(self)
         rewards = np.zeros(n) if rewards is None else np.asarray(rewards, dtype=float)
         counts = np.zeros(n, dtype=np.int64) if counts is None else np.asarray(counts)
@@ -72,9 +73,12 @@ class RenewalCycles:
             raise ValueError("rewards and counts must align with cycles")
         if not np.all(np.isfinite(counts)):
             raise ValueError("cycle counts must be finite")
+        with np.errstate(invalid="ignore"):  # a count past int64 casts to a mismatch
+            whole = counts.astype(np.int64)
+        if not np.array_equal(whole, counts):
+            raise ValueError("cycle counts must be integers")
         write_csv(path, ("cycle_index", "busy_len", "idle_len", "reward", "count"),
-                  (range(n), self.busy_lengths, self.idle_lengths, rewards,
-                   counts.astype(np.int64)))
+                  (range(n), self.busy_lengths, self.idle_lengths, rewards, whole))
 
 
 def detect_cycles(path: Trajectory) -> RenewalCycles:

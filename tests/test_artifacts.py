@@ -269,8 +269,8 @@ def test_narrow_and_unsigned_dtypes_match_reference(tmp_path):
 
 def test_mixed_lists_and_other_dtypes_keep_str(tmp_path):
     columns = (
-        [1, 2.5, "x", None, True, (1, 2)],
-        ["a", "b,c", "", "d", "e", "f"],
+        [1, 2.5, "x", None, True, b"y z"],
+        ["a", "b;c", "", "d", "e", "f"],
         np.array(["u", "vv", "w", "x", "y", "z"]),
         np.arange(6, dtype=np.complex128),
         np.array([0.1, 1e-20, 2.5, -0.0, 7.0, 1e300], dtype=np.longdouble),
@@ -278,6 +278,22 @@ def test_mixed_lists_and_other_dtypes_keep_str(tmp_path):
     )
     path = tmp_path / "mixed.csv"
     assert _written(path, *columns) == _written(path, *columns, writer=reference_artifacts.write_csv)
+
+
+@pytest.mark.parametrize("column", [
+    ["a", "b,c"], ["a", (1, 2)], ["two\nrows", "a"], ["a", "cr\r"], np.array(["a", "u,v"]),
+])
+def test_str_cells_holding_a_separator_raise(tmp_path, column):
+    # nothing is quoted, so such a cell would add a field or a row
+    with pytest.raises(ValueError, match="separator"):
+        write_csv(tmp_path / "bad.csv", ["c0", "c1"], [range(2), column])
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+def test_header_names_holding_a_separator_raise(tmp_path, name):
+    with pytest.raises(ValueError, match="separator"):
+        write_csv(tmp_path / "bad.csv", ["t", name], [np.zeros(2), np.ones(2)])
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_long_str_cells_keep_memory_bounded(tmp_path):

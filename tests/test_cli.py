@@ -172,6 +172,16 @@ def test_errors_exit_2_with_json(tmp_path, capsys):
     assert "rate" in err["message"]
 
 
+def test_simulate_rejects_nan_cost_weight(tmp_path, capsys):
+    rc = main(["simulate", "--arrival", "exponential:0.5", "--service", "exponential:1",
+               "--horizon", "100", "--cost-weight", "nan", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "cost weight must be finite and nonnegative, got nan"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_nan_horizon_fast(tmp_path, capsys):
     start = time.perf_counter()
     rc = main(["simulate", "--arrival", "exponential:0.5", "--service", "exponential:1",

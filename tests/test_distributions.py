@@ -151,6 +151,12 @@ def test_validation_errors():
         gamma(-1.0, 1.0)
     with pytest.raises(ValueError):
         lognormal(0.0, 0.0)
+    # the mean or the second moment, exp(2 log_mean + 2 log_sigma**2),
+    # overflows; at log_sigma = 1e200 so does log_sigma**2 itself
+    for params in ((1e3, 1.0), (0.0, 19.0), (-1e3, 1e3), (0.0, 1e200)):
+        with pytest.raises(ValueError, match="overflows"):
+            lognormal(*params)
+    assert math.isfinite(lognormal(300.0, 6.0).second_moment())
     with pytest.raises(ValueError):
         DistributionSpec(kind="weibull", params=(1.0,))
     with pytest.raises(ValueError):

@@ -17,7 +17,9 @@ leaves a state uncertified (``mdp._Chain``).  It is checked against the
 oracle at every sweep of whole relative value iteration runs, and at
 flows on and a few ulps beside the crossing points of the actions'
 q-value lines, at state-0 costs that tie only after rounding and at
-non-finite values, all of which must take the full scan.
+non-finite values, all of which must take the full scan.  A chain keeps
+each state's certified action from one sweep to the next, so it is also
+checked at every sweep of one chain over random sequences of values.
 """
 
 import json
@@ -236,8 +238,14 @@ def test_every_rvi_sweep_matches_reference(monkeypatch, inst, tol):
 
 
 def uncertified(inst, values):
-    """The states whose sweep takes the full scan over all actions."""
-    return mdp._Chain(inst)._certified_actions(values) < 0
+    """The states whose sweep takes the full scan over all actions,
+    whichever action the chain keeps there from its last sweep."""
+    chain = mdp._Chain(inst)
+    out = np.ones(inst.n_states + 1, dtype=bool)
+    for a in range(inst.n_actions):
+        chain._keep(inst.states, np.full(inst.n_states + 1, a))
+        out &= np.isin(inst.states, chain._uncertified(values))
+    return out
 
 
 def near(point, ulps=4):
@@ -321,6 +329,24 @@ def test_state_0_ties_after_rounding_take_the_full_scan():
     assert best[0] == 0
 
 
+def test_a_retabulation_rechecks_every_kept_action():
+    # small values certify state 0's least-cost action; once J(1) is large
+    # enough to tie every action at state 0, the chain's wider margin
+    # must uncertify the action it kept, and the scan picks action 0
+    inst = mdp.build_instance(0.5, [0.75, 1.0, 1.25], 6, penalty=(0.2, 1.0))
+    chain = mdp._Chain(inst)
+    small, big = np.linspace(0.0, 1e-3, 7), np.linspace(0.0, 1e16, 7)
+    assert chain.sweep(small)[0][0] == 2
+    assert 0 not in chain._uncertified(small)
+    assert 0 in chain._uncertified(big)
+    for values in (small, big, small, big):
+        best, q = chain.sweep(values)
+        ref_best, ref_q = reference_mdp.greedy(inst, values)
+        assert_same_array(best, ref_best)
+        assert_same_array(q, ref_q)
+    assert best[0] == 0
+
+
 @pytest.mark.parametrize("grid", [[0.75, 1.0, 1.25], [0.5, 1.0, 1.5]])
 def test_non_finite_values_take_the_full_scan(grid):
     # with grid [0.5, 1, 1.5] and arrival rate 0.5 the last action never
@@ -376,3 +402,59 @@ def test_random_sweeps_at_crossings_match_reference(case, scale):
             assert_same_sweep(inst, values)
     n = inst.n_states
     assert_same_sweep(inst, scale * np.linspace(0.0, 1.0, n + 1) ** 2)
+
+
+def value_step(inst, kind, scale, seed):
+    """One value vector of a sweep sequence: normal noise at ``scale``,
+    the same with three entries NaN or infinite, a ramp whose constant
+    flow puts every state x >= 1 on one action, or flows on and beside
+    one crossing point at base ``scale``."""
+    n = inst.n_states
+    rng = np.random.default_rng(seed)
+    points = [point for point, _ in crossings(inst)]
+    if kind == "crossing" and points:
+        return values_with_flows(n, near(points[seed % len(points)]), base=scale)[0]
+    if kind == "ramp":
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-1.0, 2.0) * np.arange(n + 1.0)
+    values = scale * rng.normal(size=n + 1)
+    if kind == "non-finite":
+        values[rng.integers(0, n + 1, size=3)] = rng.choice([np.nan, np.inf, -np.inf], size=3)
+    return values
+
+
+STEP_KINDS = ("normal", "non-finite", "ramp", "crossing")
+STEP_SCALES = (1e-3, 1.0, 1e4, 1e12, 1e16)
+# every drawn sequence ends with these: NaN and infinite values followed
+# by finite ones, two ramps, which move many states' actions at once, and
+# the same crossing flows at a small base and then at one large enough to
+# force a retabulation, after which values of 1e16 tie state 0's actions
+STEP_TAIL = (("non-finite", 1.0), ("normal", 1.0), ("ramp", 1.0), ("ramp", 1.0),
+             ("crossing", 1e-3), ("crossing", 1e12), ("normal", 1e16))
+
+
+@given(
+    case=instances(),
+    steps=st.lists(st.tuples(st.sampled_from(STEP_KINDS), st.sampled_from(STEP_SCALES),
+                             st.integers(0, 2**32 - 1)), max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_one_chain_matches_reference_at_every_sweep(case, steps, seed):
+    # a chain keeps the policy of its last sweep and certifies each state
+    # against it, so every sweep of one chain over a sequence of values
+    # must still be the full scan's
+    inst, _ = case
+    steps = steps + [(kind, scale, seed) for kind, scale in STEP_TAIL]
+    chain = mdp._Chain(inst)
+    returned = []
+    for kind, scale, step_seed in steps:
+        values = value_step(inst, kind, scale, step_seed)
+        with np.errstate(invalid="ignore", over="ignore"):
+            best, q = chain.sweep(values)
+            ref_best, ref_q = reference_mdp.greedy(inst, values)
+        assert_same_array(best, ref_best)
+        assert_same_array(q, ref_q)
+        returned.append((best, ref_best))
+    # later sweeps leave the policies returned earlier alone
+    for best, ref_best in returned:
+        assert_same_array(best, ref_best)

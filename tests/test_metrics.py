@@ -111,6 +111,15 @@ def test_report_rejects_a_ledger_from_another_window(dd1):
         compute_report(path, longer)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_report_rejects_a_cost_weight_not_finite_and_nonnegative(dd1, c):
+    # nan made every total NaN, and -1 a negative H_total
+    path, ledger = dd1
+    with pytest.raises(ValueError, match="cost weight must be finite and nonnegative"):
+        compute_report(path, ledger, cost_weight=c)
+    assert compute_report(path, ledger, cost_weight=0.0).H_total == 0.0
+
+
 @given(seed=st.integers(0, 2**31 - 1), c=st.floats(0.1, 5.0))
 @settings(max_examples=25, deadline=None)
 def test_identity_property(seed, c):

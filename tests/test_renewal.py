@@ -88,6 +88,17 @@ def test_csv_golden(tmp_path):
     )
 
 
+def test_csv_rejects_counts_that_are_not_integers(tmp_path):
+    # they were truncated: [2.5, 3.7] was written as 2 and 3
+    cycles = two_cycle_fixture()
+    out = tmp_path / "cycles.csv"
+    for counts in ([2.5, 3.7], [2.0, 1e19], [2.0, np.nan]):
+        with pytest.raises(ValueError, match="cycle counts must be"):
+            cycles.to_csv(out, rewards=[4.0, 6.0], counts=counts)
+    cycles.to_csv(out, rewards=[4.0, 6.0], counts=[2.0, 3.0])
+    assert out.read_text().endswith("1,1.5,1.5,6.0,3\n")
+
+
 def test_csv_matches_per_row_writer_on_many_cycles(tmp_path):
     path, ledger = simulate(exponential(0.5), exponential(1.0), horizon=2000.0, seed=3)
     cycles = detect_cycles(path)
