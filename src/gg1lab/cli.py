@@ -48,6 +48,7 @@ def _parse_seeds(text: str) -> list[int]:
 def _cmd_simulate(args) -> int:
     arrival = parse_distribution(args.arrival)
     service = parse_distribution(args.service)
+    metrics.check_cost_weight(args.cost_weight)
     path, ledger = simulate(
         arrival, service,
         discipline=args.discipline,

@@ -36,6 +36,9 @@ class DistributionSpec:
         gamma:         (shape, scale)     both > 0
         lognormal:     (log_mean, log_sigma)   log_sigma > 0
 
+    Every kind also needs a mean and a second moment that are finite
+    doubles > 0, so that rates, loads and cv2 are defined.
+
     Use the module-level constructors (``exponential``, ``uniform``, ...)
     rather than instantiating directly; validation happens either way.
     """
@@ -65,15 +68,17 @@ class DistributionSpec:
                 raise ValueError(f"uniform requires 0 <= low < high, got ({low}, {high})")
         if self.kind == "gamma" and (self.params[0] <= 0 or self.params[1] <= 0):
             raise ValueError(f"gamma requires shape > 0 and scale > 0, got {self.params}")
-        if self.kind == "lognormal":
-            if self.params[1] <= 0:
-                raise ValueError(f"lognormal requires log_sigma > 0, got {self.params[1]}")
-            try:
-                self.mean(), self.second_moment()
-            except OverflowError:
-                raise ValueError(
-                    f"lognormal{self.params} has a mean or second moment that overflows"
-                ) from None
+        if self.kind == "lognormal" and self.params[1] <= 0:
+            raise ValueError(f"lognormal requires log_sigma > 0, got {self.params[1]}")
+        try:
+            moments = (self.mean(), self.second_moment())
+        except (OverflowError, ZeroDivisionError):  # a power past the double range
+            moments = (math.inf,)
+        if not all(math.isfinite(m) and m > 0 for m in moments):
+            raise ValueError(
+                f"{self.kind}({', '.join(map(repr, self.params))}) has a mean or second "
+                "moment that overflows or underflows; both must be finite doubles > 0"
+            )
 
     # ------------------------------------------------------------------
     # moments

@@ -152,6 +152,12 @@ def _flush(whole: np.ndarray, frac: np.ndarray) -> int:
     return total
 
 
+def check_cost_weight(cost_weight: float) -> None:
+    """Raise ValueError unless the cost weight is finite and nonnegative."""
+    if not (math.isfinite(cost_weight) and cost_weight >= 0):
+        raise ValueError(f"cost weight must be finite and nonnegative, got {cost_weight!r}")
+
+
 def holding_cost(path: Trajectory, cost_weight: float) -> float:
     """c times the integral of the queue length over the window."""
     bounds, levels = path.segments()
@@ -272,8 +278,7 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
     ledger must cover the same window, and the cost weight must be
     finite and nonnegative.
     """
-    if not (math.isfinite(cost_weight) and cost_weight >= 0):
-        raise ValueError(f"cost weight must be finite and nonnegative, got {cost_weight!r}")
+    check_cost_weight(cost_weight)
     window = (path.initial_time, path.final_time)
     if window != tuple(ledger.window):
         raise ValueError(f"path window {window} does not match ledger {ledger.window}")

@@ -7,6 +7,12 @@ terminating renewal point is observed inside the window; partial
 leading and trailing fragments are kept for inspection but excluded
 from every estimator, since the estimators treat cycles as i.i.d.
 
+Cycles are found and summed by path event index.  ``detect_cycles``
+keeps each renewal point's event index, and ``cycle_rewards`` sums each
+cycle over its own events and customers with ``np.add.reduceat``: no
+lookup into the path, and no difference of running totals, whose
+rounding grows with the length of the run.
+
 Estimators are ratio-of-sums (total reward over total length), the
 consistent form for a reward/length ratio, and therefore pool across
 seeds by plain concatenation.
@@ -20,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import write_csv
-from .metrics import exact_sum
+from .metrics import check_cost_weight, exact_sum
 from .simulator import CustomerLedger, PendingDepartureError, Trajectory
 
 
@@ -30,7 +36,10 @@ class RenewalCycles:
 
     Arrays are aligned per cycle: busy on [busy_start, busy_end), idle
     on [busy_end, cycle_end).  Fragments are (start, end) spans of
-    window time not covered by a complete cycle.
+    window time not covered by a complete cycle.  ``renewal_index``
+    holds the path event index of each cycle's opening renewal point
+    and, last, of the closing one (n + 1 strictly increasing values);
+    ``detect_cycles`` sets it, hand-built cycles may leave it None.
     """
 
     busy_start: np.ndarray
@@ -38,6 +47,7 @@ class RenewalCycles:
     cycle_end: np.ndarray
     leading_fragment: tuple[float, float] | None = None
     trailing_fragment: tuple[float, float] | None = None
+    renewal_index: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("busy_start", "busy_end", "cycle_end"):
@@ -46,6 +56,12 @@ class RenewalCycles:
             raise ValueError("cycle arrays must be aligned")
         if np.any(self.busy_end < self.busy_start) or np.any(self.cycle_end < self.busy_end):
             raise ValueError("cycle boundaries out of order")
+        if self.renewal_index is not None:
+            index = np.asarray(self.renewal_index)
+            if not (index.dtype.kind in "iu" and index.shape == (len(self) + 1,)
+                    and index[0] >= 0 and np.all(index[1:] > index[:-1])):
+                raise ValueError("renewal_index must be n + 1 increasing event indices")
+            object.__setattr__(self, "renewal_index", index)
 
     def __len__(self) -> int:
         return len(self.busy_start)
@@ -84,16 +100,30 @@ class RenewalCycles:
 def detect_cycles(path: Trajectory) -> RenewalCycles:
     """Split a trajectory into renewal cycles.
 
-    Renewal points are the event times where the queue length steps
-    from 0 to 1.  The stretch before the first renewal point (which may
-    be a partial busy period, pure idle, or the whole window) becomes
-    the leading fragment; the stretch after the last one becomes the
-    trailing fragment unless a further renewal closes it.
+    Renewal points are the events where the queue length steps from 0
+    to 1, and each cycle's busy period ends at its first emptying event
+    after its opening one.  Both are found by event index: one pass
+    over the levels finds the emptying events, and the renewal points
+    are the events right after them that reach level 1.  The stretch
+    before the first renewal point (which may be a partial busy period,
+    pure idle, or the whole window) becomes the leading fragment; the
+    stretch after the last one becomes the trailing fragment unless a
+    further renewal closes it.  Event times must strictly increase, as
+    ``simulate`` makes them; a path with tied or unordered times raises
+    ValueError.
     """
     times = path.times
     counts = path.counts
-    prev = np.concatenate(([path.initial_count], counts[:-1]))
-    renewal = times[(counts == 1) & (prev == 0)]
+    if not np.all(times[1:] > times[:-1]):
+        raise ValueError("detect_cycles needs strictly increasing event times")
+    empty = np.flatnonzero(counts == 0)
+    if path.initial_count == 0:  # the level before the first event
+        empty = np.concatenate(([-1], empty))
+    # an emptying last event has no successor to open a cycle
+    opens = empty[:-1] if len(empty) and empty[-1] == len(counts) - 1 else empty
+    k = np.flatnonzero(counts[opens + 1] == 1)
+    index = opens[k] + 1
+    renewal = times[index]
     if len(renewal) < 2:
         lead = (path.initial_time, path.final_time) if len(renewal) == 0 else (path.initial_time, renewal[0])
         trail = None if len(renewal) == 0 else (renewal[0], path.final_time)
@@ -102,17 +132,15 @@ def detect_cycles(path: Trajectory) -> RenewalCycles:
             leading_fragment=None if lead[0] == lead[1] else lead,
             trailing_fragment=trail,
         )
-    starts = renewal[:-1]
-    ends = renewal[1:]
-    # Busy period of each cycle ends at the first return to an empty
-    # system after its opening renewal point.
-    empty_times = times[counts == 0]
-    busy_end = empty_times[np.searchsorted(empty_times, starts, side="left")]
+    # the emptying event after a cycle's opening one is the next in
+    # ``empty``; the closing renewal point guarantees there is one
+    busy_end = times[empty[k[:-1] + 1]]
     lead = (path.initial_time, renewal[0])
     return RenewalCycles(
-        starts, busy_end, ends,
+        renewal[:-1], busy_end, renewal[1:],
         leading_fragment=None if lead[0] == lead[1] else lead,
         trailing_fragment=(renewal[-1], path.final_time),
+        renewal_index=index,
     )
 
 
@@ -141,35 +169,59 @@ def cycle_rewards(
     """Tally holding cost, response cost, and arrival count per cycle.
 
     Holding comes from the trajectory, response from the ledger, so the
-    two stay independent routes to the same quantity.
+    two stay independent routes to the same quantity.  Each cycle is
+    summed on its own terms: holding is ``np.add.reduceat`` of the
+    segment areas from the cycle's renewal event index to the next,
+    response the same over ``dep - arr`` of the customers arriving in
+    the cycle, found by one ``searchsorted`` of the renewal times into
+    the arrivals.  A cycle's sum of n nonnegative terms is then within
+    (n - 1) * 2**-53 relative of the exact one.  A difference of two
+    running totals over the whole run carries the rounding of every term
+    before the cycle: up to 2.6e-9 relative on a million-event run.
+
+    The cycles must come from ``detect_cycles`` on this path: cycles
+    without renewal indices, or whose indices do not point at their
+    bounds in ``path``, raise ValueError, as does a ledger with no
+    arrival in some cycle.  Empty cycles give empty rewards.
     """
+    check_cost_weight(cost_weight)
     n = len(cycles)
     if n == 0:
         return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int), cost_weight)
-    bounds, levels = path.segments()
-    cum = np.concatenate(([0.0], np.cumsum(levels * np.diff(bounds))))
+    index = cycles.renewal_index
+    if index is None:
+        raise ValueError("cycle rewards need the renewal indices that detect_cycles sets")
+    times = path.times
+    if index[-1] >= len(times):
+        raise ValueError("cycles reach past the end of this path")
+    renewal = times[index]
+    if not (np.array_equal(renewal[:-1], cycles.busy_start)
+            and np.array_equal(renewal[1:], cycles.cycle_end)):
+        raise ValueError("cycles were not detected on this path")
 
-    def integral_at(t: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(bounds, t, side="right") - 1
-        i = np.clip(i, 0, len(levels) - 1)
-        return cum[i] + levels[i] * (t - bounds[i])
-
-    holding = cost_weight * (integral_at(cycles.cycle_end) - integral_at(cycles.busy_start))
+    first, last = index[0], index[-1]
+    # segment i (level counts[i] on [times[i], times[i+1])) of the events
+    # from the first renewal point up to the last one
+    areas = path.counts[first:last] * np.diff(times[first:last + 1])
+    holding = cost_weight * np.add.reduceat(areas, index[:-1] - first)
 
     arr = ledger.arrival_time
     dep = ledger.departure_time
-    unresolved = np.isnan(dep)
-    if unresolved.any() and arr[unresolved].min() < cycles.cycle_end[-1]:
+    lo = np.searchsorted(arr, renewal, side="left")
+    count = np.diff(lo)
+    # every cycle opens with an arrival, which also keeps reduceat's
+    # starts strictly increasing and inside the sojourns
+    if count.min() < 1:
+        raise ValueError("a cycle has no arrival in this ledger")
+    sojourns = dep[lo[0]:lo[-1]] - arr[lo[0]:lo[-1]]
+    response = cost_weight * np.add.reduceat(sojourns, lo[:-1] - lo[0])
+    if np.isnan(response).any():
         # cannot happen for cycles detected on this path: anyone arriving
         # inside a complete cycle also departs inside it
         raise PendingDepartureError(
             "cycle rewards need resolved departures inside the cycles"
         )
-    lo = np.searchsorted(arr, cycles.busy_start, side="left")
-    hi = np.searchsorted(arr, cycles.cycle_end, side="left")
-    sojourn_cum = np.concatenate(([0.0], np.cumsum(dep - arr)))
-    response = cost_weight * (sojourn_cum[hi] - sojourn_cum[lo])
-    return CycleRewards(holding, response, hi - lo, cost_weight)
+    return CycleRewards(holding, response, count, cost_weight)
 
 
 def renewal_time_average(cycles: RenewalCycles, reward_per_cycle) -> float:

@@ -1,0 +1,90 @@
+"""The renewal-cycle split and reward tallies that ``gg1lab.renewal`` used
+before it kept each renewal point's event index: ``detect_cycles`` looks
+each cycle's busy end up by time among the emptying events, and
+``cycle_rewards`` takes each cycle's holding and response as the
+difference of two running ``np.cumsum`` totals after ``searchsorted``
+lookups into the path and the arrivals.  Kept verbatim as the oracle of
+``test_renewal.py``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gg1lab.renewal import CycleRewards, RenewalCycles
+from gg1lab.simulator import CustomerLedger, PendingDepartureError, Trajectory
+
+
+def detect_cycles(path: Trajectory) -> RenewalCycles:
+    """Split a trajectory into renewal cycles.
+
+    Renewal points are the event times where the queue length steps
+    from 0 to 1.  The stretch before the first renewal point (which may
+    be a partial busy period, pure idle, or the whole window) becomes
+    the leading fragment; the stretch after the last one becomes the
+    trailing fragment unless a further renewal closes it.
+    """
+    times = path.times
+    counts = path.counts
+    prev = np.concatenate(([path.initial_count], counts[:-1]))
+    renewal = times[(counts == 1) & (prev == 0)]
+    if len(renewal) < 2:
+        lead = (path.initial_time, path.final_time) if len(renewal) == 0 else (path.initial_time, renewal[0])
+        trail = None if len(renewal) == 0 else (renewal[0], path.final_time)
+        return RenewalCycles(
+            np.empty(0), np.empty(0), np.empty(0),
+            leading_fragment=None if lead[0] == lead[1] else lead,
+            trailing_fragment=trail,
+        )
+    starts = renewal[:-1]
+    ends = renewal[1:]
+    # Busy period of each cycle ends at the first return to an empty
+    # system after its opening renewal point.
+    empty_times = times[counts == 0]
+    busy_end = empty_times[np.searchsorted(empty_times, starts, side="left")]
+    lead = (path.initial_time, renewal[0])
+    return RenewalCycles(
+        starts, busy_end, ends,
+        leading_fragment=None if lead[0] == lead[1] else lead,
+        trailing_fragment=(renewal[-1], path.final_time),
+    )
+
+
+def cycle_rewards(
+    cycles: RenewalCycles,
+    path: Trajectory,
+    ledger: CustomerLedger,
+    cost_weight: float = 1.0,
+) -> CycleRewards:
+    """Tally holding cost, response cost, and arrival count per cycle.
+
+    Holding comes from the trajectory, response from the ledger, so the
+    two stay independent routes to the same quantity.
+    """
+    n = len(cycles)
+    if n == 0:
+        return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int), cost_weight)
+    bounds, levels = path.segments()
+    cum = np.concatenate(([0.0], np.cumsum(levels * np.diff(bounds))))
+
+    def integral_at(t: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(bounds, t, side="right") - 1
+        i = np.clip(i, 0, len(levels) - 1)
+        return cum[i] + levels[i] * (t - bounds[i])
+
+    holding = cost_weight * (integral_at(cycles.cycle_end) - integral_at(cycles.busy_start))
+
+    arr = ledger.arrival_time
+    dep = ledger.departure_time
+    unresolved = np.isnan(dep)
+    if unresolved.any() and arr[unresolved].min() < cycles.cycle_end[-1]:
+        # cannot happen for cycles detected on this path: anyone arriving
+        # inside a complete cycle also departs inside it
+        raise PendingDepartureError(
+            "cycle rewards need resolved departures inside the cycles"
+        )
+    lo = np.searchsorted(arr, cycles.busy_start, side="left")
+    hi = np.searchsorted(arr, cycles.cycle_end, side="left")
+    sojourn_cum = np.concatenate(([0.0], np.cumsum(dep - arr)))
+    response = cost_weight * (sojourn_cum[hi] - sojourn_cum[lo])
+    return CycleRewards(holding, response, hi - lo, cost_weight)

@@ -89,9 +89,10 @@ def test_report_files_round_trip(tmp_path, suite):
 # sha256 of the report files at scale 0.02 and master seed 2026.  Any
 # change to a simulated number, a criterion or the report format shows
 # here; a change that alters these bytes on purpose records the new
-# digests and says why.
+# digests and says why.  Criterion 8's four renewal fields were
+# re-recorded when cycle rewards became per-cycle sums.
 REDUCED_SCALE_REPORT_SHA256 = {
-    "acceptance_report.json": "cb95a6fb7f24a1e97d1f7a9c35db6ec990060a72e4d34148ba0ea0044aab7adf",
+    "acceptance_report.json": "fcb0d0b2e593459c643c5fc6a60155f2c892d61e9e1db15cfefe9a9f538f7e23",
     "acceptance.txt": "672993d8fe4945f8854273bb68defffbd6eecdc193f889d3386ff6c76db64d15",
 }
 

@@ -182,6 +182,25 @@ def test_simulate_rejects_nan_cost_weight(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
+def test_simulate_rejects_a_bad_cost_weight_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                            weight):
+    # it was checked only by compute_report, after the whole replication
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr("gg1lab.cli.simulate", no_draws)
+    start = time.perf_counter()
+    rc = main(["simulate", "--arrival", "exponential:0.5", "--service", "exponential:1",
+               "--cost-weight", weight, "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("cost weight must be finite and nonnegative")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_nan_horizon_fast(tmp_path, capsys):
     start = time.perf_counter()
     rc = main(["simulate", "--arrival", "exponential:0.5", "--service", "exponential:1",

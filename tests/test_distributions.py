@@ -163,6 +163,31 @@ def test_validation_errors():
         DistributionSpec(kind="exponential", params=(1.0, 2.0))
 
 
+BAD_MOMENTS = [
+    (lognormal, (-1000.0, 1.0)),  # moments underflow to 0
+    (gamma, (1e-200, 1e-200)),
+    (deterministic, (1e-300,)),  # second moment underflows
+    (gamma, (1e200, 1e200)),  # moments overflow to inf
+    (uniform, (0.0, 1e200)),
+    (exponential, (1e300,)),  # raised OverflowError
+    (exponential, (1e-310,)),  # raised ZeroDivisionError
+]
+
+
+@pytest.mark.parametrize("make,params", BAD_MOMENTS,
+                         ids=[f"{make.__name__}{params}" for make, params in BAD_MOMENTS])
+def test_moments_must_be_finite_and_positive(make, params):
+    with pytest.raises(ValueError, match="must be finite doubles > 0"):
+        make(*params)
+
+
+def test_moments_near_the_double_range_are_accepted():
+    for spec in (deterministic(1e-150), exponential(1e150), exponential(1e-150),
+                 uniform(0.0, 1e150), gamma(1e-150, 1.0), lognormal(-300.0, 1.0)):
+        assert 0 < spec.mean() < math.inf
+        assert 0 < spec.second_moment() < math.inf
+
+
 def test_deterministic_has_no_density():
     d = deterministic(2.0)
     assert not d.has_density

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gg1lab.distributions import deterministic, exponential
+import reference_renewal as ref
+from gg1lab.distributions import deterministic, exponential, uniform
 from gg1lab.metrics import compute_report
 from gg1lab.renewal import (
     CycleRewards,
@@ -233,3 +234,168 @@ def test_cycle_rewards_empty():
     rewards = cycle_rewards(empty, path, ledger)
     assert isinstance(rewards, CycleRewards)
     assert len(rewards.holding) == 0
+
+
+# --------------------------------------------------------------------------
+# against the running-total oracle in reference_renewal.py
+
+def assert_same_cycles(new, old):
+    """Bitwise equal bounds and equal fragments."""
+    assert len(new) == len(old)
+    for name in ("busy_start", "busy_end", "cycle_end"):
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+    assert new.leading_fragment == old.leading_fragment
+    assert new.trailing_fragment == old.trailing_fragment
+
+
+def assert_local_sums(cycles, rewards, path, ledger):
+    """Each cycle's holding and response against its own n terms: the
+    error, taken exactly by math.fsum, is at most (n - 1) * 2**-53 of
+    the exact sum."""
+    times, counts = path.times, path.counts
+    arr, dep = ledger.arrival_time, ledger.departure_time
+    ev = np.searchsorted(times, cycles.busy_start), np.searchsorted(times, cycles.cycle_end)
+    cu = np.searchsorted(arr, cycles.busy_start), np.searchsorted(arr, cycles.cycle_end)
+    for k in range(len(cycles)):
+        (e0, e1), (c0, c1) = (ev[0][k], ev[1][k]), (cu[0][k], cu[1][k])
+        for value, terms in (
+            (rewards.holding[k], (counts[e0:e1] * np.diff(times[e0:e1 + 1])).tolist()),
+            (rewards.response[k], (dep[c0:c1] - arr[c0:c1]).tolist()),
+        ):
+            exact = math.fsum(terms)
+            error = math.fsum([value] + [-t for t in terms])
+            assert abs(error) <= (len(terms) - 1) * 2.0**-53 * exact, (k, value, exact)
+
+
+RUNS = {
+    "fcfs": dict(arrival=exponential(0.5), service=exponential(1.0), horizon=4000.0),
+    "fcfs-warmup": dict(arrival=exponential(0.5), service=exponential(1.0),
+                        warmup=37.5, horizon=4000.0),
+    "fcfs-rho95": dict(arrival=exponential(0.95), service=exponential(1.0),
+                       warmup=10.0, horizon=20_000.0),
+    "lcfs": dict(arrival=exponential(0.5), service=exponential(1.0),
+                 discipline="lcfs", horizon=3000.0),
+    "lcfs-warmup": dict(arrival=exponential(0.5), service=uniform(0.0, 2.0),
+                        discipline="lcfs", warmup=20.0, horizon=3000.0),
+    "random-order-warmup": dict(arrival=exponential(0.5), service=exponential(1.0),
+                                discipline="random-order", warmup=20.0, horizon=3000.0),
+    "random-order-rho95": dict(arrival=exponential(0.95), service=exponential(1.0),
+                               discipline="random-order", horizon=5000.0),
+    "unresolved": dict(arrival=exponential(0.9), service=exponential(1.0),
+                       horizon=3001.0, resolve_pending=False),
+    "unresolved-lcfs": dict(arrival=exponential(0.9), service=exponential(1.0),
+                            discipline="lcfs", warmup=5.0, horizon=3000.0,
+                            resolve_pending=False),
+    # ties: a departure meeting an arrival is coalesced into no event
+    "dd1-ties": dict(arrival=deterministic(1.0), service=deterministic(1.0), horizon=50.0),
+    "dd1-cycles": dict(arrival=deterministic(2.0), service=deterministic(1.0),
+                       warmup=3.0, horizon=40.0),
+    "dd1-overload": dict(arrival=deterministic(1.0), service=deterministic(2.0),
+                         horizon=30.0),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_cycles_and_rewards_match_the_oracle(run):
+    kw = dict(RUNS[run])
+    path, ledger = simulate(kw.pop("arrival"), kw.pop("service"), seed=17, **kw)
+    cycles = detect_cycles(path)
+    oracle_cycles = ref.detect_cycles(path)
+    assert_same_cycles(cycles, oracle_cycles)
+    rewards = cycle_rewards(cycles, path, ledger)
+    oracle = ref.cycle_rewards(oracle_cycles, path, ledger)
+    assert rewards.count.tobytes() == oracle.count.tobytes()
+    assert rewards.count.dtype == oracle.count.dtype
+    # the oracle differences two running totals, each off by at most
+    # (terms - 1) * 2**-53 of the whole run's total
+    for ours, theirs, terms in ((rewards.holding, oracle.holding, len(path.times) + 1),
+                                (rewards.response, oracle.response, len(ledger.arrival_time))):
+        np.testing.assert_allclose(ours, theirs, rtol=0,
+                                   atol=2 * terms * 2.0**-53 * math.fsum(ours.tolist()))
+    assert_local_sums(cycles, rewards, path, ledger)
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.95])
+def test_every_cycle_is_summed_within_its_rounding_bound(rate):
+    path, ledger = simulate(exponential(rate), exponential(1.0), warmup=50.0,
+                            horizon=40_000.0, seed=2026)
+    cycles = detect_cycles(path)
+    rewards = cycle_rewards(cycles, path, ledger)
+    assert len(cycles) > 1000
+    assert_local_sums(cycles, rewards, path, ledger)
+    # the running-total differences of the oracle miss that bound
+    oracle = ref.cycle_rewards(ref.detect_cycles(path), path, ledger)
+    with pytest.raises(AssertionError):
+        assert_local_sums(cycles, oracle, path, ledger)
+
+
+def random_hand_path(rng, n_events):
+    """Levels that step by -1, 0 (a no-op level), +1 or +2, held at 0 or
+    above (more no-op levels), at strictly increasing times."""
+    steps = rng.choice([-1, -1, -1, 0, 1, 1, 2], size=n_events)
+    n0 = int(rng.integers(0, 3))
+    counts = np.maximum(n0 + np.cumsum(steps), 0)
+    times = np.cumsum(rng.exponential(1.0, n_events)) + 1.0
+    return make_path(times, counts, t0=float(rng.uniform(0.0, 1.0)),
+                     t1=float(times[-1] + rng.uniform(0.0, 2.0)), n0=n0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hand_paths_with_no_op_levels_match_the_oracle(seed):
+    rng = np.random.default_rng(seed)
+    path = random_hand_path(rng, int(rng.integers(1, 60)))
+    assert_same_cycles(detect_cycles(path), ref.detect_cycles(path))
+
+
+@pytest.mark.parametrize("n0", [0, 2])
+def test_paths_without_events_match_the_oracle(n0):
+    path = make_path([], [], n0=n0)
+    cycles = detect_cycles(path)
+    assert len(cycles) == 0
+    assert_same_cycles(cycles, ref.detect_cycles(path))
+
+
+def test_hand_path_no_op_levels_inside_a_cycle():
+    # busy [1,5) with a no-op level at 3, an empty no-op at 6, renewal at 7
+    path = make_path([1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0], [1, 2, 2, 0, 0, 1, 0])
+    cycles = detect_cycles(path)
+    assert_same_cycles(cycles, ref.detect_cycles(path))
+    assert (cycles.busy_start[0], cycles.busy_end[0], cycles.cycle_end[0]) == (1.0, 5.0, 7.0)
+    np.testing.assert_array_equal(cycles.renewal_index, [0, 5])
+
+
+@pytest.mark.parametrize("times,counts", [
+    ([1.0, 2.0, 2.0, 3.0], [1, 0, 1, 0]),  # an emptying event tied with a renewal
+    ([1.0, 3.0, 2.0, 4.0], [1, 0, 1, 0]),  # unordered
+    ([1.0, 2.0, np.nan, 4.0], [1, 0, 1, 0]),
+])
+def test_paths_without_increasing_times_raise(times, counts):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        detect_cycles(make_path(times, counts))
+
+
+def test_cycle_rewards_reject_foreign_cycles():
+    kw = dict(horizon=3000.0)
+    path, ledger = simulate(exponential(0.5), exponential(1.0), seed=1, **kw)
+    other, other_ledger = simulate(exponential(0.5), exponential(1.0), seed=2, **kw)
+    cycles = detect_cycles(path)
+    with pytest.raises(ValueError, match="not detected on this path"):
+        cycle_rewards(detect_cycles(other), path, ledger)
+    with pytest.raises(ValueError, match="no arrival"):
+        cycle_rewards(cycles, path, other_ledger)
+    with pytest.raises(ValueError, match="past the end"):
+        cycle_rewards(cycles, path.restrict(path.initial_time + 100.0), ledger)
+    hand = RenewalCycles(cycles.busy_start, cycles.busy_end, cycles.cycle_end)
+    with pytest.raises(ValueError, match="renewal indices"):
+        cycle_rewards(hand, path, ledger)
+    # hand-built cycles still serve the estimators
+    assert utilization(hand) == utilization(cycles)
+    with pytest.raises(ValueError, match="cost weight"):
+        cycle_rewards(cycles, path, ledger, cost_weight=math.nan)
+
+
+@pytest.mark.parametrize("index", [[0, 2], [0, 3, 3], [-1, 2, 5], [0.0, 2.0, 5.0]])
+def test_renewal_index_must_be_n_plus_one_increasing_indices(index):
+    with pytest.raises(ValueError, match="renewal_index"):
+        RenewalCycles(np.array([0.0, 2.0]), np.array([1.0, 3.5]), np.array([2.0, 5.0]),
+                      renewal_index=np.array(index))
