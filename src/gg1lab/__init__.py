@@ -17,9 +17,11 @@ from .distributions import (
 )
 from .metrics import (
     MetricsReport,
+    actual_response,
     compute_report,
-    indirect_estimate_Rn,
+    holding_cost,
     littles_chain,
+    observed_response,
     verify_theorem,
 )
 from .renewal import RenewalCycles, cycle_rewards, detect_cycles
@@ -43,6 +45,7 @@ __all__ = [
     "PendingDepartureError",
     "RenewalCycles",
     "Trajectory",
+    "actual_response",
     "compute_report",
     "cycle_rewards",
     "detect_cycles",
@@ -50,10 +53,11 @@ __all__ = [
     "exponential",
     "fcfs_departure_times",
     "gamma",
-    "indirect_estimate_Rn",
+    "holding_cost",
     "littles_chain",
     "lindley_fcfs",
     "lognormal",
+    "observed_response",
     "simulate",
     "uniform",
     "verify_theorem",

@@ -104,13 +104,7 @@ def _theorem_entry(seed: int, horizons: list[float]) -> dict:
         "seed": seed,
         "horizons": horizons,
         "reports": reports,
-        "renewal": {
-            "n_cycles": len(cycles),
-            "sum_length": metrics.exact_sum(cycles.cycle_lengths),
-            "sum_holding": metrics.exact_sum(rewards.holding),
-            "sum_response": metrics.exact_sum(rewards.response),
-            "sum_count": int(rewards.count.sum()),
-        },
+        "renewal": renewal.CycleTotals.of(cycles, rewards),
     }
 
 
@@ -139,7 +133,7 @@ class AcceptanceSuite:
     def theorem_runs(self) -> list[dict]:
         """Per-seed results for the shared exponential-queue runs: one run
         per seed at the longest horizon, read at three nested windows (a
-        full report for each) plus renewal-cycle sums over the longest."""
+        full report for each) plus the renewal-cycle totals of the longest."""
         if self._theorem_cache is not None:
             return self._theorem_cache
         # floors keep reduced-scale runs statistically meaningful: the
@@ -415,29 +409,23 @@ class AcceptanceSuite:
         return ok, details
 
     def _crit_8(self):
-        sums = {"length": 0.0, "holding": 0.0, "response": 0.0, "count": 0, "cycles": 0}
+        runs = self.theorem_runs()
+        renewal_ht, renewal_rn = renewal.pooled_averages(entry["renewal"] for entry in runs)
+        pooled_cycles = sum(entry["renewal"].cycles for entry in runs)
         h_num = 0.0
         h_den = 0.0
         r_num = 0.0
         r_den = 0
-        for entry in self.theorem_runs():
-            ren = entry["renewal"]
-            sums["length"] += ren["sum_length"]
-            sums["holding"] += ren["sum_holding"]
-            sums["response"] += ren["sum_response"]
-            sums["count"] += ren["sum_count"]
-            sums["cycles"] += ren["n_cycles"]
+        for entry in runs:
             rep = entry["reports"][-1]
             h_num += rep.H_total
             h_den += rep.window[1] - rep.window[0]
             r_num += rep.R_act_total
             r_den += rep.N_total
-        renewal_ht = sums["holding"] / sums["length"]
-        renewal_rn = sums["response"] / sums["count"]
         global_ht = h_num / h_den
         global_rn = r_num / r_den
         details = {
-            "pooled_cycles": sums["cycles"],
+            "pooled_cycles": pooled_cycles,
             "renewal_H_bar_t": renewal_ht,
             "global_H_bar_t": global_ht,
             "renewal_R_bar_n": renewal_rn,
@@ -450,7 +438,7 @@ class AcceptanceSuite:
         ok = (
             details["rel_gap_H"] < 0.02
             and details["rel_gap_R"] < 0.02
-            and sums["cycles"] >= details["required_cycles"]
+            and pooled_cycles >= details["required_cycles"]
         )
         return ok, details
 

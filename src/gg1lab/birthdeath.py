@@ -46,18 +46,3 @@ def truncated_mm1_queue_length(arrival_rate: float, service_rate: float, n_state
     """E[n] for the M/M/1 queue truncated at N (arrivals blocked at N)."""
     pi = stationary_distribution(arrival_rate, service_rate, n_states)
     return expected_queue_length(pi)
-
-
-def mm1_queue_length(arrival_rate: float, service_rate: float) -> float:
-    """E[n] = rho / (1 - rho) for the untruncated stable M/M/1 queue."""
-    rho = arrival_rate / service_rate
-    if rho >= 1:
-        raise ValueError(f"unstable: rho = {rho}")
-    return rho / (1.0 - rho)
-
-
-def mm1_response_time(arrival_rate: float, service_rate: float) -> float:
-    """Mean sojourn 1 / (mu - lambda) for the stable M/M/1 queue."""
-    if arrival_rate >= service_rate:
-        raise ValueError("unstable configuration")
-    return 1.0 / (service_rate - arrival_rate)

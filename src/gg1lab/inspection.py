@@ -104,25 +104,9 @@ def sample_inspections(ledger: CustomerLedger, path: Trajectory, epochs) -> Insp
     return InspectionSamples(epochs, busy, age, residual, total)
 
 
-def first_epoch_per_cycle(epochs, cycles) -> np.ndarray:
-    """Thin an epoch stream to at most one epoch per renewal cycle (the
-    first falling in each), for estimates that need cycle-independent
-    observations."""
-    epochs = np.asarray(epochs, dtype=float)
-    lo = np.searchsorted(epochs, cycles.busy_start, side="left")
-    hi = np.searchsorted(epochs, cycles.cycle_end, side="left")
-    return epochs[lo[lo < hi]]
-
-
 def expected_age(spec: DistributionSpec) -> float:
     """Mean age of the interrupted service: second moment over twice the mean."""
     return spec.second_moment() / (2.0 * spec.mean())
-
-
-def expected_residual(spec: DistributionSpec) -> float:
-    """Mean residual life; equals the mean age by symmetry of the
-    stationary in-progress interval."""
-    return expected_age(spec)
 
 
 def expected_total(spec: DistributionSpec) -> float:

@@ -27,27 +27,6 @@ import numpy as np
 
 from .simulator import CustomerLedger, PendingDepartureError, Trajectory
 
-_REPORT_FIELDS = (
-    "cost_weight",
-    "H_total",
-    "R_obs_total",
-    "R_act_total",
-    "R_un_initial",
-    "R_un_final",
-    "H_bar_t",
-    "R_bar_t_obs",
-    "R_bar_t_act",
-    "H_bar_n",
-    "R_bar_n_obs",
-    "R_bar_n_act",
-    "n_bar_t",
-    "lambda_hat",
-    "rho_hat",
-    "N_total",
-    "window",
-)
-
-
 # exact_sum's layout: frexp exponents of finite doubles run from -1073
 # (the smallest subnormal, 0.5 * 2**-1073) to 1024; the bins cover only
 # the exponents the input holds, one bin each
@@ -255,20 +234,6 @@ class MetricsReport:
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsReport":
-        missing = [f for f in _REPORT_FIELDS if f not in data]
-        if missing:
-            raise ValueError(f"report object missing fields {missing}")
-        kwargs = {f: data[f] for f in _REPORT_FIELDS}
-        kwargs["window"] = tuple(kwargs["window"])
-        kwargs["N_total"] = int(kwargs["N_total"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        return cls.from_dict(json.loads(text))
-
 
 def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float = 1.0) -> MetricsReport:
     """Evaluate every functional over the full window and bundle them.
@@ -284,8 +249,9 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
         raise ValueError(f"path window {window} does not match ledger {ledger.window}")
     length = path.window_length
     # the path and the window population are each read once: the area
-    # gives holding_cost(path, c) = c * area exactly, the widths give
-    # path.busy_time(), and the mask serves every response total
+    # gives holding_cost(path, c) = c * area exactly, the widths at
+    # nonzero levels sum to the busy time, and the mask serves every
+    # response total
     bounds, levels = path.segments()
     widths = np.diff(bounds)
     area = exact_sum(levels * widths)
@@ -384,15 +350,3 @@ def littles_chain(report: MetricsReport, arrival_rate: float | None = None) -> L
         n_bar_from_H=report.H_bar_t / report.cost_weight,
         n_bar_from_Rn=lam * report.R_bar_n_act / report.cost_weight,
     )
-
-
-def indirect_estimate_Rn(h_bar_t: float, arrival_rate: float) -> float:
-    """Per-customer response implied by the time-average holding cost.
-
-    Dividing by the known arrival rate avoids estimating the customer
-    count, which lowers the estimator's variance.
-    """
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival rate must be > 0, got {arrival_rate}")
-    return h_bar_t / arrival_rate
-

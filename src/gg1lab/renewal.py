@@ -13,9 +13,11 @@ cycle over its own events and customers with ``np.add.reduceat``: no
 lookup into the path, and no difference of running totals, whose
 rounding grows with the length of the run.
 
-Estimators are ratio-of-sums (total reward over total length), the
-consistent form for a reward/length ratio, and therefore pool across
-seeds by plain concatenation.
+Each run's cycles reduce to a ``CycleTotals`` of Python scalars, and
+``pooled_averages`` takes ratios of sums (total reward over total
+length, total response over total count, the consistent form for a
+reward/length ratio) over any number of runs, one run being a pool of
+one.
 """
 
 from __future__ import annotations
@@ -108,14 +110,11 @@ def detect_cycles(path: Trajectory) -> RenewalCycles:
     before the first renewal point (which may be a partial busy period,
     pure idle, or the whole window) becomes the leading fragment; the
     stretch after the last one becomes the trailing fragment unless a
-    further renewal closes it.  Event times must strictly increase, as
-    ``simulate`` makes them; a path with tied or unordered times raises
-    ValueError.
+    further renewal closes it.  It relies on the strictly increasing
+    event times that ``Trajectory`` guarantees.
     """
     times = path.times
     counts = path.counts
-    if not np.all(times[1:] > times[:-1]):
-        raise ValueError("detect_cycles needs strictly increasing event times")
     empty = np.flatnonzero(counts == 0)
     if path.initial_count == 0:  # the level before the first event
         empty = np.concatenate(([-1], empty))
@@ -224,77 +223,45 @@ def cycle_rewards(
     return CycleRewards(holding, response, count, cost_weight)
 
 
-def renewal_time_average(cycles: RenewalCycles, reward_per_cycle) -> float:
-    """Total reward over total cycle length (reward per unit time)."""
-    rewards = np.asarray(reward_per_cycle, dtype=float)
-    if len(cycles) == 0:
-        raise ValueError("time average needs at least one complete cycle")
-    if len(rewards) != len(cycles):
-        raise ValueError(f"{len(rewards)} rewards for {len(cycles)} cycles")
-    return exact_sum(rewards) / exact_sum(cycles.cycle_lengths)
+class CycleTotals(NamedTuple):
+    """One run's complete cycles summed to Python scalars: the cycle
+    count, total length, holding and response, and the arrival count.
+    Small enough to keep while the run's arrays are dropped."""
+
+    cycles: int
+    length: float
+    holding: float
+    response: float
+    count: int
+
+    @classmethod
+    def of(cls, cycles: RenewalCycles, rewards: CycleRewards) -> "CycleTotals":
+        """Each total by ``exact_sum`` over the run's cycles."""
+        if not (len(rewards.holding) == len(rewards.response) == len(rewards.count) == len(cycles)):
+            raise ValueError("rewards must align with cycles")
+        return cls(len(cycles), exact_sum(cycles.cycle_lengths), exact_sum(rewards.holding),
+                   exact_sum(rewards.response), int(rewards.count.sum()))
 
 
-def renewal_count_average(cycles: RenewalCycles, reward_per_cycle, count_per_cycle) -> float:
-    """Total reward over total customer count (reward per customer)."""
-    rewards = np.asarray(reward_per_cycle, dtype=float)
-    counts = np.asarray(count_per_cycle)
-    if len(cycles) == 0:
-        raise ValueError("count average needs at least one complete cycle")
-    if not (len(rewards) == len(counts) == len(cycles)):
-        raise ValueError("rewards and counts must align with cycles")
-    total_count = int(counts.sum())
-    if total_count <= 0:
-        raise ValueError("count average needs a positive total count")
-    return exact_sum(rewards) / total_count
+def pooled_averages(totals) -> tuple[float, float]:
+    """Holding per unit time and response per customer, each a ratio of
+    sums over every complete cycle of the given runs.
 
-
-def utilization(cycles: RenewalCycles) -> float:
-    """Fraction of cycle time the server is busy."""
-    if len(cycles) == 0:
-        raise ValueError("utilization needs at least one complete cycle")
-    return exact_sum(cycles.busy_lengths) / exact_sum(cycles.cycle_lengths)
-
-
-def pooled_time_average(batches) -> float:
-    """Ratio-of-sums over several (cycles, rewards) batches, e.g. one
-    batch per seed.  Equals the estimator applied to the pooled cycles."""
-    num = 0.0
-    den = 0.0
-    used = 0
-    for cycles, rewards in batches:
-        rewards = np.asarray(rewards, dtype=float)
-        if len(rewards) != len(cycles):
-            raise ValueError("rewards must align with cycles in every batch")
-        num += exact_sum(rewards)
-        den += exact_sum(cycles.cycle_lengths)
-        used += len(cycles)
-    if used == 0:
-        raise ValueError("time average needs at least one complete cycle")
-    return num / den
-
-
-class UnobservedFinalEstimate(NamedTuple):
-    verbatim: float
-    guarded: float
-
-
-def expected_unobserved_final(
-    rho: float, mean_service: float, cv2_service: float, n_bar: float
-) -> UnobservedFinalEstimate:
-    """Steady-state estimate of the response time still owed to customers
-    present when observation stops.
-
-    The residual of the in-progress service contributes
-    rho * mean * (cv2 + 1) / 2 and the waiting customers contribute a
-    full service each, (n_bar - 1) * mean.  The verbatim form applies
-    that literally; in light traffic n_bar can drop below 1 and drive
-    it negative, so the guarded form clamps the second term at zero.
-    Both are returned.
+    The runs' totals are added in the order given, so the result is the
+    estimator applied to the concatenated cycles up to the rounding of
+    one addition per run.  No complete cycle, no cycle time, or no
+    arrival in them raises ValueError.
     """
-    if min(rho, mean_service, n_bar) < 0 or cv2_service < 0:
-        raise ValueError("inputs must be nonnegative")
-    residual = rho * mean_service * (cv2_service + 1.0) / 2.0
-    return UnobservedFinalEstimate(
-        verbatim=residual + (n_bar - 1.0) * mean_service,
-        guarded=residual + max(n_bar - 1.0, 0.0) * mean_service,
-    )
+    cycles = count = 0
+    length = holding = response = 0.0
+    for t in totals:
+        cycles += t.cycles
+        length += t.length
+        holding += t.holding
+        response += t.response
+        count += t.count
+    if cycles == 0 or length <= 0:
+        raise ValueError("pooled averages need at least one complete cycle of positive length")
+    if count == 0:
+        raise ValueError("pooled averages need a positive customer count")
+    return holding / length, response / count

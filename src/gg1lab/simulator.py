@@ -141,6 +141,8 @@ class Trajectory:
     events carry the post-event level and lie in [initial_time,
     final_time] with strictly increasing timestamps (simultaneous
     arrival/departure pairs are coalesced into their net effect).
+    Construction checks the event arrays against that, and that every
+    level is nonnegative, and raises ValueError otherwise.
     """
 
     initial_time: float
@@ -150,8 +152,15 @@ class Trajectory:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.times = times = np.asarray(self.times, dtype=float)
+        self.counts = counts = np.asarray(self.counts, dtype=np.int64)
+        if times.ndim != 1 or counts.shape != times.shape:
+            raise ValueError("times and counts must be 1-D arrays of equal length")
+        if len(times) and not (self.initial_time <= times[0] and times[-1] <= self.final_time
+                               and np.all(times[1:] > times[:-1])):
+            raise ValueError("event times must strictly increase within the window")
+        if self.initial_count < 0 or (len(counts) and counts.min() < 0):
+            raise ValueError("queue lengths must be nonnegative")
 
     @property
     def window_length(self) -> float:
@@ -176,11 +185,6 @@ class Trajectory:
         cut = _count_upto(self.times, t_final)
         return Trajectory(self.initial_time, t_final, self.initial_count,
                           self.times[:cut], self.counts[:cut])
-
-    def busy_time(self) -> float:
-        bounds, levels = self.segments()
-        widths = np.diff(bounds)
-        return float(np.sum(widths[levels > 0]))
 
     def to_csv(self, path) -> None:
         """Columns tau, n: the window open and initial count, then each event."""

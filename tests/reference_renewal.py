@@ -3,7 +3,9 @@ before it kept each renewal point's event index: ``detect_cycles`` looks
 each cycle's busy end up by time among the emptying events, and
 ``cycle_rewards`` takes each cycle's holding and response as the
 difference of two running ``np.cumsum`` totals after ``searchsorted``
-lookups into the path and the arrivals.  Kept verbatim as the oracle of
+lookups into the path and the arrivals.  Also the renewal record and
+pooled ratios that ``gg1lab.acceptance`` built by hand for criterion 8
+before ``renewal.pooled_averages``.  Kept verbatim as the oracle of
 ``test_renewal.py``.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from gg1lab import metrics
 from gg1lab.renewal import CycleRewards, RenewalCycles
 from gg1lab.simulator import CustomerLedger, PendingDepartureError, Trajectory
 
@@ -88,3 +91,30 @@ def cycle_rewards(
     sojourn_cum = np.concatenate(([0.0], np.cumsum(dep - arr)))
     response = cost_weight * (sojourn_cum[hi] - sojourn_cum[lo])
     return CycleRewards(holding, response, hi - lo, cost_weight)
+
+
+def theorem_renewal_record(cycles: RenewalCycles, rewards: CycleRewards) -> dict:
+    """The per-seed renewal record of ``acceptance._theorem_entry``."""
+    return {
+        "n_cycles": len(cycles),
+        "sum_length": metrics.exact_sum(cycles.cycle_lengths),
+        "sum_holding": metrics.exact_sum(rewards.holding),
+        "sum_response": metrics.exact_sum(rewards.response),
+        "sum_count": int(rewards.count.sum()),
+    }
+
+
+def crit_8_renewal(records) -> tuple[float, float, int]:
+    """Criterion 8's pooled holding per unit time, response per customer
+    and cycle count over the per-seed records, as ``acceptance._crit_8``
+    summed them."""
+    sums = {"length": 0.0, "holding": 0.0, "response": 0.0, "count": 0, "cycles": 0}
+    for ren in records:
+        sums["length"] += ren["sum_length"]
+        sums["holding"] += ren["sum_holding"]
+        sums["response"] += ren["sum_response"]
+        sums["count"] += ren["sum_count"]
+        sums["cycles"] += ren["n_cycles"]
+    renewal_ht = sums["holding"] / sums["length"]
+    renewal_rn = sums["response"] / sums["count"]
+    return renewal_ht, renewal_rn, sums["cycles"]

@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from gg1lab.acceptance import AcceptanceSuite, write_report_files
+from gg1lab.acceptance import AcceptanceSuite, _theorem_entry, write_report_files
+from gg1lab.renewal import CycleTotals
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,15 @@ def test_criterion_11_response_gap_horizon_free(suite):
 
 def test_criterion_12_pipeline_byte_deterministic(suite):
     check(suite, 12)
+
+
+def test_theorem_entry_keeps_only_scalar_renewal_totals():
+    # the suite keeps every seed's entry while the next seed runs, so a
+    # record holding the cycle arrays would add each run to the peak RSS
+    record = _theorem_entry(2026, [200.0, 400.0, 2000.0])["renewal"]
+    assert type(record) is CycleTotals
+    assert [type(v) for v in record] == [int, float, float, float, int]
+    assert record.cycles > 100 and record.count >= record.cycles
 
 
 def test_report_files_round_trip(tmp_path, suite):

@@ -9,15 +9,12 @@ from gg1lab.inspection import (
     bias,
     empirical_bias,
     expected_age,
-    expected_residual,
     expected_total,
-    first_epoch_per_cycle,
     pdf_curve_csv,
     poisson_epochs,
     sample_inspections,
 )
 from gg1lab.inspection import total_cdf
-from gg1lab.renewal import detect_cycles
 from gg1lab.simulator import PendingDepartureError, simulate
 
 EXP = exponential(1.0)
@@ -28,7 +25,6 @@ UNI = uniform(0.0, 2.0)
 def test_closed_form_expectations():
     # all three have mean 1, yet inspected services differ sharply
     assert expected_age(EXP) == pytest.approx(1.0)
-    assert expected_residual(EXP) == pytest.approx(1.0)
     assert expected_total(EXP) == pytest.approx(2.0)
     assert bias(EXP) == pytest.approx(1.0)
 
@@ -123,14 +119,6 @@ def test_poisson_epochs_properties():
     np.testing.assert_array_equal(a, b)
 
 
-def test_first_epoch_per_cycle_hand_case():
-    path, _ = simulate(deterministic(2.0), deterministic(1.0), horizon=9.5, seed=0)
-    cycles = detect_cycles(path)
-    # cycles are [2,4), [4,6), [6,8); epochs 2.5 and 3.5 share the first
-    picked = first_epoch_per_cycle([2.5, 3.5, 6.5, 9.0], cycles)
-    np.testing.assert_allclose(picked, [2.5, 6.5])
-
-
 @pytest.mark.parametrize("spec,expect_age", [(EXP, 1.0), (DET, 1.0), (UNI, 2.0 / 3.0)],
                          ids=["exp", "det", "uni"])
 def test_sampled_moments_match_theory(spec, expect_age):
@@ -141,7 +129,9 @@ def test_sampled_moments_match_theory(spec, expect_age):
     samples = sample_inspections(ledger, path, epochs)
     assert samples.ages.size > 5_000
     assert float(samples.ages.mean()) == pytest.approx(expect_age, rel=0.05)
-    assert float(samples.residuals.mean()) == pytest.approx(expected_residual(spec), rel=0.05)
+    # the mean residual equals the mean age, by symmetry of the
+    # stationary in-progress interval
+    assert float(samples.residuals.mean()) == pytest.approx(expected_age(spec), rel=0.05)
     assert float(samples.totals.mean()) == pytest.approx(expected_total(spec), rel=0.05)
     # age and residual are exchangeable: two-sample KS cannot tell them apart
     ks = stats.ks_2samp(samples.ages, samples.residuals)

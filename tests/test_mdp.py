@@ -13,8 +13,6 @@ from hypothesis import given, settings, strategies as st
 import gg1lab
 from gg1lab.birthdeath import (
     expected_queue_length,
-    mm1_queue_length,
-    mm1_response_time,
     stationary_distribution,
     truncated_mm1_queue_length,
 )
@@ -61,14 +59,9 @@ def test_zero_arrivals_concentrate_at_empty():
 
 
 def test_mm1_closed_forms():
-    assert mm1_queue_length(0.5, 1.0) == pytest.approx(1.0)
-    assert mm1_response_time(0.5, 1.0) == pytest.approx(2.0)
-    # truncation hardly matters when the tail mass is tiny
+    # truncation hardly matters when the tail mass is tiny: the
+    # untruncated E[n] = rho / (1 - rho) is 1 at rho = 1/2
     assert truncated_mm1_queue_length(0.5, 1.0, 200) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        mm1_queue_length(1.0, 1.0)
-    with pytest.raises(ValueError):
-        mm1_response_time(2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

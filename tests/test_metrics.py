@@ -12,7 +12,6 @@ from gg1lab.metrics import (
     compute_report,
     count_average,
     holding_cost,
-    indirect_estimate_Rn,
     littles_chain,
     observed_response,
     time_average,
@@ -100,7 +99,9 @@ def test_report_matches_the_public_functions(arrival, service, disc, warmup, hor
     assert rep.n_bar_t == holding_cost(path, 1.0) / path.window_length
     assert rep.R_obs_total == observed_response(ledger, c)
     assert (rep.R_act_total, rep.R_un_initial, rep.R_un_final) == actual_response(ledger, c)
-    assert rep.rho_hat == path.busy_time() / path.window_length
+    bounds, levels = path.segments()
+    busy = float(np.sum(np.diff(bounds)[levels > 0]))
+    assert rep.rho_hat == busy / path.window_length
     assert rep.N_total == int(ledger.in_window_mask().sum())
 
 
@@ -139,10 +140,8 @@ def test_report_json_fields_and_round_trip(dd1):
         "H_bar_n", "R_bar_n_obs", "R_bar_n_act", "n_bar_t", "lambda_hat",
         "rho_hat", "N_total", "window",
     }
-    again = MetricsReport.from_json(rep.to_json())
+    again = MetricsReport(**{**data, "window": tuple(data["window"])})
     assert again == rep
-    with pytest.raises(ValueError):
-        MetricsReport.from_dict({"H_total": 1.0})
 
 
 def test_relation_gap_zero_when_no_clipping():
@@ -209,13 +208,10 @@ def test_littles_chain_zero_traffic():
 def test_scalar_helpers():
     assert time_average(10.0, (2.0, 7.0)) == 2.0
     assert count_average(10.0, 4) == 2.5
-    assert indirect_estimate_Rn(0.5, 0.1) == pytest.approx(5.0)
     with pytest.raises(ValueError):
         time_average(1.0, (3.0, 3.0))
     with pytest.raises(ValueError):
         count_average(1.0, 0)
-    with pytest.raises(ValueError):
-        indirect_estimate_Rn(1.0, 0.0)
 
 
 def test_pending_departures_are_rejected():
@@ -235,23 +231,3 @@ def test_cost_weight_scales_linearly(dd1):
         assert getattr(r3, name) == pytest.approx(3.0 * getattr(r1, name))
     assert r3.n_bar_t == r1.n_bar_t
     assert r3.lambda_hat == r1.lambda_hat
-
-
-def test_direct_vs_indirect_estimator_spread():
-    """Record the sampling variability of the two per-customer response
-    estimators; the ratio is informational, not a contract."""
-    direct, indirect = [], []
-    for seed in range(30):
-        path, ledger = simulate(exponential(0.5), exponential(1.0),
-                                warmup=100.0, horizon=10_000.0, seed=900 + seed)
-        rep = compute_report(path, ledger)
-        direct.append(rep.R_bar_n_act)
-        indirect.append(indirect_estimate_Rn(rep.H_bar_t, 0.5))
-    v_dir = float(np.var(direct, ddof=1))
-    v_ind = float(np.var(indirect, ddof=1))
-    print(f"\nresponse-estimator variance: direct {v_dir:.3e}, "
-          f"indirect {v_ind:.3e}, ratio ind/dir {v_ind / v_dir:.3f}")
-    # both converge on the true value 2.0
-    assert np.mean(direct) == pytest.approx(2.0, rel=0.05)
-    assert np.mean(indirect) == pytest.approx(2.0, rel=0.05)
-    assert v_dir > 0 and v_ind > 0 and math.isfinite(v_ind / v_dir)

@@ -8,14 +8,11 @@ from gg1lab.distributions import deterministic, exponential, uniform
 from gg1lab.metrics import compute_report
 from gg1lab.renewal import (
     CycleRewards,
+    CycleTotals,
     RenewalCycles,
     cycle_rewards,
     detect_cycles,
-    expected_unobserved_final,
-    pooled_time_average,
-    renewal_count_average,
-    renewal_time_average,
-    utilization,
+    pooled_averages,
 )
 from gg1lab.simulator import Trajectory, simulate
 
@@ -60,22 +57,32 @@ def two_cycle_fixture():
 
 def test_ratio_of_sums_estimators():
     cycles = two_cycle_fixture()
-    assert renewal_time_average(cycles, [4.0, 6.0]) == 2.0
-    assert renewal_count_average(cycles, [4.0, 6.0], [2, 2]) == 2.5
-    assert utilization(cycles) == 0.5
+    rewards = CycleRewards(np.array([4.0, 6.0]), np.array([3.0, 7.0]), np.array([2, 2]))
+    totals = CycleTotals.of(cycles, rewards)
+    assert totals == (2, 5.0, 10.0, 10.0, 4)
+    assert [type(v) for v in totals] == [int, float, float, float, int]
+    assert pooled_averages([totals]) == (2.0, 2.5)
+    # a pool of two runs is the ratio of the summed totals
+    assert pooled_averages([totals, CycleTotals(1, 3.0, 2.0, 6.0, 2)]) == (1.5, 16.0 / 6)
 
 
 def test_estimator_errors():
     cycles = two_cycle_fixture()
-    with pytest.raises(ValueError):
-        renewal_time_average(cycles, [1.0])
-    empty = RenewalCycles(np.empty(0), np.empty(0), np.empty(0))
-    with pytest.raises(ValueError):
-        renewal_time_average(empty, [])
-    with pytest.raises(ValueError):
-        renewal_count_average(cycles, [1.0, 2.0], [0, 0])
+    with pytest.raises(ValueError, match="align"):
+        CycleTotals.of(cycles, CycleRewards(np.array([1.0]), np.array([1.0]), np.array([1])))
     with pytest.raises(ValueError):
         RenewalCycles(np.array([0.0]), np.array([2.0]), np.array([1.0]))
+
+
+def test_pooled_averages_need_a_cycle_and_a_customer():
+    empty = RenewalCycles(np.empty(0), np.empty(0), np.empty(0))
+    no_rewards = CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int))
+    for totals in ([], [CycleTotals.of(empty, no_rewards)], (t for t in ()),
+                   [CycleTotals(1, 0.0, 0.0, 0.0, 1)]):  # a hand-built cycle of zero length
+        with pytest.raises(ValueError, match="at least one complete cycle"):
+            pooled_averages(totals)
+    with pytest.raises(ValueError, match="positive customer count"):
+        pooled_averages([CycleTotals(2, 5.0, 1.0, 0.0, 0), CycleTotals.of(empty, no_rewards)])
 
 
 def test_csv_golden(tmp_path):
@@ -119,11 +126,11 @@ def test_csv_matches_per_row_writer_on_many_cycles(tmp_path):
 
 
 def test_all_idle_window_has_no_cycles():
-    path, _ = simulate(deterministic(50.0), deterministic(1.0), horizon=10.0, seed=0)
+    path, ledger = simulate(deterministic(50.0), deterministic(1.0), horizon=10.0, seed=0)
     cycles = detect_cycles(path)
     assert len(cycles) == 0
     with pytest.raises(ValueError):
-        utilization(cycles)
+        pooled_averages([CycleTotals.of(cycles, cycle_rewards(cycles, path, ledger))])
 
 
 def test_mm1_renewal_estimates_agree_with_global():
@@ -137,15 +144,15 @@ def test_mm1_renewal_estimates_agree_with_global():
     # independent routes to the same per-cycle total
     np.testing.assert_allclose(rewards.holding, rewards.response, rtol=1e-9, atol=1e-9)
 
-    h_renewal = renewal_time_average(cycles, rewards.holding)
-    r_renewal = renewal_count_average(cycles, rewards.response, rewards.count)
+    h_renewal, r_renewal = pooled_averages([CycleTotals.of(cycles, rewards)])
     # cycle-based and window-based estimates of the same limits
     assert h_renewal == pytest.approx(rep.H_bar_t, rel=0.01)
     assert r_renewal == pytest.approx(rep.R_bar_n_act, rel=0.01)
     # and both near the true values 1.0 and 2.0
     assert h_renewal == pytest.approx(1.0, rel=0.02)
     assert r_renewal == pytest.approx(2.0, rel=0.02)
-    assert utilization(cycles) == pytest.approx(0.5, abs=0.01)
+    busy = math.fsum(cycles.busy_lengths.tolist()) / math.fsum(cycles.cycle_lengths.tolist())
+    assert busy == pytest.approx(0.5, abs=0.01)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 23])
@@ -179,53 +186,52 @@ def test_unresolved_run_still_tallies_complete_cycles():
 
 
 def test_pooling_matches_concatenation():
-    batches = []
-    all_cycles = []
-    all_rewards = []
+    totals = []
+    lengths, holding, response, count = [], [], [], 0
     for seed in (3, 4, 5):
         path, ledger = simulate(exponential(0.5), exponential(1.0),
                                 horizon=5000.0, seed=seed)
         cycles = detect_cycles(path)
         rewards = cycle_rewards(cycles, path, ledger)
-        batches.append((cycles, rewards.holding))
-        all_cycles.append(cycles.cycle_lengths)
-        all_rewards.append(rewards.holding)
-    pooled = pooled_time_average(batches)
-    flat = math.fsum(np.concatenate(all_rewards).tolist()) / math.fsum(
-        np.concatenate(all_cycles).tolist()
+        totals.append(CycleTotals.of(cycles, rewards))
+        lengths.append(cycles.cycle_lengths)
+        holding.append(rewards.holding)
+        response.append(rewards.response)
+        count += int(rewards.count.sum())
+    flat_h = math.fsum(np.concatenate(holding).tolist()) / math.fsum(
+        np.concatenate(lengths).tolist()
     )
-    assert pooled == flat
-    with pytest.raises(ValueError):
-        pooled_time_average([])
+    flat_r = math.fsum(np.concatenate(response).tolist()) / count
+    assert pooled_averages(totals) == (flat_h, flat_r)
+    # a generator serves as well as a list
+    assert pooled_averages(t for t in totals) == (flat_h, flat_r)
 
 
-def test_unobserved_final_closed_form():
-    est = expected_unobserved_final(0.5, 1.0, 1.0, 1.0)
-    assert est.verbatim == pytest.approx(0.5)
-    assert est.guarded == pytest.approx(0.5)
-    # light traffic: the literal form goes negative, the guarded one clamps
-    est = expected_unobserved_final(0.0, 1.0, 1.0, 0.0)
-    assert est.verbatim == pytest.approx(-1.0)
-    assert est.guarded == 0.0
-    with pytest.raises(ValueError):
-        expected_unobserved_final(-0.1, 1.0, 1.0, 1.0)
+def pooled_batch(discipline, seed):
+    """Totals and criterion 8's old renewal records of three runs of one
+    discipline, at horizons and loads that differ run to run."""
+    totals, records = [], []
+    for k, (rate, horizon) in enumerate(((0.5, 3000.0), (0.8, 2000.0), (0.3, 4000.0))):
+        path, ledger = simulate(exponential(rate), exponential(1.0), discipline=discipline,
+                                warmup=10.0 * k, horizon=horizon, seed=seed + k)
+        cycles = detect_cycles(path)
+        rewards = cycle_rewards(cycles, path, ledger)
+        totals.append(CycleTotals.of(cycles, rewards))
+        records.append(ref.theorem_renewal_record(cycles, rewards))
+    return totals, records
 
 
-def test_unobserved_final_against_measurement():
-    """The closed form is a coarse steady-state sketch; record how it
-    compares to measured post-window response mass, without gating."""
-    measured = []
-    for seed in range(40):
-        path, ledger = simulate(exponential(0.5), exponential(1.0),
-                                warmup=200.0, horizon=2000.0, seed=300 + seed)
-        rep = compute_report(path, ledger)
-        measured.append(rep.R_un_final)
-    est = expected_unobserved_final(0.5, 1.0, 1.0, 0.5 * 2.0)
-    mean_measured = float(np.mean(measured))
-    print(f"\npost-window response: measured mean {mean_measured:.3f}, "
-          f"verbatim {est.verbatim:.3f}, guarded {est.guarded:.3f}")
-    assert mean_measured >= 0.0
-    assert est.guarded >= 0.0
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random-order"])
+@pytest.mark.parametrize("seed", [7, 2026, 40_000])
+def test_pooled_averages_match_criterion_8_arithmetic_bitwise(discipline, seed):
+    totals, records = pooled_batch(discipline, seed)
+    for t, record in zip(totals, records):
+        assert t == tuple(record[k] for k in ("n_cycles", "sum_length", "sum_holding",
+                                              "sum_response", "sum_count"))
+    h, r = pooled_averages(totals)
+    h_ref, r_ref, n_ref = ref.crit_8_renewal(records)
+    assert (h.hex(), r.hex()) == (h_ref.hex(), r_ref.hex())
+    assert sum(t.cycles for t in totals) == n_ref > 500
 
 
 def test_cycle_rewards_empty():
@@ -370,8 +376,9 @@ def test_hand_path_no_op_levels_inside_a_cycle():
     ([1.0, 2.0, np.nan, 4.0], [1, 0, 1, 0]),
 ])
 def test_paths_without_increasing_times_raise(times, counts):
-    with pytest.raises(ValueError, match="strictly increasing"):
-        detect_cycles(make_path(times, counts))
+    # the path itself refuses them, before any cycle is looked for
+    with pytest.raises(ValueError, match="strictly increase"):
+        make_path(times, counts)
 
 
 def test_cycle_rewards_reject_foreign_cycles():
@@ -389,7 +396,8 @@ def test_cycle_rewards_reject_foreign_cycles():
     with pytest.raises(ValueError, match="renewal indices"):
         cycle_rewards(hand, path, ledger)
     # hand-built cycles still serve the estimators
-    assert utilization(hand) == utilization(cycles)
+    rewards = cycle_rewards(cycles, path, ledger)
+    assert CycleTotals.of(hand, rewards) == CycleTotals.of(cycles, rewards)
     with pytest.raises(ValueError, match="cost weight"):
         cycle_rewards(cycles, path, ledger, cost_weight=math.nan)
 

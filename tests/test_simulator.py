@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gg1lab.distributions import deterministic, exponential, gamma, uniform
 from gg1lab.simulator import (
     EventCapExceeded,
+    Trajectory,
     fcfs_departure_times,
     lindley_fcfs,
     simulate,
@@ -43,7 +44,32 @@ def test_hand_traced_path():
     assert path.initial_count == 0
     np.testing.assert_array_equal(path.times, [1.0, 2.0, 4.0])
     np.testing.assert_array_equal(path.counts, [1, 2, 3])
-    assert path.busy_time() == pytest.approx(4.0)
+    bounds, levels = path.segments()
+    assert np.diff(bounds)[levels > 0].sum() == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("times,counts,match", [
+    ([1, 3, 2, 4], [1, 0, 1, 0], "strictly increase"),  # a segment of negative width
+    ([1, 2, 2, 4], [1, 0, 1, 0], "strictly increase"),
+    ([-1, 2, 3], [1, 0, 1], "strictly increase"),  # before the window
+    ([1, 2, 6], [1, 0, 1], "strictly increase"),  # after it
+    ([1, 2, np.nan], [1, 0, 1], "strictly increase"),
+    ([np.nan], [1], "strictly increase"),
+    ([1, 2, 3], [1, -1, 0], "nonnegative"),
+    ([1, 2, 3], [1, 0], "equal length"),
+    ([[1, 2], [3, 4]], [[1, 0], [1, 0]], "1-D"),
+])
+def test_trajectory_rejects_broken_invariants(times, counts, match):
+    with pytest.raises(ValueError, match=match):
+        Trajectory(0.0, 5.0, 0, times, counts)
+
+
+def test_trajectory_accepts_events_on_the_window_bounds():
+    path = Trajectory(0.0, 5.0, 2, [0.0, 2.5, 5.0], [1, 0, 1])
+    assert path.times.dtype == float and path.counts.dtype == np.int64
+    assert len(Trajectory(0.0, 5.0, 0, [], []).times) == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        Trajectory(0.0, 5.0, -1, [], [])
 
 
 def test_hand_traced_segments_integral():
@@ -238,7 +264,8 @@ def test_window_that_is_not_finite_fails_fast(warmup, horizon):
 def test_mm1_busy_fraction_near_rho():
     path, _ = simulate(exponential(0.5), exponential(1.0), warmup=200.0,
                        horizon=40_000.0, seed=12)
-    rho_hat = path.busy_time() / path.window_length
+    bounds, levels = path.segments()
+    rho_hat = np.diff(bounds)[levels > 0].sum() / path.window_length
     assert rho_hat == pytest.approx(0.5, abs=0.02)
 
 
