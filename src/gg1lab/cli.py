@@ -99,11 +99,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_inspect(args) -> int:
     arrival = parse_distribution(args.arrival)
     service = parse_distribution(args.service)
+    # simulate's window, drawn first so that a bad rate fails before the run
+    t_initial = float(args.warmup)
+    epochs = inspection.poisson_epochs(
+        (t_initial, t_initial + float(args.horizon)), args.epoch_rate, args.seed + 1
+    )
     path, ledger = simulate(arrival, service, warmup=args.warmup,
                             horizon=args.horizon, seed=args.seed)
-    epochs = inspection.poisson_epochs(
-        (path.initial_time, path.final_time), args.epoch_rate, args.seed + 1
-    )
     samples = inspection.sample_inspections(ledger, path, epochs)
     os.makedirs(args.out, exist_ok=True)
     samples.to_csv(os.path.join(args.out, "inspections.csv"))

@@ -37,7 +37,7 @@ class DistributionSpec:
         lognormal:     (log_mean, log_sigma)   log_sigma > 0
 
     Every kind also needs a mean and a second moment that are finite
-    doubles > 0, so that rates, loads and cv2 are defined.
+    doubles > 0, so that rates, loads and variances are defined.
 
     Use the module-level constructors (``exponential``, ``uniform``, ...)
     rather than instantiating directly; validation happens either way.
@@ -112,10 +112,6 @@ class DistributionSpec:
     def variance(self) -> float:
         return self.second_moment() - self.mean() ** 2
 
-    def cv2(self) -> float:
-        """Squared coefficient of variation, Var / mean^2."""
-        return self.variance() / self.mean() ** 2
-
     # ------------------------------------------------------------------
     # distribution functions
 
@@ -183,26 +179,21 @@ class DistributionSpec:
     # ------------------------------------------------------------------
     # sampling and reshaping
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw durations using the supplied generator.
-
-        Returns a float for size=None, else an ndarray of that length.
-        """
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """An ndarray of ``size`` durations drawn with the supplied generator."""
         k, p = self.kind, self.params
         if k == "exponential":
-            out = rng.exponential(1.0 / p[0], size)
-        elif k == "deterministic":
-            out = p[0] if size is None else np.full(size, p[0])
-        elif k == "uniform":
-            out = rng.uniform(p[0], p[1], size)
-        elif k == "gamma":
-            out = rng.gamma(p[0], p[1], size)
-        else:
-            out = rng.lognormal(p[0], p[1], size)
-        return float(out) if size is None else out
+            return rng.exponential(1.0 / p[0], size)
+        if k == "deterministic":
+            return np.full(size, p[0])
+        if k == "uniform":
+            return rng.uniform(p[0], p[1], size)
+        if k == "gamma":
+            return rng.gamma(p[0], p[1], size)
+        return rng.lognormal(p[0], p[1], size)
 
     def with_mean(self, mean: float) -> "DistributionSpec":
-        """Rescale to the requested mean, preserving the shape (and cv2)."""
+        """Rescale to the requested mean, preserving the shape (and variance / mean^2)."""
         if mean <= 0:
             raise ValueError(f"mean must be > 0, got {mean}")
         k, p = self.kind, self.params

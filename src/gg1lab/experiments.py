@@ -23,7 +23,7 @@ import numpy as np
 from . import metrics
 from .artifacts import write_csv, write_json, write_jsonl
 from .distributions import DistributionSpec
-from .simulator import simulate
+from .simulator import _normalise_discipline, simulate
 
 CONFIG_VERSION = 1
 
@@ -34,6 +34,11 @@ PENALISED_SURFACES = (
     "R_bar_n_obs_with_penalty",
     "R_bar_n_act_with_penalty",
 )
+
+# check_equivalence: argmins this many grid steps apart still agree, and
+# the noise gauge resamples the seeds this many times
+_TOLERANCE_STEPS = 1
+_BOOTSTRAP = 200
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,19 @@ class ExperimentConfig:
             raise ValueError("need finite horizon > 0 and warmup >= 0")
         if self.version != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {self.version}")
+        _normalise_discipline(self.discipline)
+        metrics.check_cost_weight(self.cost_weight)
+        if not (math.isfinite(self.penalty_k0) and math.isfinite(self.penalty_k1)):
+            raise ValueError(f"penalty coefficients must be finite, got k0={self.penalty_k0!r} "
+                             f"k1={self.penalty_k1!r}")
+        for rate in self.rate_grid:
+            try:
+                pen = self.penalty_rate(rate)
+            except OverflowError:
+                pen = math.inf
+            if not math.isfinite(pen):
+                raise ValueError(f"penalty k0 * exp(-k1 * mu) is not a finite double at "
+                                 f"mu={rate!r} (k0={self.penalty_k0!r}, k1={self.penalty_k1!r})")
 
     def service_at(self, rate: float) -> DistributionSpec:
         return self.service_shape.with_mean(1.0 / rate)
@@ -208,19 +226,14 @@ class EquivalenceVerdict:
         }
 
 
-def check_equivalence(
-    surface: ResponseSurface,
-    name_a: str,
-    name_b: str,
-    tolerance_steps: int = 1,
-    bootstrap: int = 200,
-) -> EquivalenceVerdict:
+def check_equivalence(surface: ResponseSurface, name_a: str, name_b: str) -> EquivalenceVerdict:
     """Do two cost surfaces from the same sweep share a minimiser?
 
-    The verdict compares argmin indices within tolerance_steps grid
-    steps.  The bootstrap fraction resamples seeds with replacement and
-    reports how often the resampled argmins also agree, as a noise
-    gauge on flat surfaces; it is reported, not part of the verdict.
+    The verdict compares argmin indices within ``_TOLERANCE_STEPS`` grid
+    steps.  The bootstrap fraction resamples seeds with replacement
+    ``_BOOTSTRAP`` times and reports how often the resampled
+    argmins also agree, as a noise gauge on flat surfaces; it is
+    reported, not part of the verdict.
     """
     for name in (name_a, name_b):
         if name not in surface.surfaces:
@@ -231,18 +244,18 @@ def check_equivalence(
     agree = 0
     n_s = len(surface.seeds)
     rng = np.random.default_rng(0)
-    if n_s > 1 and bootstrap > 0:
+    if n_s > 1:
         pa, pb = surface.per_seed[name_a], surface.per_seed[name_b]
-        for _ in range(bootstrap):
+        for _ in range(_BOOTSTRAP):
             pick = rng.integers(0, n_s, n_s)
             ra = int(np.argmin(pa[:, pick].mean(axis=1)))
             rb = int(np.argmin(pb[:, pick].mean(axis=1)))
-            agree += abs(ra - rb) <= tolerance_steps
-        frac = agree / bootstrap
+            agree += abs(ra - rb) <= _TOLERANCE_STEPS
+        frac = agree / _BOOTSTRAP
     else:
-        frac = float(dist <= tolerance_steps)
+        frac = float(dist <= _TOLERANCE_STEPS)
     return EquivalenceVerdict(
-        equivalent=dist <= tolerance_steps,
+        equivalent=dist <= _TOLERANCE_STEPS,
         argmin_a=a,
         argmin_b=b,
         step_distance=dist,

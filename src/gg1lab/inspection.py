@@ -10,6 +10,7 @@ independent of the queue so the sampling itself adds no further bias.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,13 @@ class InspectionSamples:
 
 def poisson_epochs(window: tuple[float, float], rate: float, rng) -> np.ndarray:
     """Sorted epochs of a Poisson stream over the window, independent of
-    the queue being inspected."""
-    if rate <= 0:
-        raise ValueError(f"epoch rate must be > 0, got {rate}")
+    the queue being inspected.  The rate must be finite and > 0, and
+    the window ends finite."""
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"epoch rate must be finite and > 0, got {rate}")
     t0, t1 = window
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"window {window} must have finite ends")
     if t1 <= t0:
         raise ValueError(f"window {window} has nonpositive length")
     if not isinstance(rng, np.random.Generator):

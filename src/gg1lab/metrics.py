@@ -35,9 +35,6 @@ _BLOCK = 1 << 16
 # a bin summing at most this many whole parts (integers below 2**27) or
 # fractions (multiples of 2**-26 below 1) stays an exact double
 _FLUSH_LIMIT = 1 << 26
-# inputs shorter than this are summed as Python ints: below it that
-# beats the bins' fixed cost of about 30 us a call
-_SHORT = 64
 
 
 def exact_sum(values) -> float:
@@ -52,9 +49,8 @@ def exact_sum(values) -> float:
     span only the exponents seen so far.  A bin stays exact while it
     holds at most 2**26 parts; before more arrive the bins are flushed
     into one Python int, and one int division rounds the total
-    correctly.  An input of fewer than ``_SHORT`` values skips the
-    bins: each value is an exact multiple of 2**-1074, so the sum of
-    those multiples is one Python int, rounded by the same division.
+    correctly.  Every input goes through the bins, whatever its length;
+    an empty one leaves the total at 0.
 
     The result is the exact sum rounded once, so it matches
     ``math.fsum`` (Shewchuk 1997) with these exceptions, all on purpose:
@@ -70,14 +66,6 @@ def exact_sum(values) -> float:
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     n = x.size
-    if n < _SHORT:
-        try:
-            parts = [v.as_integer_ratio() for v in x.tolist()]
-        except (OverflowError, ValueError):
-            pass  # an infinity or a NaN: the bins hand it to math.fsum
-        else:
-            # num / den with den = 2**k, k <= 1074, is num * 2**(1074 - k) / 2**1074
-            return sum(num << (1075 - den.bit_length()) for num, den in parts) / (1 << 1074)
     whole, frac = np.zeros(0), np.zeros(0)
     low = 0  # exponent of bin 0
     total = 0
@@ -240,14 +228,16 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
 
     Count averages are zero for an empty window population rather than
     raising, so quiet windows still serialise cleanly.  The path and the
-    ledger must cover the same window, and the cost weight must be
-    finite and nonnegative.
+    ledger must cover the same window, of positive length, and the cost
+    weight must be finite and nonnegative.
     """
     check_cost_weight(cost_weight)
     window = (path.initial_time, path.final_time)
     if window != tuple(ledger.window):
         raise ValueError(f"path window {window} does not match ledger {ledger.window}")
     length = path.window_length
+    if not length > 0:
+        raise ValueError(f"window {window} has nonpositive length")
     # the path and the window population are each read once: the area
     # gives holding_cost(path, c) = c * area exactly, the widths at
     # nonzero levels sum to the busy time, and the mask serves every

@@ -17,8 +17,9 @@ time.  On long chunks the periods are guessed from the max-plus closed
 form, summed side by side in NumPy with the recursion's own float
 additions, and every guessed start is then checked exactly against the
 departures; a chunk that passes the check holds the unique solution of
-the recursion, so its bits are those of the scalar loop, which still
-computes short chunks and any chunk the check keeps rejecting.
+the recursion, so its bits are those of the scalar loop.  The loop
+computes short chunks, and a long chunk from the first start the check
+rejects.
 
 The observation window is [warmup, warmup + horizon].  The system
 starts empty at time zero; customers present when the window opens are
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -51,13 +51,6 @@ _FIRST_CHUNK = 256
 # busy-period kernel's fixed cost, about 100 us a chunk, outweighs its
 # gain
 _PARALLEL_MIN = 2048
-
-# rounds of exact start checks before a chunk falls back to the loop
-_ROUNDS = 4
-
-# the queue entry and slot owner standing for a customer arriving after
-# the window, who gets no ledger row
-_DRAIN = -1
 
 
 class EventCapExceeded(RuntimeError):
@@ -228,11 +221,12 @@ def simulate(
     ``resolve_pending`` holds under LCFS or random order, the drain
     slots up to the departure of the last window customer.  A chunk of
     ``_PARALLEL_MIN`` slots or more is computed a busy period at a
-    time (guessed starts, NumPy sums, an exact check of every start);
-    shorter ones, such as the first chunks and the drain's, by the
-    scalar loop.  Both give the same bits.  Arrivals
-    after the window end take slots and service draws but get no
-    ledger row, and the drain keeps only the slots of window customers.
+    time (guessed starts, NumPy sums, an exact check of every start,
+    the scalar loop from the first wrong guess on); shorter ones, such
+    as the first chunks and the drain's, by the scalar loop.  Both give
+    the same bits.  Arrivals after the window end take slots and service
+    draws but get no ledger row: a slot's customer is kept only when
+    its index is below the window's arrival count.
     The event cap is checked after every chunk, so a run stops within
     one chunk of reaching it.
     """
@@ -308,9 +302,8 @@ def simulate(
             before = _previous_departures(dep, d)
             starts = np.maximum(before, a)
             arrived = arrivals.count_upto(starts)
-            limit = arrivals.end if n_window is None else n_window
-            who = np.array(queue.fill(k, a > before, arrived, limit), dtype=np.int64)
-            mine = np.flatnonzero(who >= 0)
+            who = np.array(queue.fill(k, a > before, arrived), dtype=np.int64)
+            mine = np.flatnonzero(who < (arrivals.end if n_window is None else n_window))
             if drain:
                 late.append((who[mine], starts[mine], s[mine], d[mine]))
             else:
@@ -371,7 +364,7 @@ def simulate(
         place(slice(0, served), starts, spans, finish)
     else:
         who = owners.values[:served]
-        mine = who >= 0
+        mine = who < n_window
         place(who[mine], starts[mine], spans[mine], finish[mine])
         for chunk in late:
             place(*chunk)
@@ -515,8 +508,9 @@ def _departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> np.nd
 def _slot_departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> list[float]:
     """D_k = max(D_{k-1}, A_k) + s_k over a run of slots, starting from
     the departure ``dep`` of the slot before the run, one Python step
-    per slot.  The one scalar path: chunks below ``_PARALLEL_MIN`` and
-    the busy-period kernel's fallback."""
+    per slot.  The one scalar path: chunks below ``_PARALLEL_MIN``, and
+    the rest of a longer chunk from the first busy-period start that
+    ``_busy_period_departures`` guessed wrong."""
     out = []
     append = out.append
     for a, s in zip(arrivals.tolist(), services.tolist()):
@@ -546,23 +540,15 @@ def _busy_period_departures(arrivals: np.ndarray, services: np.ndarray, dep: flo
     for D_{-1}).  Departures summed over the guessed periods that agree
     with that test at every slot solve the recursion, whose solution is
     unique, so they are the loop's bits.  Up to the first slot that
-    disagrees they are exact and that slot's start is then known, so
-    the next round sums from there with the corrected starts.  After
-    ``_ROUNDS`` rounds the rest goes to the scalar loop.
+    disagrees they are exact, so the scalar loop computes the rest of
+    the chunk from there.
     """
     d = np.empty(len(arrivals))
-    lo = 0
-    for _ in range(_ROUNDS):
-        _period_sums(arrivals[lo:], services[lo:], dep, starts, d[lo:])
-        opens = arrivals[lo:] > _previous_departures(dep, d[lo:])
-        wrong = np.flatnonzero(opens != starts)
-        if not wrong.size:
-            return d
-        lo += int(wrong[0])
-        if lo:
-            dep = float(d[lo - 1])
-        starts = opens[wrong[0]:]
-    d[lo:] = _slot_departures(arrivals[lo:], services[lo:], dep)
+    _period_sums(arrivals, services, dep, starts, d)
+    wrong = np.flatnonzero((arrivals > _previous_departures(dep, d)) != starts)
+    if wrong.size:
+        lo = int(wrong[0])
+        d[lo:] = _slot_departures(arrivals[lo:], services[lo:], float(d[lo - 1]) if lo else dep)
     return d
 
 
@@ -616,8 +602,8 @@ class _Queue:
     serves the last entry; random order draws a uniform pick from the
     discipline stream (one draw per pick, in blocks of
     ``_SAMPLE_BLOCK``), moves the last entry into its place and shrinks
-    the list.  Customers arriving after the window are all entered as
-    ``_DRAIN``: they need a place in the queue but no identity.
+    the list.  Entries are customer indices, those arriving after the
+    window included.
     """
 
     def __init__(self, mode: int, rng: np.random.Generator) -> None:
@@ -628,8 +614,8 @@ class _Queue:
         self._picks: list[float] = []
         self._pick_i = 0
 
-    def fill(self, first_slot: int, direct: np.ndarray, arrived: np.ndarray, limit: int) -> list[int]:
-        """The customer of each slot in a chunk, ``_DRAIN`` from ``limit`` on.
+    def fill(self, first_slot: int, direct: np.ndarray, arrived: np.ndarray) -> list[int]:
+        """The customer of each slot in a chunk.
 
         ``direct[j]``: the slot's customer found the server idle (then it
         is customer ``first_slot + j`` and the queue is empty).
@@ -643,13 +629,10 @@ class _Queue:
         for slot, (idle, upto) in enumerate(zip(direct.tolist(), arrived.tolist()), first_slot):
             if idle:
                 joined = slot + 1
-                owners.append(slot if slot < limit else _DRAIN)
+                owners.append(slot)
                 continue
             if upto > joined:
-                if joined < limit:
-                    waiting.extend(range(joined, min(upto, limit)))
-                if upto > limit:
-                    waiting.extend(repeat(_DRAIN, upto - max(joined, limit)))
+                waiting.extend(range(joined, upto))
                 joined = upto
             if self._lcfs:
                 owners.append(waiting.pop())

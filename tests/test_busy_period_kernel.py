@@ -1,6 +1,6 @@
 """The busy-period kernel against the scalar slot loop it replaces on long
 chunks (``reference_engine._slot_departures``, kept verbatim): bitwise
-on every departure, with the start check and the fallback forced."""
+on every departure, with wrong start guesses forced."""
 
 import math
 
@@ -36,8 +36,8 @@ def loop(a, s, dep):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the kernel's rounds (``_period_sums`` calls) and of its
-    scalar-loop calls."""
+    """Counts of the kernel's rounds (``_period_sums`` calls, one per
+    kernel chunk) and of its scalar-loop calls."""
     seen = {"rounds": 0, "loop": 0}
 
     def wrap(name, key):
@@ -72,13 +72,12 @@ def test_random_chunks_match_the_loop_in_one_round(rho, calls):
 @pytest.mark.parametrize("gap,service", [
     (0.1, 0.1), (0.1, 0.3), (1 / 3, 1 / 3), (0.7, 0.7), (0.1, 0.05), (1.0, 2.0), (0.5, 1.5),
 ])
-def test_dd1_ties_and_overload_match_the_loop(gap, service, calls):
+def test_dd1_ties_and_overload_match_the_loop(gap, service):
     # steps that are not binary fractions round, so arrivals land on,
     # just before or just after the previous departure
     a, s = dd1(gap, service)
     for dep in (-math.inf, a[0], a[0] + 0.5 * service, a[10]):
         assert_same(a, s, dep)
-    assert calls["loop"] == 0
 
 
 def test_exact_ties_are_guessed_exactly(calls):
@@ -121,7 +120,9 @@ def test_cut_over_between_loop_and_kernel(calls):
 
 
 @pytest.mark.parametrize("flip", [[0], [1], [7, 3000, 3001], "every tenth", "all"])
-def test_wrong_guesses_are_corrected(flip, calls):
+def test_wrong_guesses_are_corrected(flip, calls, monkeypatch):
+    # the departures before the first wrong guess are exact, so the
+    # scalar loop computes the chunk from that slot on
     a, s = chunk(8, 4096, 0.7)
     dep = a[0] - 1.0
     starts = simulator._guess_starts(a, s, dep)
@@ -132,33 +133,18 @@ def test_wrong_guesses_are_corrected(flip, calls):
         wrong[::10] = ~wrong[::10]
     else:
         wrong[flip] = ~wrong[flip]
+    looped = []
+    counted = simulator._slot_departures
+
+    def recorded(arrivals, services, dep):
+        looped.append(len(arrivals))
+        return counted(arrivals, services, dep)
+
+    monkeypatch.setattr(simulator, "_slot_departures", recorded)
     got = simulator._busy_period_departures(a, s, dep, wrong)
     assert got.tobytes() == loop(a, s, dep).tobytes()
-    assert calls["rounds"] >= 2
-
-
-def test_corrections_converge_before_the_fallback(calls):
-    # each round keeps the exact prefix and the first corrected start,
-    # and takes the rest of its starts from the departures it summed
-    a, s = chunk(9, 4096, 0.6)
-    wrong = simulator._guess_starts(a, s, -math.inf)
-    wrong[[100, 2000]] = ~wrong[[100, 2000]]
-    got = simulator._busy_period_departures(a, s, -math.inf, wrong)
-    assert got.tobytes() == loop(a, s, -math.inf).tobytes()
-    assert 3 <= calls["rounds"] <= simulator._ROUNDS
-    assert calls["loop"] == 0
-
-
-def test_fallback_after_the_last_round(monkeypatch, calls):
-    monkeypatch.setattr(simulator, "_ROUNDS", 2)
-    a, s = chunk(10, 4096, 0.7)
-    dep = -math.inf
-    wrong = simulator._guess_starts(a, s, dep)
-    flips = [5, 900, 2500, 4000]
-    wrong[flips] = ~wrong[flips]
-    got = simulator._busy_period_departures(a, s, dep, wrong)
-    assert got.tobytes() == loop(a, s, dep).tobytes()
-    assert calls == {"rounds": 2, "loop": 1}
+    assert calls == {"rounds": 1, "loop": 1}
+    assert looped == [len(a) - int(np.flatnonzero(wrong != starts)[0])]
 
 
 @given(

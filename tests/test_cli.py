@@ -79,6 +79,47 @@ def test_sweep_overrides(tmp_path):
     assert echoed["horizon"] == 300.0
 
 
+@pytest.mark.parametrize("penalty", [
+    {"penalty_k0": float("nan")},
+    {"penalty_k0": 0.1, "penalty_k1": -1e4},
+])
+def test_sweep_rejects_a_bad_penalty_before_any_output(tmp_path, capsys, penalty):
+    # NaN printed a NaN minimiser and exited 0; the overflow gave a traceback
+    cfg = {
+        "arrival": {"kind": "exponential", "params": [0.4]},
+        "service_shape": {"kind": "exponential", "params": [1.0]},
+        "rate_grid": [0.6, 0.9, 1.3],
+        "seeds": [1, 2],
+        "horizon": 800.0,
+        **penalty,
+    }
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    rc = main(["sweep", "--config", str(cfg_file), "--out", str(out_dir)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "penalty" in err["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1"])
+def test_inspect_rejects_a_bad_epoch_rate_before_simulating(tmp_path, capsys, monkeypatch, rate):
+    # it was checked after the whole simulation, and nan and inf by NumPy
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr("gg1lab.cli.simulate", no_run)
+    rc = main(["inspect", "--arrival", "exponential:0.5", "--service", "exponential:1",
+               "--horizon", "1e7", f"--epoch-rate={rate}", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": f"epoch rate must be finite and > 0, got {float(rate)}"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_inspect_verb(tmp_path, capsys):
     rc = main([
         "inspect", "--arrival", "exponential:0.5", "--service", "deterministic:1.0",

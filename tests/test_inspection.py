@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -117,6 +119,21 @@ def test_poisson_epochs_properties():
     a = poisson_epochs((0.0, 100.0), 1.0, 7)
     b = poisson_epochs((0.0, 100.0), 1.0, 7)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("window,rate,match", [
+    ((0.0, 10.0), math.nan, "epoch rate must be finite and > 0"),
+    ((0.0, 10.0), math.inf, "epoch rate must be finite and > 0"),
+    ((0.0, 10.0), 0.0, "epoch rate must be finite and > 0"),
+    ((0.0, 10.0), -1.0, "epoch rate must be finite and > 0"),
+    ((0.0, math.inf), 1.0, "finite ends"),
+    ((-math.inf, 0.0), 1.0, "finite ends"),
+    ((math.nan, 1.0), 1.0, "finite ends"),
+])
+def test_poisson_epochs_rejects_a_rate_or_window_it_cannot_draw(window, rate, match):
+    # nan and inf reached NumPy's Poisson draw, which raised its own errors
+    with pytest.raises(ValueError, match=match):
+        poisson_epochs(window, rate, 1)
 
 
 @pytest.mark.parametrize("spec,expect_age", [(EXP, 1.0), (DET, 1.0), (UNI, 2.0 / 3.0)],

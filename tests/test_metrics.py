@@ -112,6 +112,14 @@ def test_report_rejects_a_ledger_from_another_window(dd1):
         compute_report(path, longer)
 
 
+@pytest.mark.parametrize("t0", [0.0, 5.0])
+def test_report_rejects_a_zero_length_window(t0):
+    # it divided by the length for lambda_hat, raising ZeroDivisionError
+    path, ledger = simulate(exponential(1.0), exponential(2.0), warmup=t0, horizon=50.0, seed=1)
+    with pytest.raises(ValueError, match="nonpositive length"):
+        compute_report(path.restrict(t0), ledger.restrict(t0))
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
 def test_report_rejects_a_cost_weight_not_finite_and_nonnegative(dd1, c):
     # nan made every total NaN, and -1 a negative H_total
