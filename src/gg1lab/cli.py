@@ -19,6 +19,7 @@ a one-line JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ import numpy as np
 from . import experiments, inspection, metrics
 from .artifacts import write_json
 from .distributions import DistributionSpec
-from .simulator import simulate
+from .simulator import DISCIPLINES, simulate
 
 
 def parse_distribution(text: str) -> DistributionSpec:
@@ -74,7 +75,7 @@ def _cmd_sweep(args) -> int:
     if args.horizon is not None:
         overrides["horizon"] = args.horizon
     if overrides:
-        config = experiments.ExperimentConfig.from_dict({**config.to_dict(), **overrides})
+        config = dataclasses.replace(config, **overrides)
     surface = experiments.run_sweep(config)
     out = args.out or "sweep_out"
     written = experiments.emit_reports(surface, config, out)
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one replication and export its artifacts")
     p.add_argument("--arrival", required=True, help="interarrival distribution, kind:params")
     p.add_argument("--service", required=True, help="service distribution, kind:params")
-    p.add_argument("--discipline", default="fcfs", choices=["fcfs", "lcfs", "random-order"])
+    p.add_argument("--discipline", default="fcfs", choices=DISCIPLINES)
     p.add_argument("--warmup", type=float, default=0.0)
     p.add_argument("--horizon", type=float, default=10_000.0)
     p.add_argument("--seed", type=int, default=0)

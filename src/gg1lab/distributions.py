@@ -2,8 +2,9 @@
 
 Five families covering squared coefficients of variation below, at, and
 above one: exponential, deterministic, uniform on an interval, gamma,
-and lognormal.  Each spec carries exact moments, density/cdf evaluation
-where defined, and reproducible sampling from a numpy Generator.
+and lognormal.  Each spec carries exact moments, density and survival
+function evaluation where defined, and reproducible sampling from a
+numpy Generator.
 """
 
 from __future__ import annotations
@@ -124,13 +125,6 @@ class DistributionSpec:
             raise ValueError("deterministic distribution has no density")
         return _frozen(self).pdf(t)
 
-    def cdf(self, t):
-        if self.kind == "deterministic":
-            t = np.asarray(t, dtype=float)
-            out = (t >= self.params[0]).astype(float)
-            return out if out.ndim else float(out)
-        return _frozen(self).cdf(t)
-
     def sf(self, t):
         """Complementary cdf, 1 - F(t)."""
         if self.kind == "deterministic":
@@ -225,7 +219,7 @@ class DistributionSpec:
 
 @lru_cache(maxsize=128)
 def _frozen(spec: DistributionSpec):
-    """Frozen scipy distribution for pdf/cdf/ppf evaluation."""
+    """Frozen scipy distribution for pdf/sf/ppf evaluation."""
     from scipy import stats
 
     k, p = spec.kind, spec.params

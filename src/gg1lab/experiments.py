@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +48,9 @@ class ExperimentConfig:
 
     service_shape fixes the service distribution family; at each grid
     rate the shape is rescaled to mean 1/rate, so the grid sweeps the
-    rate without changing the family's variability profile.
+    rate without changing the family's variability profile.  Rates must
+    be finite real numbers, seeds integers, and the other numbers real;
+    a value that is not raises ValueError.
     """
 
     arrival: DistributionSpec
@@ -63,12 +66,19 @@ class ExperimentConfig:
     version: int = CONFIG_VERSION
 
     def __post_init__(self):
+        if not all(isinstance(r, numbers.Real) and math.isfinite(r) and r > 0
+                   for r in self.rate_grid):
+            raise ValueError(f"rates must be finite and positive, got {list(self.rate_grid)!r}")
         object.__setattr__(self, "rate_grid", tuple(float(r) for r in self.rate_grid))
+        if not all(isinstance(s, (int, np.integer)) or (isinstance(s, float) and s.is_integer())
+                   for s in self.seeds):
+            raise ValueError(f"seeds must be integers, got {list(self.seeds)!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name in ("penalty_k0", "penalty_k1", "warmup", "horizon"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if len(self.rate_grid) == 0:
             raise ValueError("rate grid must be nonempty")
-        if any(r <= 0 for r in self.rate_grid):
-            raise ValueError("rates must be positive")
         if any(b <= a for a, b in zip(self.rate_grid, self.rate_grid[1:])):
             raise ValueError("rate grid must be strictly increasing")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
@@ -114,17 +124,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
+        """The config of a ``to_dict`` mapping; a key that names no field
+        raises ValueError."""
+        names = {f.name for f in fields(cls)}
+        unknown = [key for key in data if key not in names]
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; expected {sorted(names)}")
+        return cls(**{
+            **data,
             "arrival": DistributionSpec.from_dict(data["arrival"]),
             "service_shape": DistributionSpec.from_dict(data["service_shape"]),
-            "rate_grid": tuple(data["rate_grid"]),
-            "seeds": tuple(data["seeds"]),
-        }
-        for key in ("discipline", "cost_weight", "penalty_k0", "penalty_k1",
-                    "warmup", "horizon", "version"):
-            if key in data:
-                known[key] = data[key]
-        return cls(**known)
+            "rate_grid": data["rate_grid"],
+            "seeds": data["seeds"],
+        })
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":

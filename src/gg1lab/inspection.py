@@ -67,8 +67,7 @@ def poisson_epochs(window: tuple[float, float], rate: float, rng) -> np.ndarray:
         raise ValueError(f"window {window} must have finite ends")
     if t1 <= t0:
         raise ValueError(f"window {window} has nonpositive length")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     n = int(rng.poisson(rate * (t1 - t0)))
     return np.sort(rng.uniform(t0, t1, n))
 

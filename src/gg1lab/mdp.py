@@ -35,6 +35,7 @@ follow from the flows by one multiply-add and a running sum.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -50,7 +51,11 @@ _NONE = np.empty(0, dtype=np.intp)
 
 @dataclass(frozen=True)
 class MdpInstance:
-    """Uniformised service-rate-control MDP on states {0..N}."""
+    """Uniformised service-rate-control MDP on states {0..N}.
+
+    The arrival rate, cost weight and penalty coefficients must be real
+    numbers; ``from_dict`` ignores keys it does not read, such as the
+    ``method`` and ``tol`` that a solve config carries."""
 
     arrival_rate: float
     action_grid: np.ndarray
@@ -69,6 +74,10 @@ class MdpInstance:
         if np.any(grid <= 0):
             raise ValueError("service rates must be positive")
         object.__setattr__(self, "action_grid", grid)
+        if not all(isinstance(v, numbers.Real)
+                   for v in (self.arrival_rate, self.cost_weight, *self.penalty)):
+            raise ValueError(f"arrival rate, cost weight and penalty must be real numbers, got "
+                             f"{self.arrival_rate!r}, {self.cost_weight!r}, {self.penalty!r}")
         if not (np.isfinite(self.arrival_rate) and self.arrival_rate >= 0):
             raise ValueError(f"arrival rate must be finite and nonnegative, got {self.arrival_rate}")
         n = self.n_states

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -28,9 +29,9 @@ import numpy as np
 from .simulator import CustomerLedger, PendingDepartureError, Trajectory
 
 # exact_sum's layout: frexp exponents of finite doubles run from -1073
-# (the smallest subnormal, 0.5 * 2**-1073) to 1024; the bins cover only
-# the exponents the input holds, one bin each
+# (the smallest subnormal, 0.5 * 2**-1073) to 1024, one bin each
 _EXP_MIN = -1073
+_N_BINS = 1024 - _EXP_MIN + 1
 _BLOCK = 1 << 16
 # a bin summing at most this many whole parts (integers below 2**27) or
 # fractions (multiples of 2**-26 below 1) stays an exact double
@@ -45,10 +46,10 @@ def exact_sum(values) -> float:
     53-bit mantissa splits exactly into a truncated whole part
     trunc(m * 2**27), below 2**27, and a fraction m * 2**27 - whole, a
     multiple of 2**-26 below 1.  Both parts are added into one bin per
-    exponent with ``np.bincount``, 65,536 values at a time; the bins
-    span only the exponents seen so far.  A bin stays exact while it
-    holds at most 2**26 parts; before more arrive the bins are flushed
-    into one Python int, and one int division rounds the total
+    exponent with ``np.bincount``, 65,536 values at a time; one fixed
+    pair of bin arrays spans all 2,098 exponents.  A bin stays exact
+    while it holds at most 2**26 parts; before more arrive the bins are
+    flushed into one Python int, and one int division rounds the total
     correctly.  Every input goes through the bins, whatever its length;
     an empty one leaves the total at 0.
 
@@ -66,8 +67,7 @@ def exact_sum(values) -> float:
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     n = x.size
-    whole, frac = np.zeros(0), np.zeros(0)
-    low = 0  # exponent of bin 0
+    whole, frac = np.zeros((2, _N_BINS))
     total = 0
     pending = 0
     for start in range(0, n, _BLOCK):
@@ -76,39 +76,24 @@ def exact_sum(values) -> float:
         hi = np.trunc(mant)
         with np.errstate(invalid="ignore"):  # inf - inf: the fsum fallback below
             mant -= hi
-        first, last = int(expo.min()), int(expo.max())
-        if first < low or last >= low + len(whole):
-            whole, frac, low = _widen(whole, frac, low, first, last)
         idx = expo.astype(np.intp)
-        idx -= low
-        whole += np.bincount(idx, weights=hi, minlength=len(whole))
-        frac += np.bincount(idx, weights=mant, minlength=len(frac))
+        idx -= _EXP_MIN
+        whole += np.bincount(idx, weights=hi, minlength=_N_BINS)
+        frac += np.bincount(idx, weights=mant, minlength=_N_BINS)
         pending += len(idx)
         if pending + _BLOCK > _FLUSH_LIMIT or start + _BLOCK >= n:
             if not math.isfinite(whole.sum() + frac.sum()):
                 return math.fsum(x.tolist())
-            total += _flush(whole, frac) << (low - _EXP_MIN)
+            total += _flush(whole, frac)
             pending = 0
     return total / (1 << (53 - _EXP_MIN))
 
 
-def _widen(whole: np.ndarray, frac: np.ndarray, low: int, first: int,
-           last: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Bins spanning the exponents of ``whole``/``frac`` (bin 0 at
-    ``low``) and ``first``..``last``, holding the same parts."""
-    if len(whole):
-        first, last = min(first, low), max(last, low + len(whole) - 1)
-    grown = np.zeros((2, last - first + 1))
-    grown[0, low - first:low - first + len(whole)] = whole
-    grown[1, low - first:low - first + len(frac)] = frac
-    return grown[0], grown[1], first
-
-
 def _flush(whole: np.ndarray, frac: np.ndarray) -> int:
-    """The bins' exact total times 2**(53 - e0), e0 the exponent of bin
-    0, as a Python int; both bins are left zeroed.  Bin i holds parts
-    of values m * 2**e with e = i + e0, so after the scaling a whole
-    part weighs 2**(i + 26) and a fraction times 2**26 weighs 2**i."""
+    """The bins' exact total times 2**(53 - _EXP_MIN), as a Python int;
+    both bins are left zeroed.  Bin i holds parts of values m * 2**e
+    with e = i + _EXP_MIN, so after the scaling a whole part weighs
+    2**(i + 26) and a fraction times 2**26 weighs 2**i."""
     total = 0
     frac *= 1 << 26
     for bins, shift in ((whole, 26), (frac, 0)):
@@ -120,8 +105,10 @@ def _flush(whole: np.ndarray, frac: np.ndarray) -> int:
 
 
 def check_cost_weight(cost_weight: float) -> None:
-    """Raise ValueError unless the cost weight is finite and nonnegative."""
-    if not (math.isfinite(cost_weight) and cost_weight >= 0):
+    """Raise ValueError unless the cost weight is a finite, nonnegative
+    real number."""
+    if not (isinstance(cost_weight, numbers.Real) and math.isfinite(cost_weight)
+            and cost_weight >= 0):
         raise ValueError(f"cost weight must be finite and nonnegative, got {cost_weight!r}")
 
 
@@ -170,19 +157,6 @@ def _actual_totals(ledger, arr, dep, cost_weight) -> tuple[float, float, float]:
     initial = cost_weight * exact_sum(t_initial - ledger.arrival_time[ledger.pre_window])
     final = cost_weight * exact_sum(dep[dep > t_final] - t_final)
     return total, initial, final
-
-
-def time_average(total: float, window: tuple[float, float]) -> float:
-    length = window[1] - window[0]
-    if length <= 0:
-        raise ValueError(f"window {window} has nonpositive length")
-    return total / length
-
-
-def count_average(total: float, count: int) -> float:
-    if count <= 0:
-        raise ValueError(f"count average undefined for count={count}")
-    return total / count
 
 
 @dataclass
@@ -254,9 +228,9 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
     n_total = int(np.count_nonzero(sel))
     lam_hat = n_total / length
     if n_total > 0:
-        h_bar_n = count_average(h_total, n_total)
-        r_bar_n_obs = count_average(r_obs, n_total)
-        r_bar_n_act = count_average(r_act, n_total)
+        h_bar_n = h_total / n_total
+        r_bar_n_obs = r_obs / n_total
+        r_bar_n_act = r_act / n_total
     else:
         h_bar_n = r_bar_n_obs = r_bar_n_act = 0.0
     return MetricsReport(
@@ -266,9 +240,9 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
         R_act_total=r_act,
         R_un_initial=r_un_initial,
         R_un_final=r_un_final,
-        H_bar_t=time_average(h_total, window),
-        R_bar_t_obs=time_average(r_obs, window),
-        R_bar_t_act=time_average(r_act, window),
+        H_bar_t=h_total / length,
+        R_bar_t_obs=r_obs / length,
+        R_bar_t_act=r_act / length,
         H_bar_n=h_bar_n,
         R_bar_n_obs=r_bar_n_obs,
         R_bar_n_act=r_bar_n_act,
@@ -325,9 +299,6 @@ class LittlesChain:
         if scale == 0.0:
             return 0.0
         return (max(vals) - min(vals)) / scale
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def littles_chain(report: MetricsReport, arrival_rate: float | None = None) -> LittlesChain:

@@ -3,9 +3,10 @@
 A renewal point is an arrival into an empty system.  A cycle runs from
 one renewal point to the next: a busy period followed by the idle
 period that ends it.  A cycle counts as complete only when its
-terminating renewal point is observed inside the window; partial
-leading and trailing fragments are kept for inspection but excluded
-from every estimator, since the estimators treat cycles as i.i.d.
+terminating renewal point is observed inside the window; the window
+time before the first renewal point and after the last one belongs to
+no cycle and enters no estimator, since the estimators treat cycles as
+i.i.d.
 
 Cycles are found and summed by path event index.  ``detect_cycles``
 keeps each renewal point's event index, and ``cycle_rewards`` sums each
@@ -28,17 +29,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import write_csv
-from .metrics import check_cost_weight, exact_sum
+from .metrics import exact_sum
 from .simulator import CustomerLedger, PendingDepartureError, Trajectory
 
 
 @dataclass(frozen=True)
 class RenewalCycles:
-    """Complete cycles of a single trajectory, plus any partial fragments.
+    """Complete cycles of a single trajectory.
 
     Arrays are aligned per cycle: busy on [busy_start, busy_end), idle
-    on [busy_end, cycle_end).  Fragments are (start, end) spans of
-    window time not covered by a complete cycle.  ``renewal_index``
+    on [busy_end, cycle_end).  ``renewal_index``
     holds the path event index of each cycle's opening renewal point
     and, last, of the closing one (n + 1 strictly increasing values);
     ``detect_cycles`` sets it, hand-built cycles may leave it None.
@@ -47,8 +47,6 @@ class RenewalCycles:
     busy_start: np.ndarray
     busy_end: np.ndarray
     cycle_end: np.ndarray
-    leading_fragment: tuple[float, float] | None = None
-    trailing_fragment: tuple[float, float] | None = None
     renewal_index: np.ndarray | None = None
 
     def __post_init__(self):
@@ -106,12 +104,10 @@ def detect_cycles(path: Trajectory) -> RenewalCycles:
     to 1, and each cycle's busy period ends at its first emptying event
     after its opening one.  Both are found by event index: one pass
     over the levels finds the emptying events, and the renewal points
-    are the events right after them that reach level 1.  The stretch
-    before the first renewal point (which may be a partial busy period,
-    pure idle, or the whole window) becomes the leading fragment; the
-    stretch after the last one becomes the trailing fragment unless a
-    further renewal closes it.  It relies on the strictly increasing
-    event times that ``Trajectory`` guarantees.
+    are the events right after them that reach level 1.  Fewer than
+    two renewal points give no cycle, with ``renewal_index`` None.  It
+    relies on the strictly increasing event times that ``Trajectory``
+    guarantees.
     """
     times = path.times
     counts = path.counts
@@ -122,25 +118,13 @@ def detect_cycles(path: Trajectory) -> RenewalCycles:
     opens = empty[:-1] if len(empty) and empty[-1] == len(counts) - 1 else empty
     k = np.flatnonzero(counts[opens + 1] == 1)
     index = opens[k] + 1
+    if len(index) < 2:
+        return RenewalCycles(np.empty(0), np.empty(0), np.empty(0))
     renewal = times[index]
-    if len(renewal) < 2:
-        lead = (path.initial_time, path.final_time) if len(renewal) == 0 else (path.initial_time, renewal[0])
-        trail = None if len(renewal) == 0 else (renewal[0], path.final_time)
-        return RenewalCycles(
-            np.empty(0), np.empty(0), np.empty(0),
-            leading_fragment=None if lead[0] == lead[1] else lead,
-            trailing_fragment=trail,
-        )
     # the emptying event after a cycle's opening one is the next in
     # ``empty``; the closing renewal point guarantees there is one
     busy_end = times[empty[k[:-1] + 1]]
-    lead = (path.initial_time, renewal[0])
-    return RenewalCycles(
-        renewal[:-1], busy_end, renewal[1:],
-        leading_fragment=None if lead[0] == lead[1] else lead,
-        trailing_fragment=(renewal[-1], path.final_time),
-        renewal_index=index,
-    )
+    return RenewalCycles(renewal[:-1], busy_end, renewal[1:], renewal_index=index)
 
 
 @dataclass
@@ -156,16 +140,11 @@ class CycleRewards:
     holding: np.ndarray
     response: np.ndarray
     count: np.ndarray
-    cost_weight: float = 1.0
 
 
-def cycle_rewards(
-    cycles: RenewalCycles,
-    path: Trajectory,
-    ledger: CustomerLedger,
-    cost_weight: float = 1.0,
-) -> CycleRewards:
-    """Tally holding cost, response cost, and arrival count per cycle.
+def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedger) -> CycleRewards:
+    """Tally holding cost, response cost, and arrival count per cycle, at
+    unit cost weight.
 
     Holding comes from the trajectory, response from the ledger, so the
     two stay independent routes to the same quantity.  Each cycle is
@@ -183,10 +162,8 @@ def cycle_rewards(
     bounds in ``path``, raise ValueError, as does a ledger with no
     arrival in some cycle.  Empty cycles give empty rewards.
     """
-    check_cost_weight(cost_weight)
-    n = len(cycles)
-    if n == 0:
-        return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int), cost_weight)
+    if len(cycles) == 0:
+        return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int))
     index = cycles.renewal_index
     if index is None:
         raise ValueError("cycle rewards need the renewal indices that detect_cycles sets")
@@ -202,7 +179,7 @@ def cycle_rewards(
     # segment i (level counts[i] on [times[i], times[i+1])) of the events
     # from the first renewal point up to the last one
     areas = path.counts[first:last] * np.diff(times[first:last + 1])
-    holding = cost_weight * np.add.reduceat(areas, index[:-1] - first)
+    holding = np.add.reduceat(areas, index[:-1] - first)
 
     arr = ledger.arrival_time
     dep = ledger.departure_time
@@ -213,14 +190,14 @@ def cycle_rewards(
     if count.min() < 1:
         raise ValueError("a cycle has no arrival in this ledger")
     sojourns = dep[lo[0]:lo[-1]] - arr[lo[0]:lo[-1]]
-    response = cost_weight * np.add.reduceat(sojourns, lo[:-1] - lo[0])
+    response = np.add.reduceat(sojourns, lo[:-1] - lo[0])
     if np.isnan(response).any():
         # cannot happen for cycles detected on this path: anyone arriving
         # inside a complete cycle also departs inside it
         raise PendingDepartureError(
             "cycle rewards need resolved departures inside the cycles"
         )
-    return CycleRewards(holding, response, count, cost_weight)
+    return CycleRewards(holding, response, count)
 
 
 class CycleTotals(NamedTuple):

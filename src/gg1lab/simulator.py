@@ -71,6 +71,8 @@ class PendingDepartureError(RuntimeError):
 
 
 def _normalise_discipline(name: str) -> int:
+    if not isinstance(name, str):
+        raise ValueError(f"discipline must be a string, one of {DISCIPLINES}; got {name!r}")
     key = name.strip().lower()
     if key == "fcfs":
         return 0

@@ -5,8 +5,9 @@ each cycle's busy end up by time among the emptying events, and
 difference of two running ``np.cumsum`` totals after ``searchsorted``
 lookups into the path and the arrivals.  Also the renewal record and
 pooled ratios that ``gg1lab.acceptance`` built by hand for criterion 8
-before ``renewal.pooled_averages``.  Kept verbatim as the oracle of
-``test_renewal.py``.
+before ``renewal.pooled_averages``.  Kept as the oracle of
+``test_renewal.py``, less the leading and trailing fragments and the
+cost weight, which no caller read.
 """
 
 from __future__ import annotations
@@ -22,43 +23,24 @@ def detect_cycles(path: Trajectory) -> RenewalCycles:
     """Split a trajectory into renewal cycles.
 
     Renewal points are the event times where the queue length steps
-    from 0 to 1.  The stretch before the first renewal point (which may
-    be a partial busy period, pure idle, or the whole window) becomes
-    the leading fragment; the stretch after the last one becomes the
-    trailing fragment unless a further renewal closes it.
+    from 0 to 1; fewer than two of them give no cycle.
     """
     times = path.times
     counts = path.counts
     prev = np.concatenate(([path.initial_count], counts[:-1]))
     renewal = times[(counts == 1) & (prev == 0)]
     if len(renewal) < 2:
-        lead = (path.initial_time, path.final_time) if len(renewal) == 0 else (path.initial_time, renewal[0])
-        trail = None if len(renewal) == 0 else (renewal[0], path.final_time)
-        return RenewalCycles(
-            np.empty(0), np.empty(0), np.empty(0),
-            leading_fragment=None if lead[0] == lead[1] else lead,
-            trailing_fragment=trail,
-        )
+        return RenewalCycles(np.empty(0), np.empty(0), np.empty(0))
     starts = renewal[:-1]
     ends = renewal[1:]
     # Busy period of each cycle ends at the first return to an empty
     # system after its opening renewal point.
     empty_times = times[counts == 0]
     busy_end = empty_times[np.searchsorted(empty_times, starts, side="left")]
-    lead = (path.initial_time, renewal[0])
-    return RenewalCycles(
-        starts, busy_end, ends,
-        leading_fragment=None if lead[0] == lead[1] else lead,
-        trailing_fragment=(renewal[-1], path.final_time),
-    )
+    return RenewalCycles(starts, busy_end, ends)
 
 
-def cycle_rewards(
-    cycles: RenewalCycles,
-    path: Trajectory,
-    ledger: CustomerLedger,
-    cost_weight: float = 1.0,
-) -> CycleRewards:
+def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedger) -> CycleRewards:
     """Tally holding cost, response cost, and arrival count per cycle.
 
     Holding comes from the trajectory, response from the ledger, so the
@@ -66,7 +48,7 @@ def cycle_rewards(
     """
     n = len(cycles)
     if n == 0:
-        return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int), cost_weight)
+        return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int))
     bounds, levels = path.segments()
     cum = np.concatenate(([0.0], np.cumsum(levels * np.diff(bounds))))
 
@@ -75,7 +57,7 @@ def cycle_rewards(
         i = np.clip(i, 0, len(levels) - 1)
         return cum[i] + levels[i] * (t - bounds[i])
 
-    holding = cost_weight * (integral_at(cycles.cycle_end) - integral_at(cycles.busy_start))
+    holding = integral_at(cycles.cycle_end) - integral_at(cycles.busy_start)
 
     arr = ledger.arrival_time
     dep = ledger.departure_time
@@ -89,8 +71,8 @@ def cycle_rewards(
     lo = np.searchsorted(arr, cycles.busy_start, side="left")
     hi = np.searchsorted(arr, cycles.cycle_end, side="left")
     sojourn_cum = np.concatenate(([0.0], np.cumsum(dep - arr)))
-    response = cost_weight * (sojourn_cum[hi] - sojourn_cum[lo])
-    return CycleRewards(holding, response, hi - lo, cost_weight)
+    response = sojourn_cum[hi] - sojourn_cum[lo]
+    return CycleRewards(holding, response, hi - lo)
 
 
 def theorem_renewal_record(cycles: RenewalCycles, rewards: CycleRewards) -> dict:

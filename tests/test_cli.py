@@ -79,28 +79,64 @@ def test_sweep_overrides(tmp_path):
     assert echoed["horizon"] == 300.0
 
 
+SWEEP_CFG = {
+    "arrival": {"kind": "exponential", "params": [0.4]},
+    "service_shape": {"kind": "exponential", "params": [1.0]},
+    "rate_grid": [0.6, 0.9, 1.3],
+    "seeds": [1, 2],
+    "horizon": 800.0,
+}
+
+
 @pytest.mark.parametrize("penalty", [
     {"penalty_k0": float("nan")},
     {"penalty_k0": 0.1, "penalty_k1": -1e4},
 ])
 def test_sweep_rejects_a_bad_penalty_before_any_output(tmp_path, capsys, penalty):
     # NaN printed a NaN minimiser and exited 0; the overflow gave a traceback
-    cfg = {
-        "arrival": {"kind": "exponential", "params": [0.4]},
-        "service_shape": {"kind": "exponential", "params": [1.0]},
-        "rate_grid": [0.6, 0.9, 1.3],
-        "seeds": [1, 2],
-        "horizon": 800.0,
-        **penalty,
-    }
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps(cfg))
+    cfg_file.write_text(json.dumps({**SWEEP_CFG, **penalty}))
     out_dir = tmp_path / "out"
     rc = main(["sweep", "--config", str(cfg_file), "--out", str(out_dir)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "penalty" in err["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"discipline": 3},
+    {"cost_weight": "1"},
+    {"penalty_k0": "0.1"},
+    {"seeds": [1.5, 2.7]},
+    {"rate_grid": [0.6, float("nan")]},
+    {"penalty_kO": 5.0},
+])
+def test_sweep_rejects_a_bad_config_value_before_any_output(tmp_path, capsys, change):
+    # a traceback, a silent substitute (seeds 1 and 2), or a misspelt key ignored
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**SWEEP_CFG, **change}))
+    out_dir = tmp_path / "out"
+    rc = main(["sweep", "--config", str(cfg_file), "--out", str(out_dir)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["arrival_rate", "cost_weight", "penalty"])
+def test_mdp_solve_rejects_a_value_that_is_not_a_number(tmp_path, capsys, key):
+    with open(os.path.join(CONFIGS, "mdp_demo.json")) as fh:
+        cfg = json.load(fh)
+    cfg[key] = ["0.1", "-8.0"] if key == "penalty" else "0.1"
+    cfg_file = tmp_path / "mdp.json"
+    cfg_file.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    rc = main(["mdp", "solve", "--config", str(cfg_file), "--out", str(out_dir)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "real numbers" in err["message"]
     assert not out_dir.exists()
 
 

@@ -71,12 +71,29 @@ def test_config_rejects_window_that_is_not_finite(window):
     # exp(-k1 * mu) overflows at mu = 0.8 and 1.2 but not at 0.6
     ({"penalty_k0": 0.1, "penalty_k1": -1000.0}, "not a finite double at mu=0.8"),
     ({"penalty_k0": 1e308, "penalty_k1": -5.0}, "not a finite double at mu=0.6"),
+    ({"discipline": 3}, "discipline must be a string"),
+    ({"cost_weight": "1"}, "cost weight must be finite and nonnegative"),
+    ({"penalty_k0": "0.1"}, "penalty_k0 must be a real number"),
+    ({"horizon": None}, "horizon must be a real number"),
+    ({"seeds": (1.5, 2.7)}, "seeds must be integers"),
+    ({"seeds": ("1", 2)}, "seeds must be integers"),
+    ({"rate_grid": (0.15, float("nan"))}, "rates must be finite and positive"),
+    ({"rate_grid": (0.15, "0.2")}, "rates must be finite and positive"),
 ])
 def test_config_rejects_what_a_sweep_cannot_use(overrides, match):
     # these were caught by the first simulate or compute_report, or not
-    # at all: a NaN penalty gave NaN surfaces, an overflow a traceback
+    # at all: a NaN penalty gave NaN surfaces, an overflow a traceback,
+    # seeds 1.5 and 2.7 ran as 1 and 2, and a NaN rate blamed the penalty
     with pytest.raises(ValueError, match=match):
         small_config(**overrides)
+
+
+def test_config_keeps_integral_seeds_and_rejects_unknown_keys():
+    assert small_config(seeds=(1.0, np.int64(2), 3)).seeds == (1, 2, 3)
+    data = small_config().to_dict()
+    with pytest.raises(ValueError, match=r"unknown config keys \['penalty_kO'\]"):
+        ExperimentConfig.from_dict({**data, "penalty_kO": 5.0})
+    assert ExperimentConfig.from_dict(data) == small_config()
 
 
 def test_service_rescaling_preserves_family():

@@ -150,6 +150,18 @@ def test_instance_rejects_nonfinite_and_nonintegral_inputs(kwargs, match):
         build_instance(**args)
 
 
+@pytest.mark.parametrize("key", ["arrival_rate", "cost_weight", "penalty"])
+def test_instance_rejects_values_that_are_not_real_numbers(key):
+    # each gave a TypeError from np.isfinite, and a traceback in the CLI
+    data = build_instance(0.1, [0.15, 0.4], 20, penalty=(0.1, -8.0)).to_dict()
+    bad = ["0.1", "-8.0"] if key == "penalty" else "0.1"
+    with pytest.raises(ValueError, match="must be real numbers"):
+        MdpInstance.from_dict({**data, key: bad})
+    # a solve config's method and tol are not the instance's, and stay ignored
+    inst = MdpInstance.from_dict({**data, "method": "policy-iteration", "tol": 1e-10})
+    assert inst.to_dict() == data
+
+
 def test_instance_state_count_must_be_integral():
     data = build_instance(0.5, [0.8, 1.2], 20).to_dict()
     with pytest.raises(ValueError, match="integer"):

@@ -1,7 +1,15 @@
 """Every public top-level function and class in ``src/gg1lab``, and every
 public method and property of a public class, has a caller outside the
-tests, or (for top-level names) is part of the package's exported API,
-so code that only the tests use does not collect in the library."""
+tests, or (for top-level names) is part of the package's exported API;
+and every public field of a public dataclass or NamedTuple has a reader
+outside the tests.  So code and state that only the tests use do not
+collect in the library.
+
+Callers and readers are found by name, not by type: an attribute of
+the same name on another object counts.  A ``cdf`` method read only by
+the tests passed because scipy distributions have a ``cdf`` that the
+library calls, and a ``to_dict`` or a ``cost_weight`` field because
+other classes have one.  What the guard passes may still be dead."""
 
 import ast
 import pathlib
@@ -47,6 +55,48 @@ def _public_definitions(path):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield f"{path.stem}.{node.name}.{item.name}", False
+
+
+def _read_attributes(tree) -> set[str]:
+    """Attribute reads and string constants (``getattr`` by name) anywhere
+    in a module; a keyword argument or an assignment is no reader."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A class decorated with ``dataclass`` or derived from ``NamedTuple``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases))
+
+
+def _public_fields(path):
+    """(qualified name, read through asdict) for each public field of a
+    public dataclass or NamedTuple of a module; a class whose body calls
+    ``asdict`` reads all its fields."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_record(node):
+            as_dict = any(isinstance(n, ast.Name) and n.id == "asdict" for n in ast.walk(node))
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")):
+                    yield f"{path.stem}.{node.name}.{item.target.id}", as_dict
+
+
+def test_public_fields_have_a_library_reader():
+    read = set()
+    for path in CALLERS:
+        read |= _read_attributes(ast.parse(path.read_text()))
+    fields = [f for path in PACKAGE for f in _public_fields(path)]
+    assert len(fields) > 50 and any(as_dict for _, as_dict in fields)
+    unread = [q for q, as_dict in fields if q.rsplit(".", 1)[1] not in read and not as_dict]
+    assert not unread, f"read only by tests: {unread}"
 
 
 def test_public_definitions_have_a_library_caller_or_are_exported():
