@@ -28,7 +28,6 @@ from .renewal import RenewalCycles, cycle_rewards, detect_cycles
 from .simulator import (
     CustomerLedger,
     EventCapExceeded,
-    PendingDepartureError,
     Trajectory,
     fcfs_departure_times,
     lindley_fcfs,
@@ -42,7 +41,6 @@ __all__ = [
     "DistributionSpec",
     "EventCapExceeded",
     "MetricsReport",
-    "PendingDepartureError",
     "RenewalCycles",
     "Trajectory",
     "actual_response",

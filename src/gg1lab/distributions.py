@@ -10,6 +10,7 @@ numpy Generator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,8 +38,9 @@ class DistributionSpec:
         gamma:         (shape, scale)     both > 0
         lognormal:     (log_mean, log_sigma)   log_sigma > 0
 
-    Every kind also needs a mean and a second moment that are finite
-    doubles > 0, so that rates, loads and variances are defined.
+    params is a tuple or list of real numbers.  Every kind also needs a
+    mean and a second moment that are finite doubles > 0, so that rates,
+    loads and variances are defined.
 
     Use the module-level constructors (``exponential``, ``uniform``, ...)
     rather than instantiating directly; validation happens either way.
@@ -50,6 +52,9 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; expected one of {KINDS}")
+        if not (isinstance(self.params, (list, tuple))
+                and all(isinstance(p, numbers.Real) for p in self.params)):
+            raise ValueError(f"{self.kind} params must be a list of real numbers, got {self.params!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         names = _PARAM_NAMES[self.kind]
         if len(self.params) != len(names):
@@ -214,7 +219,7 @@ class DistributionSpec:
             kind, params = data["kind"], data["params"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"distribution object needs 'kind' and 'params': {data!r}") from exc
-        return cls(kind, tuple(params))
+        return cls(kind, params)
 
 
 @lru_cache(maxsize=128)

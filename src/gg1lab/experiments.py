@@ -48,9 +48,9 @@ class ExperimentConfig:
 
     service_shape fixes the service distribution family; at each grid
     rate the shape is rescaled to mean 1/rate, so the grid sweeps the
-    rate without changing the family's variability profile.  Rates must
-    be finite real numbers, seeds integers, and the other numbers real;
-    a value that is not raises ValueError.
+    rate without changing the family's variability profile.  The rate
+    grid and the seeds are lists of finite real numbers and of integers,
+    and the other numbers real; a value that is not raises ValueError.
     """
 
     arrival: DistributionSpec
@@ -66,6 +66,9 @@ class ExperimentConfig:
     version: int = CONFIG_VERSION
 
     def __post_init__(self):
+        for name in ("rate_grid", "seeds"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         if not all(isinstance(r, numbers.Real) and math.isfinite(r) and r > 0
                    for r in self.rate_grid):
             raise ValueError(f"rates must be finite and positive, got {list(self.rate_grid)!r}")

@@ -18,7 +18,7 @@ import numpy as np
 from .artifacts import write_csv
 from .distributions import DistributionSpec
 from .metrics import exact_sum
-from .simulator import CustomerLedger, PendingDepartureError, Trajectory
+from .simulator import DEFAULT_EVENT_CAP, CustomerLedger, Trajectory
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,9 @@ class InspectionSamples:
 
 def poisson_epochs(window: tuple[float, float], rate: float, rng) -> np.ndarray:
     """Sorted epochs of a Poisson stream over the window, independent of
-    the queue being inspected.  The rate must be finite and > 0, and
-    the window ends finite."""
+    the queue being inspected.  The rate must be finite and > 0, the
+    window ends finite, and the expected count rate * length no more
+    than the event cap a simulation takes by default."""
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"epoch rate must be finite and > 0, got {rate}")
     t0, t1 = window
@@ -67,6 +68,9 @@ def poisson_epochs(window: tuple[float, float], rate: float, rng) -> np.ndarray:
         raise ValueError(f"window {window} must have finite ends")
     if t1 <= t0:
         raise ValueError(f"window {window} has nonpositive length")
+    if not rate * (t1 - t0) <= DEFAULT_EVENT_CAP:
+        raise ValueError(f"expected epoch count rate * length = {rate * (t1 - t0):g} exceeds "
+                         f"the default event cap {DEFAULT_EVENT_CAP:g}")
     rng = np.random.default_rng(rng)
     n = int(rng.poisson(rate * (t1 - t0)))
     return np.sort(rng.uniform(t0, t1, n))
@@ -84,22 +88,14 @@ def sample_inspections(ledger: CustomerLedger, path: Trajectory, epochs) -> Insp
         raise ValueError(
             f"epochs must lie within the window [{path.initial_time}, {path.final_time}]"
         )
-    started = ~np.isnan(ledger.service_start)
-    starts = ledger.service_start[started]
-    deps = ledger.departure_time[started]
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    deps = deps[order]
+    order = np.argsort(ledger.service_start, kind="stable")
+    starts = ledger.service_start[order]
+    deps = ledger.departure_time[order]
 
     idx = np.searchsorted(starts, epochs, side="right") - 1
     valid = idx >= 0
     safe = np.maximum(idx, 0)
     dep_at = deps[safe]
-    if np.any(valid & np.isnan(dep_at) & (epochs >= starts[safe])):
-        raise PendingDepartureError(
-            "an inspection epoch falls inside a service with unresolved departure; "
-            "rerun the simulation with resolve_pending=True"
-        )
     busy = valid & (epochs < dep_at)
     age = np.where(busy, epochs - starts[safe], np.nan)
     residual = np.where(busy, dep_at - epochs, np.nan)

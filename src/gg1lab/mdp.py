@@ -53,9 +53,10 @@ _NONE = np.empty(0, dtype=np.intp)
 class MdpInstance:
     """Uniformised service-rate-control MDP on states {0..N}.
 
-    The arrival rate, cost weight and penalty coefficients must be real
-    numbers; ``from_dict`` ignores keys it does not read, such as the
-    ``method`` and ``tol`` that a solve config carries."""
+    The service rates, arrival rate, cost weight and the pair of penalty
+    coefficients must be real numbers; ``from_dict`` ignores keys it
+    does not read, such as the ``method`` and ``tol`` that a solve
+    config carries."""
 
     arrival_rate: float
     action_grid: np.ndarray
@@ -64,7 +65,10 @@ class MdpInstance:
     penalty: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        grid = np.asarray(self.action_grid, dtype=float)
+        grid = np.asarray(self.action_grid)
+        if grid.dtype.kind not in "iuf":
+            raise ValueError(f"service rates must be real numbers, got {self.action_grid!r}")
+        grid = grid.astype(float)
         if grid.size == 0:
             raise ValueError("action grid must be nonempty")
         if not np.all(np.isfinite(grid)):
@@ -74,10 +78,12 @@ class MdpInstance:
         if np.any(grid <= 0):
             raise ValueError("service rates must be positive")
         object.__setattr__(self, "action_grid", grid)
-        if not all(isinstance(v, numbers.Real)
-                   for v in (self.arrival_rate, self.cost_weight, *self.penalty)):
+        if not (isinstance(self.penalty, (list, tuple)) and len(self.penalty) == 2
+                and all(isinstance(v, numbers.Real)
+                        for v in (self.arrival_rate, self.cost_weight, *self.penalty))):
             raise ValueError(f"arrival rate, cost weight and penalty must be real numbers, got "
                              f"{self.arrival_rate!r}, {self.cost_weight!r}, {self.penalty!r}")
+        object.__setattr__(self, "penalty", tuple(self.penalty))
         if not (np.isfinite(self.arrival_rate) and self.arrival_rate >= 0):
             raise ValueError(f"arrival rate must be finite and nonnegative, got {self.arrival_rate}")
         n = self.n_states
@@ -144,20 +150,20 @@ class MdpInstance:
     def from_dict(cls, data: dict) -> "MdpInstance":
         return cls(
             arrival_rate=data["arrival_rate"],
-            action_grid=np.asarray(data["action_grid"], dtype=float),
+            action_grid=data["action_grid"],
             n_states=data["n_states"],
             cost_weight=data.get("cost_weight", 1.0),
-            penalty=tuple(data.get("penalty", (0.0, 0.0))),
+            penalty=data.get("penalty", (0.0, 0.0)),
         )
 
 
 def build_instance(arrival_rate, mu_grid, n_states, cost_weight=1.0, penalty=None) -> MdpInstance:
     return MdpInstance(
         arrival_rate=arrival_rate,
-        action_grid=np.asarray(mu_grid, dtype=float),
+        action_grid=mu_grid,
         n_states=n_states,
         cost_weight=cost_weight,
-        penalty=(0.0, 0.0) if penalty is None else (float(penalty[0]), float(penalty[1])),
+        penalty=(0.0, 0.0) if penalty is None else penalty,
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .simulator import CustomerLedger, PendingDepartureError, Trajectory
+from .simulator import CustomerLedger, Trajectory
 
 # exact_sum's layout: frexp exponents of finite doubles run from -1073
 # (the smallest subnormal, 0.5 * 2**-1073) to 1024, one bin each
@@ -123,7 +123,7 @@ def observed_response(ledger: CustomerLedger, cost_weight: float) -> float:
     """Window-clipped in-system time, summed over the window population.
 
     Customers still present at the window close contribute up to the
-    close only, so this never needs resolved departures.
+    close only; the rest of their sojourn is in ``actual_response``.
     """
     sel = ledger.in_window_mask()
     return _observed_total(ledger.arrival_time[sel], ledger.departure_time[sel],
@@ -131,7 +131,6 @@ def observed_response(ledger: CustomerLedger, cost_weight: float) -> float:
 
 
 def _observed_total(arr, dep, window, cost_weight) -> float:
-    dep = np.where(np.isnan(dep), np.inf, dep)
     clipped = np.minimum(dep, window[1]) - np.maximum(arr, window[0])
     return cost_weight * exact_sum(clipped)
 
@@ -140,8 +139,8 @@ def actual_response(ledger: CustomerLedger, cost_weight: float) -> tuple[float, 
     """(full-sojourn total, pre-window slice, post-window slice).
 
     The full sojourn of every window customer, plus its split into the
-    parts falling before the window opened and after it closed.  Raises
-    PendingDepartureError when departures were left unresolved.
+    parts falling before the window opened and after it closed.  The
+    sojourns end at the departures that ``simulate``'s drain resolves.
     """
     sel = ledger.in_window_mask()
     return _actual_totals(ledger, ledger.arrival_time[sel], ledger.departure_time[sel], cost_weight)
@@ -149,10 +148,6 @@ def actual_response(ledger: CustomerLedger, cost_weight: float) -> tuple[float, 
 
 def _actual_totals(ledger, arr, dep, cost_weight) -> tuple[float, float, float]:
     t_initial, t_final = ledger.window
-    if np.isnan(dep).any():
-        raise PendingDepartureError(
-            "actual response requires resolved departures; rerun with resolve_pending=True"
-        )
     total = cost_weight * exact_sum(dep - arr)
     initial = cost_weight * exact_sum(t_initial - ledger.arrival_time[ledger.pre_window])
     final = cost_weight * exact_sum(dep[dep > t_final] - t_final)

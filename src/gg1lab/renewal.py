@@ -30,7 +30,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .metrics import exact_sum
-from .simulator import CustomerLedger, PendingDepartureError, Trajectory
+from .simulator import CustomerLedger, Trajectory
 
 
 @dataclass(frozen=True)
@@ -191,12 +191,6 @@ def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedge
         raise ValueError("a cycle has no arrival in this ledger")
     sojourns = dep[lo[0]:lo[-1]] - arr[lo[0]:lo[-1]]
     response = np.add.reduceat(sojourns, lo[:-1] - lo[0])
-    if np.isnan(response).any():
-        # cannot happen for cycles detected on this path: anyone arriving
-        # inside a complete cycle also departs inside it
-        raise PendingDepartureError(
-            "cycle rewards need resolved departures inside the cycles"
-        )
     return CycleRewards(holding, response, count)
 
 

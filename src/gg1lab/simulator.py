@@ -23,10 +23,10 @@ rejects.
 
 The observation window is [warmup, warmup + horizon].  The system
 starts empty at time zero; customers present when the window opens are
-flagged ``pre_window``.  Customers still in the system when the window
-closes are by default resolved by continuing the simulation (those
-later events never extend the recorded path).  ``restrict`` takes a
-shorter window of a run.
+flagged ``pre_window``.  Every run drains: it continues past the
+window end until each customer that arrived by then has departed (those
+later events never extend the recorded path), or raises
+``EventCapExceeded``.  ``restrict`` takes a shorter window of a run.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ _FIRST_CHUNK = 256
 # gain
 _PARALLEL_MIN = 2048
 
+# the events a run may process unless told otherwise
+DEFAULT_EVENT_CAP = 100_000_000
+
 
 class EventCapExceeded(RuntimeError):
     """Raised when a run would exceed its event budget.
@@ -64,10 +67,6 @@ class EventCapExceeded(RuntimeError):
         self.events = events
         self.time_reached = time_reached
         self.queue_length = queue_length
-
-
-class PendingDepartureError(RuntimeError):
-    """A computation needed departure times that were never resolved."""
 
 
 def _normalise_discipline(name: str) -> int:
@@ -87,9 +86,9 @@ def _normalise_discipline(name: str) -> int:
 class CustomerLedger:
     """Columnar per-customer ledger for every arrival up to the window end.
 
-    Times are nan where the corresponding event never happened (service
-    never started, or departure unresolved).  Rows are in arrival order
-    and include warmup-era customers; ``in_window_mask`` selects the
+    Every row has its service start, duration and departure, those
+    after the window end included.  Rows are in arrival order and
+    include warmup-era customers; ``in_window_mask`` selects the
     population the window functionals are defined over.
     """
 
@@ -169,10 +168,10 @@ class Trajectory:
 
     def restrict(self, t_final: float) -> "Trajectory":
         """The same run observed over [initial_time, t_final]: the events
-        at or before ``t_final``, as views.  For a run that resolved its
-        pending customers (the ``simulate`` default) this path and the
-        ledger's ``restrict`` are, bit for bit, those of a fresh
-        ``simulate`` on the same seed whose window ends at ``t_final``."""
+        at or before ``t_final``, as views.  For a ``simulate`` run this
+        path and the ledger's ``restrict`` are, bit for bit, those of a
+        fresh ``simulate`` on the same seed whose window ends at
+        ``t_final``."""
         if not (self.initial_time <= t_final <= self.final_time):
             raise ValueError(
                 f"t_final={t_final} outside window [{self.initial_time}, {self.final_time}]"
@@ -197,10 +196,13 @@ def simulate(
     horizon: float = 1000.0,
     seed: int = 0,
     *,
-    resolve_pending: bool = True,
-    event_cap: int = 100_000_000,
+    event_cap: int = DEFAULT_EVENT_CAP,
 ) -> tuple[Trajectory, CustomerLedger]:
     """Simulate the queue and return its path and per-customer ledger.
+
+    Every run drains: it continues past the window end until each
+    customer that arrived by then has departed, or raises
+    EventCapExceeded once it would process more than ``event_cap`` events.
 
     Args:
         arrival: inter-arrival duration distribution.
@@ -210,8 +212,6 @@ def simulate(
         horizon: window length; the window is [warmup, warmup + horizon].
         seed: master seed; arrival, service and discipline draws come
             from independent substreams spawned from it.
-        resolve_pending: continue past the window end until every
-            customer that arrived inside it has departed.
         event_cap: hard bound on processed events (arrivals plus
             departures, in time order).
 
@@ -219,18 +219,20 @@ def simulate(
     broken arrival-first.
 
     Service slots are computed a chunk at a time until every slot the
-    run needs is known: those of the window's arrivals, plus, when
-    ``resolve_pending`` holds under LCFS or random order, the drain
-    slots up to the departure of the last window customer.  A chunk of
-    ``_PARALLEL_MIN`` slots or more is computed a busy period at a
-    time (guessed starts, NumPy sums, an exact check of every start,
-    the scalar loop from the first wrong guess on); shorter ones, such
-    as the first chunks and the drain's, by the scalar loop.  Both give
-    the same bits.  Arrivals after the window end take slots and service
-    draws but get no ledger row: a slot's customer is kept only when
-    its index is below the window's arrival count.
-    The event cap is checked after every chunk, so a run stops within
-    one chunk of reaching it.
+    run needs is known: those of the window's arrivals, plus, under
+    LCFS or random order, the drain slots up to the departure of the
+    last window customer.  A chunk of ``_PARALLEL_MIN`` slots or more
+    is computed a busy period at a time (guessed starts, NumPy sums, an
+    exact check of every start, the scalar loop from the first wrong
+    guess on); shorter ones, such as the first chunks and the drain's,
+    by the scalar loop.  Both give the same bits.  Arrivals after the
+    window end take slots and service draws but get no ledger row: a
+    slot's customer is kept only when its index is below the window's
+    arrival count.  The event cap is checked after every chunk, so a run
+    stops within one chunk of reaching it.  A chunk draws the arrivals
+    up to its last departure, but stops once more epochs are drawn than
+    the cap allows, so a dense arrival stream cannot outgrow memory
+    first.
     """
     if not warmup >= 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
@@ -264,15 +266,10 @@ def simulate(
 
     arrivals.ensure_count(1)
     n_window = arrivals.passed(t_final)  # arrivals up to t_final, once known
-    while True:
-        if n_window is not None and (
-            assigned == n_window if queue is not None and resolve_pending else k >= n_window
-        ):
-            break
+    while n_window is None or (k if queue is None else assigned) < n_window:
         if k:
-            # unfinished, so every event up to the frontier is processed
-            frontier = dep if resolve_pending else min(dep, t_final)
-            seen = arrivals.count_upto(frontier) + _count_upto(tail[1], frontier) + tail[0]
+            # unfinished, so every event up to slot k - 1's departure is processed
+            seen = arrivals.count_upto(dep) + _count_upto(tail[1], dep) + tail[0]
             if seen > cap_index:
                 raise _cap_exceeded(event_cap, cap_index, arrivals, *tail)
         drain = n_window is not None and k >= n_window
@@ -297,7 +294,11 @@ def simulate(
             departures.extend(d)
             durations.extend(s)
             tail = (0, departures.values)
-        arrivals.ensure_past(d[-1])
+        # stopped short of d[-1], the stream holds more epochs than the cap
+        # allows, all before d[-1]: a run that reaches the last of them
+        # fails the cap checks below, and one that ends before it reads
+        # no arrival after it
+        arrivals.ensure_past(d[-1], cap_index)
         if n_window is None:
             n_window = arrivals.passed(t_final)
         if queue is not None:
@@ -322,12 +323,7 @@ def simulate(
     if queue is None:
         last_slot = n_window - 1
         last_dep = float(D[last_slot]) if n_window else -math.inf
-    if resolve_pending:
-        processed = int(arrivals.count_upto(max(t_final, last_dep))) + last_slot + 1
-        served = min(last_slot + 1, len(D))
-    else:
-        processed = n_window + _count_upto(D, t_final)
-        served = n_window
+    processed = int(arrivals.count_upto(max(t_final, last_dep))) + last_slot + 1
     if processed > cap_index:
         raise _cap_exceeded(event_cap, cap_index, arrivals, *tail)
 
@@ -343,15 +339,10 @@ def simulate(
         counts=counts,
     )
 
-    # the kept slots that started: all up to the last window customer's,
-    # or without the drain those starting by the window end
+    # the kept slots up to the last window customer's
+    served = min(last_slot + 1, len(D))
     starts = np.maximum(_previous_departures(-math.inf, D[:served]), A[:served])
-    if not resolve_pending:
-        served = _count_upto(starts, t_final)
-        starts = starts[:served]
     finish = D[:served]
-    if not resolve_pending:
-        finish = np.where(finish <= t_final, finish, math.nan)
     spans = durations.values[:served]
     start_a = np.full(n_window, math.nan)
     dur_a = np.full(n_window, math.nan)
@@ -371,7 +362,7 @@ def simulate(
         for chunk in late:
             place(*chunk)
     arr_a = A[:n_window].copy()
-    pre = (arr_a < t_initial) & (np.isnan(dep_a) | (dep_a >= t_initial))
+    pre = (arr_a < t_initial) & (dep_a >= t_initial)
     ledger = CustomerLedger(
         arrival_time=arr_a,
         service_start=start_a,
@@ -476,8 +467,10 @@ class _Arrivals:
         while self.end < n:
             self._grow()
 
-    def ensure_past(self, t: float) -> None:
-        while self.last <= t:
+    def ensure_past(self, t: float, limit: int) -> None:
+        """Draw until an epoch lies past ``t``, or until more than
+        ``limit`` are drawn."""
+        while self.last <= t and self.end <= limit:
             self._grow()
 
     def between(self, lo: int, hi: int) -> np.ndarray:

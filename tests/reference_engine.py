@@ -42,7 +42,6 @@ def simulate(
     horizon: float = 1000.0,
     seed: int = 0,
     *,
-    resolve_pending: bool = True,
     event_cap: int = 100_000_000,
 ) -> tuple[Trajectory, CustomerLedger]:
     """Simulate the queue and return its path and per-customer ledger.
@@ -55,9 +54,10 @@ def simulate(
         horizon: window length; the window is [warmup, warmup + horizon].
         seed: master seed; arrival, service and discipline draws come
             from independent substreams spawned from it.
-        resolve_pending: continue past the window end until every
-            customer that arrived inside it has departed.
         event_cap: hard bound on processed events.
+
+    The run continues past the window end until every customer that
+    arrived by then has departed.
 
     Ties between an arrival and a departure at the same instant are
     broken arrival-first.
@@ -109,7 +109,7 @@ def simulate(
         else:
             t = t_dep
             is_arrival = False
-        if t > t_final and (pending == 0 or not resolve_pending):
+        if t > t_final and pending == 0:
             break
         events += 1
         if events > event_cap:
@@ -207,7 +207,7 @@ def simulate(
     start_a = np.asarray(col_start[:keep], dtype=float)
     dur_a = np.asarray(col_dur[:keep], dtype=float)
     dep_a = np.asarray(col_dep[:keep], dtype=float)
-    pre = (arr_a < t_initial) & (np.isnan(dep_a) | (dep_a >= t_initial))
+    pre = (arr_a < t_initial) & (dep_a >= t_initial)
     ledger = CustomerLedger(
         arrival_time=arr_a,
         service_start=start_a,

@@ -16,7 +16,7 @@ import numpy as np
 
 from gg1lab import metrics
 from gg1lab.renewal import CycleRewards, RenewalCycles
-from gg1lab.simulator import CustomerLedger, PendingDepartureError, Trajectory
+from gg1lab.simulator import CustomerLedger, Trajectory
 
 
 def detect_cycles(path: Trajectory) -> RenewalCycles:
@@ -61,13 +61,6 @@ def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedge
 
     arr = ledger.arrival_time
     dep = ledger.departure_time
-    unresolved = np.isnan(dep)
-    if unresolved.any() and arr[unresolved].min() < cycles.cycle_end[-1]:
-        # cannot happen for cycles detected on this path: anyone arriving
-        # inside a complete cycle also departs inside it
-        raise PendingDepartureError(
-            "cycle rewards need resolved departures inside the cycles"
-        )
     lo = np.searchsorted(arr, cycles.busy_start, side="left")
     hi = np.searchsorted(arr, cycles.cycle_end, side="left")
     sojourn_cum = np.concatenate(([0.0], np.cumsum(dep - arr)))

@@ -163,7 +163,7 @@ def test_random_chunks_match_the_loop(seed, n, rho, opening):
 @pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random-order"])
 def test_long_runs_reach_the_kernel_and_match_reference(discipline, calls):
     # about 40k and 30k customers at rho 0.85 and 0.95: full
-    # 16,384-slot chunks, the second run without the drain
+    # 16,384-slot chunks
     assert_same_run(
         exponential(1.0), gamma(0.6, 1.0).with_mean(0.85), discipline=discipline,
         warmup=30.0, horizon=40_000.0, seed=17,
@@ -172,6 +172,6 @@ def test_long_runs_reach_the_kernel_and_match_reference(discipline, calls):
     rounds = calls["rounds"]
     assert_same_run(
         uniform(0.5, 1.5), exponential(1.0 / 0.95), discipline=discipline,
-        warmup=0.0, horizon=30_000.0, seed=18, resolve_pending=False,
+        warmup=0.0, horizon=30_000.0, seed=18,
     )
     assert calls["rounds"] > rounds

@@ -112,6 +112,11 @@ def test_sweep_rejects_a_bad_penalty_before_any_output(tmp_path, capsys, penalty
     {"seeds": [1.5, 2.7]},
     {"rate_grid": [0.6, float("nan")]},
     {"penalty_kO": 5.0},
+    {"rate_grid": 0.5},
+    {"seeds": 3},
+    {"arrival": {"kind": "exponential", "params": 0.4}},
+    {"arrival": {"kind": "exponential", "params": [None]}},
+    {"arrival": {"kind": "exponential", "params": ["0.4"]}},
 ])
 def test_sweep_rejects_a_bad_config_value_before_any_output(tmp_path, capsys, change):
     # a traceback, a silent substitute (seeds 1 and 2), or a misspelt key ignored
@@ -125,11 +130,11 @@ def test_sweep_rejects_a_bad_config_value_before_any_output(tmp_path, capsys, ch
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("key", ["arrival_rate", "cost_weight", "penalty"])
+@pytest.mark.parametrize("key", ["arrival_rate", "cost_weight", "penalty", "action_grid"])
 def test_mdp_solve_rejects_a_value_that_is_not_a_number(tmp_path, capsys, key):
     with open(os.path.join(CONFIGS, "mdp_demo.json")) as fh:
         cfg = json.load(fh)
-    cfg[key] = ["0.1", "-8.0"] if key == "penalty" else "0.1"
+    cfg[key] = {"penalty": ["0.1", "-8.0"], "action_grid": ["0.15", "0.4"]}.get(key, "0.1")
     cfg_file = tmp_path / "mdp.json"
     cfg_file.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
@@ -153,6 +158,18 @@ def test_inspect_rejects_a_bad_epoch_rate_before_simulating(tmp_path, capsys, mo
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError",
                    "message": f"epoch rate must be finite and > 0, got {float(rate)}"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_inspect_rejects_an_epoch_count_above_the_event_cap(tmp_path, capsys):
+    # 1e10 expected epochs asked for 74.5 GiB and ended in a MemoryError
+    start = time.perf_counter()
+    rc = main(["inspect", "--arrival", "exponential:0.5", "--service", "exponential:1",
+               "--horizon", "10", "--epoch-rate", "1e9", "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "event cap" in err["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -179,6 +179,10 @@ def test_validation_errors():
         DistributionSpec(kind="weibull", params=(1.0,))
     with pytest.raises(ValueError):
         DistributionSpec(kind="exponential", params=(1.0, 2.0))
+    # a TypeError, a TypeError, and a str taken as 0.4
+    for params in (0.4, [None], ["0.4"]):
+        with pytest.raises(ValueError, match="list of real numbers"):
+            DistributionSpec.from_dict({"kind": "exponential", "params": params})
 
 
 BAD_MOMENTS = [

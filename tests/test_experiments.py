@@ -79,6 +79,8 @@ def test_config_rejects_window_that_is_not_finite(window):
     ({"seeds": ("1", 2)}, "seeds must be integers"),
     ({"rate_grid": (0.15, float("nan"))}, "rates must be finite and positive"),
     ({"rate_grid": (0.15, "0.2")}, "rates must be finite and positive"),
+    ({"rate_grid": 0.5}, "rate_grid must be a list"),
+    ({"seeds": 3}, "seeds must be a list"),
 ])
 def test_config_rejects_what_a_sweep_cannot_use(overrides, match):
     # these were caught by the first simulate or compute_report, or not

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gg1lab.inspection import (
     sample_inspections,
 )
 from gg1lab.inspection import total_cdf
-from gg1lab.simulator import PendingDepartureError, simulate
+from gg1lab.simulator import simulate
 
 EXP = exponential(1.0)
 DET = deterministic(2.0)
@@ -99,13 +100,20 @@ def test_epoch_validation_and_pending():
     path, ledger = simulate(deterministic(2.0), deterministic(1.0), horizon=9.5, seed=0)
     with pytest.raises(ValueError):
         sample_inspections(ledger, path, [10.0])
-    # service of 3 starting at t=4 has no recorded departure at the cut
-    path_u, ledger_u = simulate(
-        deterministic(1.0), deterministic(3.0), horizon=5.0, seed=0,
-        resolve_pending=False,
-    )
-    with pytest.raises(PendingDepartureError):
-        sample_inspections(ledger_u, path_u, [4.5])
+    # the service of 3 starting at t=4 is still pending at the cut, t=5;
+    # the drain resolves its departure at 7
+    path_u, ledger_u = simulate(deterministic(1.0), deterministic(3.0), horizon=5.0, seed=0)
+    samples = sample_inspections(ledger_u, path_u, [4.5])
+    assert (samples.age[0], samples.residual[0], samples.total[0]) == (0.5, 2.5, 3.0)
+
+
+@pytest.mark.parametrize("window,rate", [((0.0, 10.0), 1e9), ((0.0, 1e300), 1e300)])
+def test_poisson_epochs_refuse_more_than_the_event_cap(window, rate):
+    # 1e10 expected epochs asked for 74.5 GiB; an overflowing count too
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the default event cap"):
+        poisson_epochs(window, rate, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_poisson_epochs_properties():

@@ -143,6 +143,9 @@ def test_policy_validation():
     ({"penalty": (0.1, -1000.0)}, "overflows"),
     ({"n_states": 20.7}, "integer"),
     ({"n_states": float("nan")}, "integer"),
+    ({"mu_grid": ["0.8", "1.2"]}, "real numbers"),
+    ({"penalty": ("0.1", "1")}, "real numbers"),
+    ({"penalty": 0.1}, "real numbers"),
 ])
 def test_instance_rejects_nonfinite_and_nonintegral_inputs(kwargs, match):
     args = {"arrival_rate": 0.5, "mu_grid": [0.8, 1.2], "n_states": 20, **kwargs}
@@ -150,11 +153,12 @@ def test_instance_rejects_nonfinite_and_nonintegral_inputs(kwargs, match):
         build_instance(**args)
 
 
-@pytest.mark.parametrize("key", ["arrival_rate", "cost_weight", "penalty"])
+@pytest.mark.parametrize("key", ["arrival_rate", "cost_weight", "penalty", "action_grid"])
 def test_instance_rejects_values_that_are_not_real_numbers(key):
-    # each gave a TypeError from np.isfinite, and a traceback in the CLI
+    # each gave a TypeError from np.isfinite, and a traceback in the CLI;
+    # a str action grid was read as floats
     data = build_instance(0.1, [0.15, 0.4], 20, penalty=(0.1, -8.0)).to_dict()
-    bad = ["0.1", "-8.0"] if key == "penalty" else "0.1"
+    bad = {"penalty": ["0.1", "-8.0"], "action_grid": ["0.15", "0.4"]}.get(key, "0.1")
     with pytest.raises(ValueError, match="must be real numbers"):
         MdpInstance.from_dict({**data, key: bad})
     # a solve config's method and tol are not the instance's, and stay ignored

@@ -16,7 +16,7 @@ from gg1lab.metrics import (
     observed_response,
     verify_theorem,
 )
-from gg1lab.simulator import PendingDepartureError, simulate
+from gg1lab.simulator import simulate
 
 # Hand-traced case (see test_simulator): D/D/1 with inter-arrivals 1,
 # services 2, window [0, 5].  Count path integrates to 8; window-clipped
@@ -211,13 +211,15 @@ def test_littles_chain_zero_traffic():
     assert verify_theorem(rep) == 0.0
 
 
-def test_pending_departures_are_rejected():
-    _, ledger = simulate(deterministic(1.0), deterministic(2.0), horizon=5.0,
-                         seed=7, resolve_pending=False)
-    with pytest.raises(PendingDepartureError):
-        actual_response(ledger, 1.0)
-    # the clipped total is still well defined: pending counts as "beyond T"
+def test_drained_run_splits_response_at_window_end():
+    # D/D/1 with services of 2 every 1 over [0, 5]: customers 2-4 are
+    # still present at the close and drain out at 7, 9 and 11
+    _, ledger = simulate(deterministic(1.0), deterministic(2.0), horizon=5.0, seed=7)
+    np.testing.assert_array_equal(ledger.departure_time, [3.0, 5.0, 7.0, 9.0, 11.0])
+    # the clipped total counts them up to the close only; the full
+    # sojourns add the 2 + 4 + 6 after it
     assert observed_response(ledger, 1.0) == 8.0
+    assert actual_response(ledger, 1.0) == (20.0, 0.0, 12.0)
 
 
 def test_cost_weight_scales_linearly(dd1):

@@ -172,19 +172,6 @@ def test_cycle_invariants(seed):
     assert (rewards.holding > 0).all()
 
 
-def test_unresolved_run_still_tallies_complete_cycles():
-    # pending customers always sit in the trailing fragment, never in a
-    # complete cycle, so disabling resolution changes nothing here
-    kw = dict(horizon=5000.0, seed=2)
-    path_a, ledger_a = simulate(exponential(0.7), exponential(1.0), **kw)
-    path_b, ledger_b = simulate(exponential(0.7), exponential(1.0),
-                                resolve_pending=False, **kw)
-    cycles = detect_cycles(path_b)
-    ra = cycle_rewards(detect_cycles(path_a), path_a, ledger_a)
-    rb = cycle_rewards(cycles, path_b, ledger_b)
-    np.testing.assert_array_equal(ra.response, rb.response)
-
-
 def test_pooling_matches_concatenation():
     totals = []
     lengths, holding, response, count = [], [], [], 0
@@ -286,10 +273,9 @@ RUNS = {
     "random-order-rho95": dict(arrival=exponential(0.95), service=exponential(1.0),
                                discipline="random-order", horizon=5000.0),
     "unresolved": dict(arrival=exponential(0.9), service=exponential(1.0),
-                       horizon=3001.0, resolve_pending=False),
+                       horizon=3001.0),
     "unresolved-lcfs": dict(arrival=exponential(0.9), service=exponential(1.0),
-                            discipline="lcfs", warmup=5.0, horizon=3000.0,
-                            resolve_pending=False),
+                            discipline="lcfs", warmup=5.0, horizon=3000.0),
     # ties: a departure meeting an arrival is coalesced into no event
     "dd1-ties": dict(arrival=deterministic(1.0), service=deterministic(1.0), horizon=50.0),
     "dd1-cycles": dict(arrival=deterministic(2.0), service=deterministic(1.0),

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,29 +178,22 @@ def test_recursion_invariants(gaps, services):
 
 
 # ---------------------------------------------------------------------------
-# windows, pending work, caps
-
-
-def test_unresolved_customers_are_nan():
-    path, ledger = simulate(
-        deterministic(1.0), deterministic(2.0), horizon=5.0, seed=7,
-        resolve_pending=False,
-    )
-    # customer 2 is in service at t=5 (started 3, needs 2); 3 and 4 queued
-    assert np.isnan(ledger.departure_time[2:]).all()
-    assert np.isfinite(ledger.departure_time[:2]).all()
-    pending = ledger.in_window_mask() & np.isnan(ledger.departure_time)
-    np.testing.assert_array_equal(pending, [False, False, True, True, True])
-    # the path still covers the whole window
-    assert path.final_time == 5.0
+# windows, the drain, caps
 
 
 def test_resolved_run_has_no_pending_at_window_end():
-    _, ledger = simulate(exponential(0.8), exponential(1.0), horizon=300.0, seed=4)
-    assert not np.isnan(ledger.departure_time).any()
-    # pending at the window end means departure later than it, fine; but
-    # every in-window customer must have a resolved departure
-    assert np.isfinite(ledger.departure_time[ledger.in_window_mask()]).all()
+    # every run drains: each customer arriving by the window end gets a
+    # service start and a departure, those still present at the end too;
+    # each seed has customers present at both window ends
+    runs = [(exponential(0.8), disc, 20.0, 300.0, 4) for disc in ("fcfs", "lcfs", "random-order")]
+    runs.append((exponential(0.95), "random-order", 10.0, 3000.0, 10))
+    for arrival, discipline, warmup, horizon, seed in runs:
+        path, ledger = simulate(arrival, exponential(1.0), discipline=discipline,
+                                warmup=warmup, horizon=horizon, seed=seed)
+        assert not np.isnan(ledger.service_start).any()
+        assert not np.isnan(ledger.departure_time).any()
+        assert (ledger.departure_time > path.final_time).any()
+        assert ledger.pre_window.any()
 
 
 def cap_error(run, *args, **kwargs):
@@ -232,6 +226,32 @@ def test_overloaded_run_stops_at_event_cap(discipline, horizon):
     assert time.perf_counter() - start < 1.0
     assert got == cap_error(reference_engine.simulate, *args, **kwargs)
     assert got[1] == 20_000
+
+
+# Dense arrivals.  With gaps of 1e-150 the window alone holds more events
+# than the cap.  With gaps of 1/30,000, LCFS starves the two window
+# customers, and the first 256-slot drain chunk spans 7.7e6 arrivals while
+# the events up to its first departure stay under the cap.  Either way the
+# run stops at the cap, having drawn about the cap's worth of epochs.
+@pytest.mark.parametrize("gap,service,discipline,horizon,cap", [
+    (1e-150, exponential(1.0), "fcfs", 1.0, 10_000),
+    (1 / 3e4, deterministic(1.0), "lcfs", 2.5 / 3e4, 100_000),
+])
+def test_dense_arrivals_stop_at_event_cap(gap, service, discipline, horizon, cap):
+    args = (deterministic(gap), service)
+    kwargs = dict(discipline=discipline, horizon=horizon, event_cap=cap)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = cap_error(simulate, *args, **kwargs)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 16 * 2**20
+    assert got == cap_error(reference_engine.simulate, *args, **kwargs)
+    assert got[1] == cap
 
 
 def test_argument_validation():

@@ -1,14 +1,18 @@
 """The slot kernel in ``gg1lab.simulator`` against the event engine it
 replaced (``reference_engine``), bitwise on every output."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gg1lab.distributions import deterministic, exponential, gamma, lognormal, uniform
-from gg1lab.simulator import _canonical_path, _queue_path, fcfs_departure_times, simulate
+from gg1lab.simulator import (
+    EventCapExceeded,
+    _canonical_path,
+    _queue_path,
+    fcfs_departure_times,
+    simulate,
+)
 
 import reference_engine
 
@@ -45,26 +49,38 @@ def assert_same_run(*args, **kwargs):
 def test_families_match_reference(arrival_kind, service_kind, discipline):
     arrival = families(1.0)[arrival_kind]
     service = families(0.85)[service_kind]
-    for k, (warmup, resolve) in enumerate(itertools.product((0.0, 40.0), (True, False))):
+    for k, warmup in enumerate((0.0, 0.0, 40.0, 40.0)):
         assert_same_run(
             arrival, service, discipline=discipline, warmup=warmup, horizon=150.0,
-            seed=31 * k + len(arrival_kind) + 7 * len(service_kind), resolve_pending=resolve,
+            seed=31 * k + len(arrival_kind) + 7 * len(service_kind),
         )
 
 
-# LCFS left to drain this overloaded queue never serves the oldest
-# customers again; the event-cap tests in test_simulator cover that case
-@pytest.mark.parametrize("discipline,resolve", [
+# LCFS draining this overloaded queue never serves the oldest customers
+# again, so it runs only under a cap here; the event-cap tests in
+# test_simulator cover longer runs
+@pytest.mark.parametrize("discipline,drains", [
     ("fcfs", True), ("fcfs", False), ("lcfs", False), ("random-order", True), ("random-order", False),
 ])
 @pytest.mark.parametrize("warmup", [0.0, 2.5])
-def test_hand_traced_dd1_matches_reference(discipline, warmup, resolve):
+def test_hand_traced_dd1_matches_reference(discipline, warmup, drains):
     # D/D/1 with services of 2 every 1: every arrival after the first
-    # waits, and arrivals, departures and the window ends all coincide
-    assert_same_run(
-        deterministic(1.0), deterministic(2.0), discipline=discipline,
-        warmup=warmup, horizon=5.0, seed=7, resolve_pending=resolve,
-    )
+    # waits, and arrivals, departures and the window ends all coincide.
+    # A run either drains, matching the reference on every output, or a
+    # cap of 15 events stops it in the drain with the reference's error
+    args = (deterministic(1.0), deterministic(2.0))
+    kwargs = dict(discipline=discipline, warmup=warmup, horizon=5.0, seed=7)
+    if drains:
+        assert_same_run(*args, **kwargs)
+        return
+    errors = []
+    for run in (simulate, reference_engine.simulate):
+        with pytest.raises(EventCapExceeded) as exc:
+            run(*args, event_cap=15, **kwargs)
+        err = exc.value
+        errors.append((str(err), err.events, err.time_reached, err.queue_length))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 15 and errors[0][2] > warmup + 5.0
 
 
 @pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random-order"])
@@ -95,13 +111,12 @@ def test_runs_across_sample_blocks_match_reference(discipline):
 @given(
     seed=st.integers(0, 2**32 - 1),
     discipline=st.sampled_from(["fcfs", "lcfs", "random-order"]),
-    resolve=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_random_seeds_match_reference(seed, discipline, resolve):
+def test_random_seeds_match_reference(seed, discipline):
     assert_same_run(
         exponential(1.1), gamma(0.5, 1.6), discipline=discipline, warmup=25.0,
-        horizon=300.0, seed=seed, resolve_pending=resolve,
+        horizon=300.0, seed=seed,
     )
 
 
