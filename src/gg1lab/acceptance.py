@@ -558,21 +558,30 @@ class AcceptanceSuite:
         inner_scale = "0.02"
         outputs = []
         with tempfile.TemporaryDirectory() as tmp:
+            # both runs at once; each writes its stderr to a file, so
+            # neither can stall on a full pipe that is not being read
+            procs = []
             for run_idx in range(2):
-                out_dir = os.path.join(tmp, f"run{run_idx}")
                 cmd = [
                     sys.executable, "-m", "gg1lab.cli", "verify",
                     "--scale", inner_scale,
                     "--seed", str(self.master_seed),
-                    "--out", out_dir,
+                    "--out", os.path.join(tmp, f"run{run_idx}"),
                     "--no-self-check",
                 ]
-                proc = subprocess.run(cmd, capture_output=True, text=True)
+                with open(os.path.join(tmp, f"run{run_idx}.stderr"), "w") as err:
+                    procs.append(subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err))
+            for proc in procs:
+                proc.wait()
+            for run_idx, proc in enumerate(procs):
+                out_dir = os.path.join(tmp, f"run{run_idx}")
                 if not os.path.isdir(out_dir):
+                    with open(os.path.join(tmp, f"run{run_idx}.stderr")) as err:
+                        stderr = err.read()
                     return False, {
                         "error": "inner verify produced no output directory",
                         "returncode": proc.returncode,
-                        "stderr_tail": proc.stderr[-2000:],
+                        "stderr_tail": stderr[-2000:],
                     }
                 files = {}
                 for name in sorted(os.listdir(out_dir)):

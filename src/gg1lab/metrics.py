@@ -10,10 +10,14 @@ per unit time:
 
 The observed total equals the holding cost identically, path by path,
 so the two give independent computations of the same number.  Every
-total is the correctly rounded sum of its terms, from ``exact_sum``
-(summation by exponent in NumPy, the same bits as ``math.fsum``), so
-that identity can be asserted at 1e-9 relative tolerance.  The rest of
-the package sums through ``exact_sum`` too.
+total, the busy time behind ``rho_hat`` included, is the correctly
+rounded sum of its terms, from an ``ExactSum`` accumulator (summation
+by exponent in NumPy, the same bits as ``math.fsum``), so that
+identity can be asserted at 1e-9 relative tolerance.  An exact sum does
+not depend on how its terms are grouped, so the path and the ledger
+are each walked in blocks of ``_BLOCK`` rows, and no temporary grows
+with the run.  The rest of the package sums through ``exact_sum``, the
+same accumulator fed a whole array.
 """
 
 from __future__ import annotations
@@ -38,23 +42,75 @@ _BLOCK = 1 << 16
 _FLUSH_LIMIT = 1 << 26
 
 
-def exact_sum(values) -> float:
-    """Correctly rounded sum of a float64 array, the same bits as math.fsum.
+class ExactSum:
+    """Accumulator of a correctly rounded float64 sum: ``add`` blocks of
+    terms in any grouping, then ``value`` gives the bits of ``math.fsum``
+    over all of them.
 
     Summation by exponent (Demmel & Hida 2003).  ``np.frexp`` writes
     each value as m * 2**e with |m| < 1 and m * 2**53 an integer.  The
     53-bit mantissa splits exactly into a truncated whole part
     trunc(m * 2**27), below 2**27, and a fraction m * 2**27 - whole, a
     multiple of 2**-26 below 1.  Both parts are added into one bin per
-    exponent with ``np.bincount``, 65,536 values at a time; one fixed
-    pair of bin arrays spans all 2,098 exponents.  A bin stays exact
-    while it holds at most 2**26 parts; before more arrive the bins are
-    flushed into one Python int, and one int division rounds the total
-    correctly.  Every input goes through the bins, whatever its length;
-    an empty one leaves the total at 0.
+    exponent with ``np.bincount``, at most ``_BLOCK`` values at a time;
+    one fixed pair of bin arrays spans all 2,098 exponents.  A bin stays
+    exact while it holds at most ``_FLUSH_LIMIT`` parts; before more
+    arrive the bins are flushed into one Python int, and one int
+    division rounds the total correctly.  An exact sum does not depend
+    on how its terms are grouped, so the blocks may be cut anywhere.
 
-    The result is the exact sum rounded once, so it matches
-    ``math.fsum`` (Shewchuk 1997) with these exceptions, all on purpose:
+    ``value`` is NaN once a NaN or an infinity has been added.
+    """
+
+    def __init__(self) -> None:
+        self._whole, self._frac = np.zeros((2, _N_BINS))
+        self._total = 0  # flushed bins, times 2**(53 - _EXP_MIN)
+        self._pending = 0  # values added since the last flush
+        self._finite = True
+
+    def add(self, values) -> None:
+        """Add the terms of a float64 array, ``_BLOCK`` at a time."""
+        x = np.asarray(values, dtype=np.float64).ravel()
+        for start in range(0, x.size, _BLOCK):
+            part = x[start:start + _BLOCK]
+            if self._pending + part.size > _FLUSH_LIMIT:
+                self._empty_bins()
+            mant, expo = np.frexp(part)
+            mant *= 1 << 27
+            hi = np.trunc(mant)
+            with np.errstate(invalid="ignore"):  # inf - inf: a non-finite sum
+                mant -= hi
+            idx = expo.astype(np.intp)
+            idx -= _EXP_MIN
+            self._whole += np.bincount(idx, weights=hi, minlength=_N_BINS)
+            self._frac += np.bincount(idx, weights=mant, minlength=_N_BINS)
+            self._pending += part.size
+
+    def value(self) -> float:
+        """The exact sum of every term added, rounded once; 0.0 when it
+        is zero or nothing was added.  An exact sum beyond the float
+        range raises OverflowError."""
+        if self._pending:
+            self._empty_bins()
+        if not self._finite:
+            return math.nan
+        return self._total / (1 << (53 - _EXP_MIN))
+
+    def _empty_bins(self) -> None:
+        if math.isfinite(self._whole.sum() + self._frac.sum()):
+            self._total += _flush(self._whole, self._frac)
+        else:
+            self._finite = False
+            self._whole[:] = self._frac[:] = 0.0
+        self._pending = 0
+
+
+def exact_sum(values) -> float:
+    """Correctly rounded sum of a float64 array, the same bits as math.fsum.
+
+    One ``ExactSum`` fed the whole input.  The result is the exact sum
+    rounded once, so it matches ``math.fsum`` (Shewchuk 1997) with these
+    exceptions, all on purpose:
 
     * a zero sum is always 0.0, also for [-0.0], as ``math.fsum`` gives
       on Python 3.11; an empty input gives 0.0;
@@ -63,30 +119,18 @@ def exact_sum(values) -> float:
       [1e308, 1e308, -1e308] gives 1e308 where ``math.fsum`` raises.
 
     An input holding a NaN or an infinity is handed to ``math.fsum``,
-    which keeps its results and errors for those.
+    which keeps its results and errors for those.  They depend on the
+    order of the terms: on [1e308, 1e308, inf] ``math.fsum`` raises
+    OverflowError before it meets the infinity.  So the whole input
+    goes, not the block that held the NaN or infinity.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
-    n = x.size
-    whole, frac = np.zeros((2, _N_BINS))
-    total = 0
-    pending = 0
-    for start in range(0, n, _BLOCK):
-        mant, expo = np.frexp(x[start:start + _BLOCK])
-        mant *= 1 << 27
-        hi = np.trunc(mant)
-        with np.errstate(invalid="ignore"):  # inf - inf: the fsum fallback below
-            mant -= hi
-        idx = expo.astype(np.intp)
-        idx -= _EXP_MIN
-        whole += np.bincount(idx, weights=hi, minlength=_N_BINS)
-        frac += np.bincount(idx, weights=mant, minlength=_N_BINS)
-        pending += len(idx)
-        if pending + _BLOCK > _FLUSH_LIMIT or start + _BLOCK >= n:
-            if not math.isfinite(whole.sum() + frac.sum()):
-                return math.fsum(x.tolist())
-            total += _flush(whole, frac)
-            pending = 0
-    return total / (1 << (53 - _EXP_MIN))
+    acc = ExactSum()
+    acc.add(x)
+    total = acc.value()
+    if math.isnan(total):
+        return math.fsum(x.tolist())
+    return total
 
 
 def _flush(whole: np.ndarray, frac: np.ndarray) -> int:
@@ -112,11 +156,45 @@ def check_cost_weight(cost_weight: float) -> None:
         raise ValueError(f"cost weight must be finite and nonnegative, got {cost_weight!r}")
 
 
+def _path_totals(path: Trajectory) -> tuple[float, float]:
+    """(area, busy time): the exact sums of level times width over the
+    path's segments, and of the widths at nonzero levels, ``_BLOCK``
+    segments at a time."""
+    area, busy = ExactSum(), ExactSum()
+    n = len(path.times) + 1
+    for start in range(0, n, _BLOCK):
+        bounds, levels = path.segments(start, start + _BLOCK)
+        widths = np.diff(bounds)
+        area.add(levels * widths)
+        busy.add(widths[levels > 0])
+    return area.value(), busy.value()
+
+
+def _ledger_totals(ledger: CustomerLedger) -> tuple[tuple[float, float, float, float], int]:
+    """((observed, actual, pre-window, post-window), count) over the
+    window population, ``_BLOCK`` ledger rows at a time: the exact sums
+    of the window-clipped sojourns, the full sojourns and their slices
+    before the open and after the close, and the number of customers."""
+    t_initial, t_final = ledger.window
+    observed, actual, initial, final = (ExactSum() for _ in range(4))
+    count = 0
+    for start in range(0, len(ledger), _BLOCK):
+        stop = start + _BLOCK
+        sel = ledger.in_window_mask(start, stop)
+        arrivals = ledger.arrival_time[start:stop]
+        arr = arrivals[sel]
+        dep = ledger.departure_time[start:stop][sel]
+        observed.add(np.minimum(dep, t_final) - np.maximum(arr, t_initial))
+        actual.add(dep - arr)
+        initial.add(t_initial - arrivals[ledger.pre_window[start:stop]])
+        final.add(dep[dep > t_final] - t_final)
+        count += int(np.count_nonzero(sel))
+    return (observed.value(), actual.value(), initial.value(), final.value()), count
+
+
 def holding_cost(path: Trajectory, cost_weight: float) -> float:
     """c times the integral of the queue length over the window."""
-    bounds, levels = path.segments()
-    widths = np.diff(bounds)
-    return cost_weight * exact_sum(levels * widths)
+    return cost_weight * _path_totals(path)[0]
 
 
 def observed_response(ledger: CustomerLedger, cost_weight: float) -> float:
@@ -125,14 +203,7 @@ def observed_response(ledger: CustomerLedger, cost_weight: float) -> float:
     Customers still present at the window close contribute up to the
     close only; the rest of their sojourn is in ``actual_response``.
     """
-    sel = ledger.in_window_mask()
-    return _observed_total(ledger.arrival_time[sel], ledger.departure_time[sel],
-                           ledger.window, cost_weight)
-
-
-def _observed_total(arr, dep, window, cost_weight) -> float:
-    clipped = np.minimum(dep, window[1]) - np.maximum(arr, window[0])
-    return cost_weight * exact_sum(clipped)
+    return cost_weight * _ledger_totals(ledger)[0][0]
 
 
 def actual_response(ledger: CustomerLedger, cost_weight: float) -> tuple[float, float, float]:
@@ -142,16 +213,8 @@ def actual_response(ledger: CustomerLedger, cost_weight: float) -> tuple[float, 
     parts falling before the window opened and after it closed.  The
     sojourns end at the departures that ``simulate``'s drain resolves.
     """
-    sel = ledger.in_window_mask()
-    return _actual_totals(ledger, ledger.arrival_time[sel], ledger.departure_time[sel], cost_weight)
-
-
-def _actual_totals(ledger, arr, dep, cost_weight) -> tuple[float, float, float]:
-    t_initial, t_final = ledger.window
-    total = cost_weight * exact_sum(dep - arr)
-    initial = cost_weight * exact_sum(t_initial - ledger.arrival_time[ledger.pre_window])
-    final = cost_weight * exact_sum(dep[dep > t_final] - t_final)
-    return total, initial, final
+    _, actual, initial, final = _ledger_totals(ledger)[0]
+    return cost_weight * actual, cost_weight * initial, cost_weight * final
 
 
 @dataclass
@@ -195,6 +258,14 @@ class MetricsReport:
 def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float = 1.0) -> MetricsReport:
     """Evaluate every functional over the full window and bundle them.
 
+    One walk over the path's segments and one over the ledger's rows,
+    ``_BLOCK`` at a time, feed six exact sums: the area and the busy
+    time, and the observed, actual, pre-window and post-window response.
+    Only the first and last path blocks copy, to add the window ends and
+    the initial count.  ``rho_hat`` is the exact busy time over the
+    window length.  The public functionals take the same walks, so the
+    report's totals are theirs bit for bit.
+
     Count averages are zero for an empty window population rather than
     raising, so quiet windows still serialise cleanly.  The path and the
     ledger must cover the same window, of positive length, and the cost
@@ -207,20 +278,10 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
     length = path.window_length
     if not length > 0:
         raise ValueError(f"window {window} has nonpositive length")
-    # the path and the window population are each read once: the area
-    # gives holding_cost(path, c) = c * area exactly, the widths at
-    # nonzero levels sum to the busy time, and the mask serves every
-    # response total
-    bounds, levels = path.segments()
-    widths = np.diff(bounds)
-    area = exact_sum(levels * widths)
+    area, busy = _path_totals(path)
     h_total = cost_weight * area
-    sel = ledger.in_window_mask()
-    arr = ledger.arrival_time[sel]
-    dep = ledger.departure_time[sel]
-    r_obs = _observed_total(arr, dep, window, cost_weight)
-    r_act, r_un_initial, r_un_final = _actual_totals(ledger, arr, dep, cost_weight)
-    n_total = int(np.count_nonzero(sel))
+    sums, n_total = _ledger_totals(ledger)
+    r_obs, r_act, r_un_initial, r_un_final = (cost_weight * v for v in sums)
     lam_hat = n_total / length
     if n_total > 0:
         h_bar_n = h_total / n_total
@@ -243,7 +304,7 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
         R_bar_n_act=r_bar_n_act,
         n_bar_t=area / length,
         lambda_hat=lam_hat,
-        rho_hat=float(np.sum(widths[levels > 0])) / length,
+        rho_hat=busy / length,
         N_total=n_total,
         window=window,
     )

@@ -10,9 +10,10 @@ i.i.d.
 
 Cycles are found and summed by path event index.  ``detect_cycles``
 keeps each renewal point's event index, and ``cycle_rewards`` sums each
-cycle over its own events and customers with ``np.add.reduceat``: no
-lookup into the path, and no difference of running totals, whose
-rounding grows with the length of the run.
+cycle over its own events and customers with ``np.add.reduceat``, a
+block of whole cycles at a time: no lookup into the path, and no
+difference of running totals, whose rounding grows with the length of
+the run.
 
 Each run's cycles reduce to a ``CycleTotals`` of Python scalars, and
 ``pooled_averages`` takes ratios of sums (total reward over total
@@ -28,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import metrics
 from .artifacts import write_csv
 from .metrics import exact_sum
 from .simulator import CustomerLedger, Trajectory
@@ -157,6 +159,12 @@ def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedge
     running totals over the whole run carries the rounding of every term
     before the cycle: up to 2.6e-9 relative on a million-event run.
 
+    The areas and sojourns are built for blocks of whole cycles, each
+    spanning at most ``metrics._BLOCK`` events, or for one longer cycle
+    alone.  ``reduceat`` sums each cycle's terms exactly as it would
+    over the whole run, so the block a cycle falls in leaves its bits
+    unchanged, and no temporary grows with the run.
+
     The cycles must come from ``detect_cycles`` on this path: cycles
     without renewal indices, or whose indices do not point at their
     bounds in ``path``, raise ValueError, as does a ledger with no
@@ -175,12 +183,6 @@ def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedge
             and np.array_equal(renewal[1:], cycles.cycle_end)):
         raise ValueError("cycles were not detected on this path")
 
-    first, last = index[0], index[-1]
-    # segment i (level counts[i] on [times[i], times[i+1])) of the events
-    # from the first renewal point up to the last one
-    areas = path.counts[first:last] * np.diff(times[first:last + 1])
-    holding = np.add.reduceat(areas, index[:-1] - first)
-
     arr = ledger.arrival_time
     dep = ledger.departure_time
     lo = np.searchsorted(arr, renewal, side="left")
@@ -189,9 +191,29 @@ def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedge
     # starts strictly increasing and inside the sojourns
     if count.min() < 1:
         raise ValueError("a cycle has no arrival in this ledger")
-    sojourns = dep[lo[0]:lo[-1]] - arr[lo[0]:lo[-1]]
-    response = np.add.reduceat(sojourns, lo[:-1] - lo[0])
+    holding = np.empty(len(cycles))
+    response = np.empty(len(cycles))
+    for a, b in _cycle_blocks(index):
+        # segment i (level counts[i] on [times[i], times[i+1])) of the
+        # events from cycle a's renewal point up to cycle b's
+        first, last = index[a], index[b]
+        areas = path.counts[first:last] * np.diff(times[first:last + 1])
+        holding[a:b] = np.add.reduceat(areas, index[a:b] - first)
+        first, last = lo[a], lo[b]
+        response[a:b] = np.add.reduceat(dep[first:last] - arr[first:last], lo[a:b] - first)
     return CycleRewards(holding, response, count)
+
+
+def _cycle_blocks(index: np.ndarray):
+    """(a, b) for runs of whole cycles a to b - 1, each spanning at most
+    ``_BLOCK`` events, or one cycle that alone spans more."""
+    block = metrics._BLOCK
+    a, n = 0, len(index) - 1
+    while a < n:
+        b = int(np.searchsorted(index, index[a] + block, side="right")) - 1
+        b = max(b, a + 1)
+        yield a, b
+        a = b
 
 
 class CycleTotals(NamedTuple):

@@ -102,12 +102,12 @@ class CustomerLedger:
     def __len__(self) -> int:
         return len(self.arrival_time)
 
-    def in_window_mask(self) -> np.ndarray:
+    def in_window_mask(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Customers counted by the window: present at the open, or arriving
-        inside it."""
+        inside it; of rows start to stop - 1 (all by default)."""
         t_initial, t_final = self.window
-        arrivals = (self.arrival_time >= t_initial) & (self.arrival_time <= t_final)
-        return self.pre_window | arrivals
+        arrivals = self.arrival_time[start:stop]
+        return self.pre_window[start:stop] | ((arrivals >= t_initial) & (arrivals <= t_final))
 
     def restrict(self, t_final: float) -> "CustomerLedger":
         """The rows arriving at or before ``t_final``, as views, over the
@@ -160,10 +160,22 @@ class Trajectory:
     def window_length(self) -> float:
         return self.final_time - self.initial_time
 
-    def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(boundaries, levels): levels[i] holds on [boundaries[i], boundaries[i+1])."""
-        bounds = np.concatenate(([self.initial_time], self.times, [self.final_time]))
-        levels = np.concatenate(([self.initial_count], self.counts))
+    def segments(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(boundaries, levels) of segments start to stop - 1 (all by
+        default): levels[i] holds on [boundaries[i], boundaries[i+1]).
+        Segment 0 holds the initial count from the window open, segment
+        i >= 1 the level of event i - 1 up to the next event or the
+        close.  Only the segments at the window ends copy the events."""
+        n = len(self.times) + 1
+        stop = n if stop is None else min(stop, n)
+        lo = max(start - 1, 0)
+        bounds = self.times[lo:stop]
+        levels = self.counts[lo:stop - 1]
+        if start == 0:
+            levels = np.concatenate(([self.initial_count], levels))
+        if start == 0 or stop == n:
+            bounds = np.concatenate(([self.initial_time] if start == 0 else [], bounds,
+                                     [self.final_time] if stop == n else []))
         return bounds, levels
 
     def restrict(self, t_final: float) -> "Trajectory":

@@ -8,6 +8,11 @@ pooled ratios that ``gg1lab.acceptance`` built by hand for criterion 8
 before ``renewal.pooled_averages``.  Kept as the oracle of
 ``test_renewal.py``, less the leading and trailing fragments and the
 cost weight, which no caller read.
+
+``local_cycle_rewards`` is the per-cycle ``np.add.reduceat`` tally
+that ``cycle_rewards`` used before it summed blocks of whole cycles:
+one reduceat over the areas and sojourns of the whole run.  The block
+version must give its bits.
 """
 
 from __future__ import annotations
@@ -66,6 +71,29 @@ def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedge
     sojourn_cum = np.concatenate(([0.0], np.cumsum(dep - arr)))
     response = sojourn_cum[hi] - sojourn_cum[lo]
     return CycleRewards(holding, response, hi - lo)
+
+
+def local_cycle_rewards(cycles: RenewalCycles, path: Trajectory,
+                        ledger: CustomerLedger) -> CycleRewards:
+    """Each cycle summed on its own terms, in one pass over the whole run."""
+    if len(cycles) == 0:
+        return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int))
+    index = cycles.renewal_index
+    times = path.times
+    renewal = times[index]
+    first, last = index[0], index[-1]
+    # segment i (level counts[i] on [times[i], times[i+1])) of the events
+    # from the first renewal point up to the last one
+    areas = path.counts[first:last] * np.diff(times[first:last + 1])
+    holding = np.add.reduceat(areas, index[:-1] - first)
+
+    arr = ledger.arrival_time
+    dep = ledger.departure_time
+    lo = np.searchsorted(arr, renewal, side="left")
+    count = np.diff(lo)
+    sojourns = dep[lo[0]:lo[-1]] - arr[lo[0]:lo[-1]]
+    response = np.add.reduceat(sojourns, lo[:-1] - lo[0])
+    return CycleRewards(holding, response, count)
 
 
 def theorem_renewal_record(cycles: RenewalCycles, rewards: CycleRewards) -> dict:

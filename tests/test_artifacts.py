@@ -63,7 +63,9 @@ GOLDEN_RUNS = {
 # routed through gg1lab.artifacts.  A change that alters these bytes on
 # purpose records the new digests and says why: cycles.csv's reward
 # column was re-recorded when each cycle's holding became a sum of its
-# own segment areas rather than a difference of running totals.
+# own segment areas rather than a difference of running totals, and the
+# sweep's reports.jsonl when rho_hat's busy time became an exact sum
+# (rate 0.6, seed 1: 0.6915605114460226 became 0.6915605114460227).
 GOLDEN_SHA256 = {
     "cycles": {
         "cycles.csv": "19775bbdab9d0fb781cbf27517813481855bb00f07c3222b9c4e11b54b1bc30a",
@@ -95,7 +97,7 @@ GOLDEN_SHA256 = {
     "sweep": {
         "config.echo.json": "89122980506f4311dce7db9bf618d843bd517f84d4c13cebb85cea5fda6c2ffd",
         "equivalence.json": "4e7b2e4146ba509c2bc31365a7f3bb24cb429ff7d00e78615d454f54df0954ef",
-        "reports.jsonl": "698fd66d70bdac28caf0ca90102268f90eba93acdd3205bc5b59fbb8de1d2d51",
+        "reports.jsonl": "0572307ec252530c60dfbcc15d7cfb67918605458e9f9048ee0f7deb94e34847",
         "surface.csv": "69925ea3c38316ff4d25736f749fc47214c2350187e490d8fb612901a15b392a",
     },
 }

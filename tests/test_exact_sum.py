@@ -156,3 +156,71 @@ def test_every_exact_sum_in_the_package_goes_through_exact_sum():
                 hits.append((path.name, line.strip()))
     # the one call left is exact_sum's fallback for non-finite input
     assert hits == [("metrics.py", "return math.fsum(x.tolist())")]
+
+
+@given(
+    n=st.integers(0, 3000),
+    cuts=st.lists(st.integers(0, 3000), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    span=st.integers(0, 300),
+    cancel=st.booleans(),
+    block=st.sampled_from([4, 7, 64, 1 << 16]),
+    limit=st.sampled_from([8, 100, 1 << 26]),
+)
+@settings(max_examples=200, deadline=None)
+def test_accumulator_fed_pieces_matches_fsum(n, cuts, seed, span, cancel, block, limit):
+    # any split of the input, empty pieces included, with blocks and a
+    # flush limit small enough that most inputs cross several flushes
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-span, span + 1, n)
+    if cancel:
+        x[n // 2:] = -rng.permutation(x)[: n - n // 2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_BLOCK", block)
+        mp.setattr(metrics, "_FLUSH_LIMIT", max(limit, block))
+        acc = metrics.ExactSum()
+        for piece in np.split(x, sorted(c % (n + 1) for c in cuts)):
+            acc.add(piece)
+        assert_same(acc.value(), math.fsum(x.tolist()))
+
+
+def test_accumulator_flushes_across_pieces(monkeypatch):
+    # 4-value blocks, a limit of 8 values: pieces of 3 and 5 values still
+    # never put more than 8 into a bin between flushes
+    monkeypatch.setattr(metrics, "_BLOCK", 4)
+    monkeypatch.setattr(metrics, "_FLUSH_LIMIT", 8)
+    seen = []
+    flush = metrics._flush
+
+    def counting(whole, frac):
+        seen.append(int(whole.max()) // (2**27 - 1))
+        return flush(whole, frac)
+
+    monkeypatch.setattr(metrics, "_flush", counting)
+    x = np.full(101, 1.0 - 2.0**-53)
+    acc = metrics.ExactSum()
+    for start in range(0, 101, 8):
+        acc.add(x[start:start + 3])
+        acc.add(x[start + 3:start + 8])
+    assert_same(acc.value(), math.fsum(x.tolist()))
+    assert max(seen) <= 8 and sum(seen) == 101
+
+
+def test_accumulator_of_negative_zeros_is_positive_zero():
+    acc = metrics.ExactSum()
+    for piece in (np.full(3, -0.0), np.empty(0), np.full(70_000, -0.0), [-0.0]):
+        acc.add(piece)
+    got = acc.value()
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    empty = metrics.ExactSum().value()
+    assert empty == 0.0 and math.copysign(1.0, empty) == 1.0
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
+def test_accumulator_is_nan_after_a_non_finite_term(special):
+    # exact_sum then hands its whole input to math.fsum
+    acc = metrics.ExactSum()
+    acc.add(np.ones(5))
+    acc.add([special])
+    acc.add(np.ones(70_000))
+    assert math.isnan(acc.value())

@@ -16,7 +16,9 @@ from gg1lab.metrics import (
     observed_response,
     verify_theorem,
 )
-from gg1lab.simulator import simulate
+from gg1lab.simulator import DISCIPLINES, simulate
+
+import reference_metrics
 
 # Hand-traced case (see test_simulator): D/D/1 with inter-arrivals 1,
 # services 2, window [0, 5].  Count path integrates to 8; window-clipped
@@ -89,8 +91,9 @@ def test_identity_across_configurations(arrival, service, disc, warmup, horizon,
 
 @pytest.mark.parametrize("arrival,service,disc,warmup,horizon,c", CONFIGS)
 def test_report_matches_the_public_functions(arrival, service, disc, warmup, horizon, c):
-    """compute_report reads the path and the ledger once; its totals are
-    still the public functionals' results, bit for bit."""
+    """compute_report and the public functionals share one walk of the
+    path and one of the ledger, so its totals are theirs bit for bit;
+    rho_hat is the exact busy time over the window length."""
     path, ledger = simulate(arrival, service, discipline=disc, warmup=warmup,
                             horizon=horizon, seed=3)
     rep = compute_report(path, ledger, cost_weight=c)
@@ -99,7 +102,7 @@ def test_report_matches_the_public_functions(arrival, service, disc, warmup, hor
     assert rep.R_obs_total == observed_response(ledger, c)
     assert (rep.R_act_total, rep.R_un_initial, rep.R_un_final) == actual_response(ledger, c)
     bounds, levels = path.segments()
-    busy = float(np.sum(np.diff(bounds)[levels > 0]))
+    busy = metrics.exact_sum(np.diff(bounds)[levels > 0])
     assert rep.rho_hat == busy / path.window_length
     assert rep.N_total == int(ledger.in_window_mask().sum())
 
@@ -244,3 +247,41 @@ def test_exact_sum_spans_the_smallest_subnormal_and_the_largest_double(blocks):
             x[::70_000] = xs
         got = metrics.exact_sum(x)
         assert got.hex() == math.fsum(xs).hex(), xs
+
+
+def _bits(report):
+    """The report's fields, each float as its hex digits."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
+
+
+LAWS = {
+    "mm1": (exponential(1.0), exponential(1.3)),
+    "heavy": (exponential(0.95), gamma(2.0, 0.5)),
+    "uniform": (uniform(0.2, 1.8), uniform(0.1, 1.3)),
+    # a departure meets each arrival and the two coalesce into no event
+    "dd1-ties": (deterministic(1.0), deterministic(1.0)),
+    "dd1-idle": (deterministic(2.0), deterministic(1.0)),
+}
+
+
+@given(discipline=st.sampled_from(DISCIPLINES), law=st.sampled_from(sorted(LAWS)),
+       warmup=st.sampled_from([0.0, 2.5, 30.0]), horizon=st.floats(1.0, 300.0),
+       cut=st.floats(0.01, 1.0), block=st.sampled_from([2, 3, 5, 16, 1 << 16]),
+       c=st.sampled_from([1.0, 0.0, 2.7]), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_block_walk_matches_the_whole_array_report(discipline, law, warmup, horizon, cut,
+                                                   block, c, seed):
+    """Every field of the block-wise report has the bits of the
+    whole-array oracle's, with small blocks so that a run spans many and
+    the window ends fall inside one."""
+    arrival, service = LAWS[law]
+    path, ledger = simulate(arrival, service, discipline=discipline, warmup=warmup,
+                            horizon=horizon, seed=seed)
+    t_cut = warmup + cut * horizon
+    runs = [(path, ledger), (path.restrict(t_cut), ledger.restrict(t_cut))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_BLOCK", block)
+        for run in runs:
+            if run[0].window_length > 0:
+                want = reference_metrics.compute_report(*run, c)
+                assert _bits(compute_report(*run, c)) == _bits(want)

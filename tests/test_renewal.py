@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_renewal as ref
+from gg1lab import metrics
 from gg1lab.distributions import deterministic, exponential, uniform
 from gg1lab.metrics import compute_report
 from gg1lab.renewal import (
@@ -303,6 +304,35 @@ def test_cycles_and_rewards_match_the_oracle(run):
         np.testing.assert_allclose(ours, theirs, rtol=0,
                                    atol=2 * terms * 2.0**-53 * math.fsum(ours.tolist()))
     assert_local_sums(cycles, rewards, path, ledger)
+    assert_same_rewards(rewards, ref.local_cycle_rewards(cycles, path, ledger))
+
+
+def assert_same_rewards(rewards, oracle):
+    for name in ("holding", "response", "count"):
+        ours, theirs = getattr(rewards, name), getattr(oracle, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+
+# busy periods of up to thousands of events
+LONG_CYCLES = dict(arrival=exponential(0.99), service=exponential(1.0), horizon=20_000.0)
+
+
+@pytest.mark.parametrize("block", [4, 16, 1000])
+@pytest.mark.parametrize("run", ["fcfs-rho99", "random-order-rho95", "unresolved-lcfs",
+                                 "dd1-cycles"])
+def test_blocks_of_whole_cycles_keep_each_cycles_bits(monkeypatch, run, block):
+    # a small block: long busy periods span many blocks' worth of events
+    # and each must still be summed as one cycle, alone in its block
+    kw = dict(LONG_CYCLES if run == "fcfs-rho99" else RUNS[run])
+    path, ledger = simulate(kw.pop("arrival"), kw.pop("service"), seed=5, **kw)
+    cycles = detect_cycles(path)
+    oracle = ref.local_cycle_rewards(cycles, path, ledger)
+    monkeypatch.setattr(metrics, "_BLOCK", block)
+    lengths = np.diff(cycles.renewal_index)
+    if run == "fcfs-rho99":
+        # cycles alone in their block, and blocks of several cycles
+        assert lengths.max() > block and np.count_nonzero(lengths <= block // 2) > 10
+    assert_same_rewards(cycle_rewards(cycles, path, ledger), oracle)
 
 
 @pytest.mark.parametrize("rate", [0.5, 0.95])
