@@ -5,6 +5,18 @@ above one: exponential, deterministic, uniform on an interval, gamma,
 and lognormal.  Each spec carries exact moments, density and survival
 function evaluation where defined, and reproducible sampling from a
 numpy Generator.
+
+pdf, sf, quantile and truncated_mean give the same bits as scipy.stats
+(expon, uniform, gamma, lognorm and norm) without importing it, which
+takes most of a second.  They take the steps of scipy's generic
+rv_continuous wrappers: standardise x = (t - loc) / scale; evaluate the
+kind's standard-form formula, copied from scipy's _pdf, _sf and _ppf
+and written on scipy.special ufuncs, only at the points inside the
+support; and fill the rest (pdf 0 off the closed support, sf 1 at or
+below its lower end and 0 at or above its upper end, NaN at NaN).  The
+density divides by scale and the quantile is _ppf(q) * scale + loc.
+scipy.special is imported on first use, so importing this module loads
+no scipy.  tests/test_distributions.py keeps scipy.stats as the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +24,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -125,10 +136,62 @@ class DistributionSpec:
     def has_density(self) -> bool:
         return self.kind != "deterministic"
 
+    def _standard(self):
+        """(loc, scale, shape) with X = loc + scale * Z, where Z is the
+        kind's standard variable in scipy.stats' parametrisation.  shape
+        is a one-element array for gamma and lognormal, as scipy's
+        wrappers pass it, and None for the kinds without one.  The
+        deterministic kind has no standard form."""
+        k, p = self.kind, self.params
+        if k == "exponential":
+            return 0.0, 1.0 / p[0], None
+        if k == "uniform":
+            return p[0], p[1] - p[0], None
+        if k == "gamma":
+            return 0.0, p[1], np.array([p[0]])
+        return 0.0, math.exp(p[0]), np.array([p[1]])
+
+    def _support(self) -> tuple[float, float]:
+        """Ends of the standard variable's support."""
+        return (0.0, 1.0) if self.kind == "uniform" else (0.0, math.inf)
+
+    def _on_support(self, t, closed: bool, below: float, above: float, formula):
+        """scipy.stats' generic wrapper around a standard-form function:
+        standardise t, evaluate the formula on the support (closed, or
+        open), and give `below` at or below its lower end, `above` at or
+        above its upper end, and NaN at NaN.  The formula sees only the
+        points inside, so points outside raise no warnings."""
+        loc, scale, _ = self._standard()
+        x = (np.asarray(t, dtype=float) - loc) / scale
+        a, b = self._support()
+        out = np.where(x <= a, below, np.where(x >= b, above, np.nan))
+        inside = (a <= x) & (x <= b) if closed else (a < x) & (x < b)
+        out[inside] = formula(x[inside])
+        return out[()] if out.ndim == 0 else out
+
     def pdf(self, t):
         if not self.has_density:
             raise ValueError("deterministic distribution has no density")
-        return _frozen(self).pdf(t)
+        from scipy import special
+
+        k = self.kind
+        _, scale, s = self._standard()
+
+        def density(x):
+            if k == "exponential":
+                return np.exp(-x)
+            if k == "uniform":
+                return 1.0 * (x == x)
+            if k == "gamma":
+                return np.exp(special.xlogy(s - 1.0, x) - x - special.gammaln(s))
+            # the log density only where x != 0, and -inf at 0
+            logpdf = np.full(x.shape, -np.inf)
+            nz = x != 0
+            xs, ss = x[nz], np.broadcast_to(s, x.shape)[nz]
+            logpdf[nz] = -np.log(xs)**2 / (2 * ss**2) - np.log(ss * xs * np.sqrt(2 * np.pi))
+            return np.exp(logpdf)
+
+        return self._on_support(t, True, 0.0, 0.0, lambda x: density(x) / scale)
 
     def sf(self, t):
         """Complementary cdf, 1 - F(t)."""
@@ -136,20 +199,54 @@ class DistributionSpec:
             t = np.asarray(t, dtype=float)
             out = (t < self.params[0]).astype(float)
             return out if out.ndim else float(out)
-        return _frozen(self).sf(t)
+        from scipy import special
+
+        k = self.kind
+        s = self._standard()[2]
+
+        def survival(x):
+            if k == "exponential":
+                return np.exp(-x)
+            if k == "uniform":
+                return 1.0 - x
+            if k == "gamma":
+                return special.gammaincc(s, x)
+            return special.ndtr(-(np.log(x) / s))
+
+        return self._on_support(t, False, 1.0, 0.0, survival)
 
     def quantile(self, q: float) -> float:
+        """The q-quantile for q in [0, 1]; q = 0 and q = 1 give the ends of
+        the support.  Any other q, NaN included, raises ValueError."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile needs 0 <= q <= 1, got {q}")
         if self.kind == "deterministic":
             return self.params[0]
-        return float(_frozen(self).ppf(q))
+        from scipy import special
+
+        k = self.kind
+        loc, scale, s = self._standard()
+        a, b = self._support()
+        if q == 0.0:
+            return float(a * scale + loc)
+        if q == 1.0:
+            return float(b * scale + loc)
+        q = np.array([q], dtype=float)
+        if k == "exponential":
+            z = -special.log1p(-q)
+        elif k == "uniform":
+            z = q
+        elif k == "gamma":
+            z = special.gammaincinv(s, q)
+        else:
+            z = np.exp(s * special.ndtri(q))
+        return float((z * scale + loc)[0])
 
     def truncated_mean(self, t):
         """E[min(X, t)], the integral of the complementary cdf over [0, t].
 
         Accepts scalars or arrays; t must be nonnegative.
         """
-        from scipy import stats
-
         arr = np.asarray(t, dtype=float)
         if np.any(arr < 0):
             raise ValueError("truncated_mean requires t >= 0")
@@ -164,15 +261,19 @@ class DistributionSpec:
             inside = arr.clip(low, high)
             out = arr.clip(max=low) + (inside - low) - (inside - low) ** 2 / (2.0 * (high - low))
         elif k == "gamma":
+            from scipy import special
+
             shape, scale = p
-            out = arr * stats.gamma.sf(arr, shape, scale=scale) + shape * scale * stats.gamma.cdf(
-                arr, shape + 1.0, scale=scale
-            )
+            # the cdf of gamma(shape + 1, scale)
+            cdf = self._on_support(arr, False, 0.0, 1.0, lambda x: special.gammainc(shape + 1.0, x))
+            out = arr * self.sf(arr) + shape * scale * cdf
         else:
+            from scipy import special
+
             mu, sigma = p
             with np.errstate(divide="ignore"):
                 z = np.where(arr > 0, (np.log(np.where(arr > 0, arr, 1.0)) - mu - sigma**2) / sigma, -np.inf)
-            out = arr * self.sf(arr) + self.mean() * stats.norm.cdf(z)
+            out = arr * self.sf(arr) + self.mean() * special.ndtr(z)
         return out if out.ndim else float(out)
 
     # ------------------------------------------------------------------
@@ -220,23 +321,6 @@ class DistributionSpec:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"distribution object needs 'kind' and 'params': {data!r}") from exc
         return cls(kind, params)
-
-
-@lru_cache(maxsize=128)
-def _frozen(spec: DistributionSpec):
-    """Frozen scipy distribution for pdf/sf/ppf evaluation."""
-    from scipy import stats
-
-    k, p = spec.kind, spec.params
-    if k == "exponential":
-        return stats.expon(scale=1.0 / p[0])
-    if k == "uniform":
-        return stats.uniform(loc=p[0], scale=p[1] - p[0])
-    if k == "gamma":
-        return stats.gamma(p[0], scale=p[1])
-    if k == "lognormal":
-        return stats.lognorm(p[1], scale=math.exp(p[0]))
-    raise ValueError(f"no scipy counterpart for kind {k!r}")
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,18 @@ pass/fail line and fails with the measured details attached.
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from scipy import special, stats
 
-from gg1lab.acceptance import AcceptanceSuite, _theorem_entry, write_report_files
+from gg1lab.acceptance import (
+    AcceptanceSuite,
+    _ks_1samp,
+    _ks_2samp,
+    _theorem_entry,
+    write_report_files,
+)
+from gg1lab.distributions import gamma
 from gg1lab.renewal import CycleTotals
 
 
@@ -114,3 +123,33 @@ def test_reduced_scale_reports_match_recorded_bytes(tmp_path):
         for name in REDUCED_SCALE_REPORT_SHA256
     }
     assert digests == REDUCED_SCALE_REPORT_SHA256
+
+
+# sample sizes on both sides of 10,000, where ks_2samp's exact mode,
+# and with it the rounding of the distance, ends
+KS_SIZES = [(1, 1), (5, 5), (7, 13), (400, 400), (999, 1000), (3000, 4500),
+            (10_000, 10_000), (10_000, 10_001), (12_000, 9_000), (20_000, 20_000)]
+
+
+@pytest.mark.parametrize("n1,n2", KS_SIZES)
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_ks_distances_match_scipy_bitwise(n1, n2, ties):
+    rng = np.random.default_rng(n1 * 100_003 + n2)
+    a, b = rng.exponential(1.0, n1), rng.exponential(1.1, n2)
+    if ties:
+        a, b = np.round(a, 1), np.round(b, 1)
+    assert _ks_2samp(a, b) == float(stats.ks_2samp(a, b).statistic)
+    assert _ks_2samp(a, a) == float(stats.ks_2samp(a, a).statistic) == 0.0
+    cdf = gamma(0.7, 1.5).sf
+    for sample in (a, b):
+        assert _ks_1samp(sample, cdf) == float(stats.kstest(sample, cdf).statistic)
+
+
+def test_ks_distances_of_empty_samples_are_nan():
+    assert np.isnan(_ks_1samp(np.array([]), gamma(1.0, 1.0).sf))
+    assert np.isnan(_ks_2samp(np.array([]), np.array([1.0])))
+
+
+def test_t_quantile_matches_scipy_bitwise():
+    for df in range(1, 51):
+        assert special.stdtrit(df, 0.975) == stats.t.ppf(0.975, df)

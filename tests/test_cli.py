@@ -232,14 +232,41 @@ def test_sweep_prints_stderrs_and_shared_minimiser(tmp_path, capsys):
     assert "all surfaces share the minimiser" in lines
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import; only the verbs that
-    # evaluate densities or run the acceptance suite should pay for it
-    code = "import sys, gg1lab.cli; print('scipy.stats' in sys.modules)"
+STATS_FREE_RUN = """
+import sys
+import numpy as np
+import gg1lab.acceptance
+from gg1lab import distributions, inspection, mdp, metrics, renewal, simulator
+
+arrival, service = distributions.exponential(0.8), distributions.lognormal(-0.3, 0.6)
+path, ledger = simulator.simulate(arrival, service, horizon=200.0, seed=1)
+metrics.compute_report(path, ledger)
+renewal.cycle_rewards(renewal.detect_cycles(path), path, ledger)
+epochs = inspection.poisson_epochs((path.initial_time, path.final_time), 0.1, 2)
+inspection.sample_inspections(ledger, path, epochs)
+inspection.pdf_curve_csv(service, np.linspace(0.0, 3.0, 8), sys.argv[1])
+for spec in (distributions.exponential(1.0), distributions.deterministic(2.0),
+             distributions.uniform(0.5, 1.5), distributions.gamma(0.7, 3.0), service):
+    spec.quantile(0.5)
+    spec.truncated_mean(np.linspace(0.0, 3.0, 8))
+mdp.solve_optimal(mdp.build_instance(0.5, [0.75, 1.0, 1.25], 50), "policy-iteration")
+print(sorted({"scipy.stats", "scipy.integrate"} & set(sys.modules)))
+"""
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats takes most of a second to import and nothing needs it:
+    # the CLI loads no scipy at all, and the library's distribution
+    # functions, KS distances and t quantile run on scipy.special
     src = os.path.dirname(os.path.dirname(gg1lab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, gg1lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", STATS_FREE_RUN, str(tmp_path / "pdf.csv")],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_leaves_control_model_unloaded():

@@ -40,6 +40,123 @@ SCIPY = {
 }
 
 
+def _scipy_truncated_mean(spec, t):
+    """E[min(X, t)] written with scipy.stats: X sf(t) plus the mean times
+    the cdf of the length-biased law, which is gamma(shape + 1, scale)
+    for gamma and a normal cdf in log t for lognormal.  Exponential and
+    uniform have closed forms that never used scipy."""
+    k, p = spec.kind, spec.params
+    arr = np.asarray(t, dtype=float)
+    if k == "exponential":
+        out = -np.expm1(-p[0] * arr) / p[0]
+    elif k == "uniform":
+        low, high = p
+        inside = arr.clip(low, high)
+        out = arr.clip(max=low) + (inside - low) - (inside - low) ** 2 / (2.0 * (high - low))
+    elif k == "gamma":
+        out = arr * stats.gamma.sf(arr, p[0], scale=p[1]) + p[0] * p[1] * stats.gamma.cdf(
+            arr, p[0] + 1.0, scale=p[1])
+    else:
+        mu, sigma = p
+        with np.errstate(divide="ignore"):
+            z = np.where(arr > 0, (np.log(np.where(arr > 0, arr, 1.0)) - mu - sigma**2) / sigma,
+                         -np.inf)
+        out = arr * SCIPY[k](p).sf(arr) + spec.mean() * stats.norm.cdf(z)
+    return out if out.ndim else float(out)
+
+
+DENSITY_SPECS = [s for s in SPECS if s.has_density]
+
+
+def finite_grid(spec):
+    """Finite t >= 0: zero, a fine grid over the bulk, tiny and huge
+    values, and the support's ends."""
+    ends = list(spec.params) if spec.kind == "uniform" else []
+    return np.concatenate([[0.0, 1e-300, 1e300], ends,
+                           np.linspace(0.0, 10.0 * spec.mean(), 2001),
+                           np.geomspace(1e-12, 1e12, 97)])
+
+
+ODD_POINTS = np.array([-0.0, -1.0, -1e300, -np.inf, np.inf, np.nan])
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", DENSITY_SPECS, ids=spec_ids)
+def test_pdf_sf_truncated_mean_match_scipy_bitwise(spec):
+    ref = SCIPY[spec.kind](spec.params)
+    grid = finite_grid(spec)
+    assert same_bits(spec.pdf(grid), ref.pdf(grid))
+    assert same_bits(spec.sf(grid), ref.sf(grid))
+    assert same_bits(spec.truncated_mean(grid), _scipy_truncated_mean(spec, grid))
+    # scalars and 0-d arrays keep their types: numpy scalars from pdf and
+    # sf, a float from truncated_mean
+    for t in (0.0, 1, np.float64(0.3), np.array(0.7), float(grid[-1])):
+        assert same_bits(spec.pdf(t), ref.pdf(t))
+        assert same_bits(spec.sf(t), ref.sf(t))
+        assert same_bits(spec.truncated_mean(t), _scipy_truncated_mean(spec, t))
+    assert isinstance(spec.truncated_mean(0.5), float)
+
+
+@pytest.mark.parametrize("spec", DENSITY_SPECS, ids=spec_ids)
+def test_pdf_sf_match_scipy_bitwise_off_the_support(spec):
+    # negatives, NaN and infinities; scipy warns at some of these and so
+    # may the copy, so only the values are compared
+    ref = SCIPY[spec.kind](spec.params)
+    with np.errstate(invalid="ignore"):
+        assert same_bits(spec.pdf(ODD_POINTS), ref.pdf(ODD_POINTS))
+        assert same_bits(spec.sf(ODD_POINTS), ref.sf(ODD_POINTS))
+        for t in ODD_POINTS:
+            assert same_bits(spec.pdf(t), ref.pdf(t))
+            assert same_bits(spec.sf(t), ref.sf(t))
+        positive = np.array([np.inf, np.nan])
+        assert same_bits(spec.truncated_mean(positive), _scipy_truncated_mean(spec, positive))
+
+
+QS = (0.0, 5e-324, 1e-12, 0.001, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-12, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", DENSITY_SPECS, ids=spec_ids)
+def test_quantile_matches_scipy_bitwise(spec):
+    ref = SCIPY[spec.kind](spec.params)
+    for q in QS:
+        assert same_bits(spec.quantile(q), float(ref.ppf(q)))
+
+
+density_kind = st.sampled_from(["exponential", "uniform", "gamma", "lognormal"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(kind=density_kind, a=st.floats(0.01, 100.0), b=st.floats(0.01, 20.0))
+@settings(max_examples=150, deadline=None)
+def test_distribution_functions_match_scipy_bitwise_property(kind, a, b):
+    spec = build(kind, a, b)
+    ref = SCIPY[kind](spec.params)
+    ends = list(spec.params) if kind == "uniform" else []
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 40) * spec.mean(), ends])
+    assert same_bits(spec.pdf(grid), ref.pdf(grid))
+    assert same_bits(spec.sf(grid), ref.sf(grid))
+    assert same_bits(spec.truncated_mean(grid), _scipy_truncated_mean(spec, grid))
+    for q in QS:
+        assert same_bits(spec.quantile(q), float(ref.ppf(q)))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_ids)
+def test_quantile_rejects_q_outside_unit_interval(spec):
+    for q in (-1e-300, -0.5, 1.0 + 1e-15, 2.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="0 <= q <= 1"):
+            spec.quantile(q)
+    # the ends keep scipy's values: the support's ends
+    low, high = {"uniform": spec.params, "deterministic": spec.params * 2}.get(
+        spec.kind, (0.0, math.inf))
+    assert spec.quantile(0.0) == low
+    assert spec.quantile(1.0) == high
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=spec_ids)
 def test_moments_match_quadrature(spec):
     """Closed-form mean and second moment against direct integration."""
