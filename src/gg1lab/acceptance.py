@@ -28,6 +28,7 @@ import numpy as np
 from scipy import special
 
 from . import birthdeath, experiments, inspection, mdp, metrics, renewal
+from ._checks import integer, real
 from .artifacts import write_json
 from .distributions import (
     DistributionSpec,
@@ -149,10 +150,8 @@ class AcceptanceSuite:
     """All acceptance criteria, sharing cached simulation runs."""
 
     def __init__(self, scale: float = 1.0, master_seed: int = 2026, self_check: bool = True):
-        if not 0 < scale <= 1:
-            raise ValueError(f"scale must be in (0, 1], got {scale}")
-        self.scale = scale
-        self.master_seed = int(master_seed)
+        self.scale = real("scale", scale, 0, 1, above=True)
+        self.master_seed = integer("master_seed", master_seed)
         self.self_check = self_check
         self._theorem_cache: list[dict] | None = None
         self._inspection_cache: dict | None = None

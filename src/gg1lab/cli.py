@@ -13,7 +13,7 @@ Verbs:
 
 Distributions on the command line are written kind:params, e.g.
 exponential:0.5, uniform:0,2, gamma:2,0.5.  Failures exit nonzero with
-a one-line JSON error object on stderr.
+a one-line JSON error object on stderr, usage errors included.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import sys
 import numpy as np
 
 from . import experiments, inspection, metrics
+from ._checks import real
 from .artifacts import write_json
 from .distributions import DistributionSpec
 from .simulator import DISCIPLINES, simulate
@@ -49,7 +50,7 @@ def _parse_seeds(text: str) -> list[int]:
 def _cmd_simulate(args) -> int:
     arrival = parse_distribution(args.arrival)
     service = parse_distribution(args.service)
-    metrics.check_cost_weight(args.cost_weight)
+    real("cost_weight", args.cost_weight, 0)
     path, ledger = simulate(
         arrival, service,
         discipline=args.discipline,
@@ -181,9 +182,13 @@ def _cmd_verify(args) -> int:
     return 0 if n_pass == len(results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it as one JSON line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gg1lab",
-                                     description="single-server queue simulation toolkit")
+    parser = _Parser(prog="gg1lab", description="single-server queue simulation toolkit")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("simulate", help="run one replication and export its artifacts")
@@ -233,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -22,19 +22,21 @@ no scipy.  tests/test_distributions.py keeps scipy.stats as the oracle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import real
+
 KINDS = ("exponential", "deterministic", "uniform", "gamma", "lognormal")
 
-_PARAM_NAMES = {
-    "exponential": ("rate",),
-    "deterministic": ("value",),
-    "uniform": ("low", "high"),
-    "gamma": ("shape", "scale"),
-    "lognormal": ("log_mean", "log_sigma"),
+# each kind's parameters, in order, as (name, lower bound, bound excluded)
+_PARAMS = {
+    "exponential": (("rate", 0, True),),
+    "deterministic": (("value", 0, True),),
+    "uniform": (("low", 0, False), ("high", 0, True)),
+    "gamma": (("shape", 0, True), ("scale", 0, True)),
+    "lognormal": (("log_mean", -math.inf, False), ("log_sigma", 0, True)),
 }
 
 
@@ -49,9 +51,10 @@ class DistributionSpec:
         gamma:         (shape, scale)     both > 0
         lognormal:     (log_mean, log_sigma)   log_sigma > 0
 
-    params is a tuple or list of real numbers.  Every kind also needs a
-    mean and a second moment that are finite doubles > 0, so that rates,
-    loads and variances are defined.
+    params is a list of finite reals, stored as floats (bool and str
+    raise ValueError).  Every kind also needs a mean and a second moment
+    that are finite doubles > 0, so that rates, loads and variances are
+    defined.
 
     Use the module-level constructors (``exponential``, ``uniform``, ...)
     rather than instantiating directly; validation happens either way.
@@ -63,30 +66,15 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; expected one of {KINDS}")
-        if not (isinstance(self.params, (list, tuple))
-                and all(isinstance(p, numbers.Real) for p in self.params)):
-            raise ValueError(f"{self.kind} params must be a list of real numbers, got {self.params!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        names = _PARAM_NAMES[self.kind]
-        if len(self.params) != len(names):
-            raise ValueError(
-                f"{self.kind} takes {len(names)} parameter(s) {names}, got {len(self.params)}"
-            )
-        for name, value in zip(names, self.params):
-            if not math.isfinite(value):
-                raise ValueError(f"{self.kind} parameter {name} must be finite, got {value}")
-        if self.kind == "exponential" and self.params[0] <= 0:
-            raise ValueError(f"exponential rate must be > 0, got {self.params[0]}")
-        if self.kind == "deterministic" and self.params[0] <= 0:
-            raise ValueError(f"deterministic value must be > 0, got {self.params[0]}")
-        if self.kind == "uniform":
-            low, high = self.params
-            if low < 0 or not low < high:
-                raise ValueError(f"uniform requires 0 <= low < high, got ({low}, {high})")
-        if self.kind == "gamma" and (self.params[0] <= 0 or self.params[1] <= 0):
-            raise ValueError(f"gamma requires shape > 0 and scale > 0, got {self.params}")
-        if self.kind == "lognormal" and self.params[1] <= 0:
-            raise ValueError(f"lognormal requires log_sigma > 0, got {self.params[1]}")
+        names = _PARAMS[self.kind]
+        if not (isinstance(self.params, (list, tuple)) and len(self.params) == len(names)):
+            raise ValueError(f"{self.kind} params must be a list of {len(names)} real "
+                             f"number(s) {tuple(n for n, _, _ in names)}, got {self.params!r}")
+        object.__setattr__(self, "params", tuple(
+            float(real(f"{self.kind} {name}", p, lo, above=above))
+            for (name, lo, above), p in zip(names, self.params)))
+        if self.kind == "uniform" and not self.params[0] < self.params[1]:
+            raise ValueError(f"uniform requires low < high, got {self.params}")
         try:
             moments = (self.mean(), self.second_moment())
         except (OverflowError, ZeroDivisionError):  # a power past the double range
@@ -160,12 +148,12 @@ class DistributionSpec:
         standardise t, evaluate the formula on the support (closed, or
         open), and give `below` at or below its lower end, `above` at or
         above its upper end, and NaN at NaN.  The formula sees only the
-        points inside, so points outside raise no warnings."""
+        points inside (+inf never is), so points outside raise no warnings."""
         loc, scale, _ = self._standard()
         x = (np.asarray(t, dtype=float) - loc) / scale
         a, b = self._support()
         out = np.where(x <= a, below, np.where(x >= b, above, np.nan))
-        inside = (a <= x) & (x <= b) if closed else (a < x) & (x < b)
+        inside = (a <= x) & (x <= b) & (x < math.inf) if closed else (a < x) & (x < b)
         out[inside] = formula(x[inside])
         return out[()] if out.ndim == 0 else out
 
@@ -218,8 +206,7 @@ class DistributionSpec:
     def quantile(self, q: float) -> float:
         """The q-quantile for q in [0, 1]; q = 0 and q = 1 give the ends of
         the support.  Any other q, NaN included, raises ValueError."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile needs 0 <= q <= 1, got {q}")
+        q = real("q", q, 0, 1)
         if self.kind == "deterministic":
             return self.params[0]
         from scipy import special
@@ -242,10 +229,15 @@ class DistributionSpec:
             z = np.exp(s * special.ndtri(q))
         return float((z * scale + loc)[0])
 
+    def _tail(self, t: np.ndarray) -> np.ndarray:
+        """t * sf(t) at the points t >= 0, and its limit 0 at t = +inf."""
+        return np.multiply(t, self.sf(t), out=np.zeros_like(t), where=t != math.inf)
+
     def truncated_mean(self, t):
         """E[min(X, t)], the integral of the complementary cdf over [0, t].
 
-        Accepts scalars or arrays; t must be nonnegative.
+        Accepts scalars or arrays; t must be nonnegative, and +inf gives
+        the mean.
         """
         arr = np.asarray(t, dtype=float)
         if np.any(arr < 0):
@@ -266,14 +258,14 @@ class DistributionSpec:
             shape, scale = p
             # the cdf of gamma(shape + 1, scale)
             cdf = self._on_support(arr, False, 0.0, 1.0, lambda x: special.gammainc(shape + 1.0, x))
-            out = arr * self.sf(arr) + shape * scale * cdf
+            out = self._tail(arr) + shape * scale * cdf
         else:
             from scipy import special
 
             mu, sigma = p
             with np.errstate(divide="ignore"):
                 z = np.where(arr > 0, (np.log(np.where(arr > 0, arr, 1.0)) - mu - sigma**2) / sigma, -np.inf)
-            out = arr * self.sf(arr) + self.mean() * special.ndtr(z)
+            out = self._tail(arr) + self.mean() * special.ndtr(z)
         return out if out.ndim else float(out)
 
     # ------------------------------------------------------------------
@@ -293,9 +285,8 @@ class DistributionSpec:
         return rng.lognormal(p[0], p[1], size)
 
     def with_mean(self, mean: float) -> "DistributionSpec":
-        """Rescale to the requested mean, preserving the shape (and variance / mean^2)."""
-        if mean <= 0:
-            raise ValueError(f"mean must be > 0, got {mean}")
+        """Rescale to the requested mean (finite, > 0), keeping the shape and variance / mean^2."""
+        mean = real("mean", mean, 0, above=True)
         k, p = self.kind, self.params
         if k == "exponential":
             return DistributionSpec("exponential", (1.0 / mean,))
@@ -316,11 +307,9 @@ class DistributionSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistributionSpec":
-        try:
-            kind, params = data["kind"], data["params"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"distribution object needs 'kind' and 'params': {data!r}") from exc
-        return cls(kind, params)
+        if not (isinstance(data, dict) and "kind" in data and "params" in data):
+            raise ValueError(f"distribution object needs 'kind' and 'params': {data!r}")
+        return cls(data["kind"], data["params"])
 
 
 # ----------------------------------------------------------------------

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import metrics
+from ._checks import integer, real
 from .artifacts import write_csv, write_json, write_jsonl
 from .distributions import DistributionSpec
 from .simulator import _normalise_discipline, simulate
@@ -48,9 +48,9 @@ class ExperimentConfig:
 
     service_shape fixes the service distribution family; at each grid
     rate the shape is rescaled to mean 1/rate, so the grid sweeps the
-    rate without changing the family's variability profile.  The rate
-    grid and the seeds are lists of finite real numbers and of integers,
-    and the other numbers real; a value that is not raises ValueError.
+    rate without changing the family's variability profile.  Numbers are
+    finite reals (rates and horizon > 0, cost_weight and warmup >= 0) or
+    integers >= 0 (seeds); bool, str and the rest raise ValueError.
     """
 
     arrival: DistributionSpec
@@ -69,32 +69,25 @@ class ExperimentConfig:
         for name in ("rate_grid", "seeds"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
-        if not all(isinstance(r, numbers.Real) and math.isfinite(r) and r > 0
-                   for r in self.rate_grid):
-            raise ValueError(f"rates must be finite and positive, got {list(self.rate_grid)!r}")
-        object.__setattr__(self, "rate_grid", tuple(float(r) for r in self.rate_grid))
-        if not all(isinstance(s, (int, np.integer)) or (isinstance(s, float) and s.is_integer())
-                   for s in self.seeds):
-            raise ValueError(f"seeds must be integers, got {list(self.seeds)!r}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        for name in ("penalty_k0", "penalty_k1", "warmup", "horizon"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        object.__setattr__(self, "rate_grid", tuple(
+            float(real(f"rate_grid[{i}]", r, 0, above=True)) for i, r in enumerate(self.rate_grid)))
+        object.__setattr__(self, "seeds", tuple(
+            integer(f"seeds[{i}]", s) for i, s in enumerate(self.seeds)))
+        for name, lo in (("cost_weight", 0), ("penalty_k0", -math.inf), ("penalty_k1", -math.inf),
+                         ("warmup", 0), ("horizon", 0)):
+            value = real(name, getattr(self, name), lo, above=name == "horizon")
+            object.__setattr__(self, name, value)
         if len(self.rate_grid) == 0:
             raise ValueError("rate grid must be nonempty")
         if any(b <= a for a, b in zip(self.rate_grid, self.rate_grid[1:])):
             raise ValueError("rate grid must be strictly increasing")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be a nonempty list of distinct integers")
-        if not (0 <= self.warmup < self.warmup + self.horizon < math.inf):
-            raise ValueError("need finite horizon > 0 and warmup >= 0")
-        if self.version != CONFIG_VERSION:
+        if not math.isfinite(self.warmup + self.horizon):
+            raise ValueError(f"warmup + horizon overflows: {self.warmup!r} + {self.horizon!r}")
+        if integer("version", self.version) != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {self.version}")
         _normalise_discipline(self.discipline)
-        metrics.check_cost_weight(self.cost_weight)
-        if not (math.isfinite(self.penalty_k0) and math.isfinite(self.penalty_k1)):
-            raise ValueError(f"penalty coefficients must be finite, got k0={self.penalty_k0!r} "
-                             f"k1={self.penalty_k1!r}")
         for rate in self.rate_grid:
             try:
                 pen = self.penalty_rate(rate)
@@ -127,18 +120,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config of a ``to_dict`` mapping; a key that names no field
-        raises ValueError."""
+        """The config of a ``to_dict`` mapping; a key that names no field,
+        or data that is not a mapping, raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a sweep config is a JSON object, got {data!r}")
         names = {f.name for f in fields(cls)}
         unknown = [key for key in data if key not in names]
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; expected {sorted(names)}")
         return cls(**{
             **data,
-            "arrival": DistributionSpec.from_dict(data["arrival"]),
-            "service_shape": DistributionSpec.from_dict(data["service_shape"]),
-            "rate_grid": data["rate_grid"],
-            "seeds": data["seeds"],
+            "arrival": DistributionSpec.from_dict(data.get("arrival")),
+            "service_shape": DistributionSpec.from_dict(data.get("service_shape")),
+            "rate_grid": data.get("rate_grid"),
+            "seeds": data.get("seeds"),
         })
 
     @classmethod

@@ -10,11 +10,11 @@ independent of the queue so the sampling itself adds no further bias.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real
 from .artifacts import write_csv
 from .distributions import DistributionSpec
 from .metrics import exact_sum
@@ -60,18 +60,19 @@ def poisson_epochs(window: tuple[float, float], rate: float, rng) -> np.ndarray:
     """Sorted epochs of a Poisson stream over the window, independent of
     the queue being inspected.  The rate must be finite and > 0, the
     window ends finite, and the expected count rate * length no more
-    than the event cap a simulation takes by default."""
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"epoch rate must be finite and > 0, got {rate}")
-    t0, t1 = window
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"window {window} must have finite ends")
+    than the event cap a simulation takes by default.  ``rng`` is a
+    numpy Generator or an integer seed >= 0."""
+    rate = real("rate", rate, 0, above=True)
+    if not (isinstance(window, (list, tuple)) and len(window) == 2):
+        raise ValueError(f"window must be a pair (start, end), got {window!r}")
+    t0, t1 = (real(name, t) for name, t in zip(("window start", "window end"), window))
     if t1 <= t0:
         raise ValueError(f"window {window} has nonpositive length")
     if not rate * (t1 - t0) <= DEFAULT_EVENT_CAP:
         raise ValueError(f"expected epoch count rate * length = {rate * (t1 - t0):g} exceeds "
                          f"the default event cap {DEFAULT_EVENT_CAP:g}")
-    rng = np.random.default_rng(rng)
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(integer("rng", rng))
     n = int(rng.poisson(rate * (t1 - t0)))
     return np.sort(rng.uniform(t0, t1, n))
 
@@ -141,19 +142,15 @@ def age_cdf(spec: DistributionSpec, t) -> np.ndarray:
     """Distribution function of the age (and residual): the integral of
     sf over [0, t] scaled by the mean, available in closed form as the
     truncated mean."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("age cdf is defined for t >= 0 only")
     return spec.truncated_mean(t) / spec.mean()
 
 
 def total_cdf(spec: DistributionSpec, t) -> np.ndarray:
     """Distribution function of the inspected (length-biased) service
-    length: E[X; X <= t] / E[X], recovered from the truncated mean."""
+    length: E[X; X <= t] / E[X], recovered from the truncated mean; 1 at
+    t = +inf."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("total cdf is defined for t >= 0 only")
-    return (spec.truncated_mean(t) - t * spec.sf(t)) / spec.mean()
+    return (spec.truncated_mean(t) - spec._tail(t)) / spec.mean()
 
 
 def pdf_curve_csv(spec: DistributionSpec, t, path) -> None:

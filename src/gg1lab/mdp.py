@@ -35,12 +35,13 @@ follow from the flows by one multiply-add and a running sum.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from ._checks import integer, real
 
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 200_000
@@ -53,10 +54,11 @@ _NONE = np.empty(0, dtype=np.intp)
 class MdpInstance:
     """Uniformised service-rate-control MDP on states {0..N}.
 
-    The service rates, arrival rate, cost weight and the pair of penalty
-    coefficients must be real numbers; ``from_dict`` ignores keys it
-    does not read, such as the ``method`` and ``tol`` that a solve
-    config carries."""
+    The action grid is an increasing array of finite rates > 0, the
+    arrival rate and cost weight finite reals >= 0, the penalty a pair of
+    finite reals and n_states an integer >= 2; bool, str and the rest
+    raise ValueError.  ``from_dict`` ignores keys it does not read, such
+    as the ``method`` and ``tol`` that a solve config carries."""
 
     arrival_rate: float
     action_grid: np.ndarray
@@ -66,11 +68,10 @@ class MdpInstance:
 
     def __post_init__(self):
         grid = np.asarray(self.action_grid)
-        if grid.dtype.kind not in "iuf":
-            raise ValueError(f"service rates must be real numbers, got {self.action_grid!r}")
+        if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size == 0:
+            raise ValueError(f"action_grid must be a nonempty list of real numbers, "
+                             f"got {self.action_grid!r}")
         grid = grid.astype(float)
-        if grid.size == 0:
-            raise ValueError("action grid must be nonempty")
         if not np.all(np.isfinite(grid)):
             raise ValueError(f"service rates must be finite, got {grid.tolist()}")
         if np.any(np.diff(grid) <= 0):
@@ -78,25 +79,13 @@ class MdpInstance:
         if np.any(grid <= 0):
             raise ValueError("service rates must be positive")
         object.__setattr__(self, "action_grid", grid)
-        if not (isinstance(self.penalty, (list, tuple)) and len(self.penalty) == 2
-                and all(isinstance(v, numbers.Real)
-                        for v in (self.arrival_rate, self.cost_weight, *self.penalty))):
-            raise ValueError(f"arrival rate, cost weight and penalty must be real numbers, got "
-                             f"{self.arrival_rate!r}, {self.cost_weight!r}, {self.penalty!r}")
-        object.__setattr__(self, "penalty", tuple(self.penalty))
-        if not (np.isfinite(self.arrival_rate) and self.arrival_rate >= 0):
-            raise ValueError(f"arrival rate must be finite and nonnegative, got {self.arrival_rate}")
-        n = self.n_states
-        if not (isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())):
-            raise ValueError(f"number of states must be an integer, got {n!r}")
-        object.__setattr__(self, "n_states", int(n))
-        if self.n_states < 2:
-            raise ValueError(f"need at least 3 states (N >= 2), got N={self.n_states}")
-        if not (np.isfinite(self.cost_weight) and self.cost_weight >= 0):
-            raise ValueError(f"cost weight must be finite and nonnegative, got {self.cost_weight}")
-        k0, k1 = self.penalty
-        if not (np.isfinite(k0) and np.isfinite(k1)):
-            raise ValueError(f"penalty coefficients must be finite, got {self.penalty}")
+        object.__setattr__(self, "arrival_rate", real("arrival_rate", self.arrival_rate, 0))
+        object.__setattr__(self, "n_states", integer("n_states", self.n_states, 2))
+        object.__setattr__(self, "cost_weight", real("cost_weight", self.cost_weight, 0))
+        if not (isinstance(self.penalty, (list, tuple)) and len(self.penalty) == 2):
+            raise ValueError(f"penalty must be a pair (k0, k1), got {self.penalty!r}")
+        k0, k1 = (real(f"penalty[{i}]", v) for i, v in enumerate(self.penalty))
+        object.__setattr__(self, "penalty", (k0, k1))
         with np.errstate(over="ignore"):
             wear = k0 * np.exp(-k1 * grid)
         if not np.all(np.isfinite(wear)):
@@ -148,6 +137,8 @@ class MdpInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MdpInstance":
+        if not isinstance(data, dict):
+            raise ValueError(f"an MDP config is a JSON object, got {data!r}")
         return cls(
             arrival_rate=data["arrival_rate"],
             action_grid=data["action_grid"],
@@ -402,14 +393,6 @@ class _Chain:
         return best, q
 
 
-def _state_index(instance: MdpInstance, state) -> int:
-    integral = isinstance(state, (int, np.integer)) or (
-        isinstance(state, float) and state.is_integer())
-    if isinstance(state, bool) or not integral or not 0 <= state <= instance.n_states:
-        raise ValueError(f"distinguished state {state!r} not in 0..{instance.n_states}")
-    return int(state)
-
-
 def policy_evaluation(
     instance: MdpInstance, policy, distinguished_state: int = 0
 ) -> tuple[np.ndarray, float]:
@@ -448,7 +431,7 @@ def policy_evaluation(
         raise ValueError(f"policy must assign an action to each of the {instance.n_states + 1} states")
     if np.any(policy < 0) or np.any(policy >= instance.n_actions):
         raise ValueError("policy contains out-of-range action indices")
-    x0 = _state_index(instance, distinguished_state)
+    x0 = integer("distinguished_state", distinguished_state, 0, instance.n_states)
     n = instance.n_states
     big = instance.uniformisation_rate
     p = instance.arrival_rate / big
@@ -482,11 +465,12 @@ def solve_optimal(
         "policy-iteration": _policy_iteration,
         "relative-value-iteration": _relative_value_iteration,
     }
-    if method not in solvers:
+    if not isinstance(instance, MdpInstance):
+        raise ValueError(f"instance must be an MdpInstance, got {instance!r}")
+    if not isinstance(method, str) or method not in solvers:
         raise ValueError(f"unknown method {method!r}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    x0 = _state_index(instance, distinguished_state)
+    tol = real("tol", tol, 0, above=True)
+    x0 = integer("distinguished_state", distinguished_state, 0, instance.n_states)
     return solvers[method](instance, _Chain(instance), tol, x0)
 
 

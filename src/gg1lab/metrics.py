@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ._checks import real
 from .simulator import CustomerLedger, Trajectory
 
 # exact_sum's layout: frexp exponents of finite doubles run from -1073
@@ -148,14 +148,6 @@ def _flush(whole: np.ndarray, frac: np.ndarray) -> int:
     return total
 
 
-def check_cost_weight(cost_weight: float) -> None:
-    """Raise ValueError unless the cost weight is a finite, nonnegative
-    real number."""
-    if not (isinstance(cost_weight, numbers.Real) and math.isfinite(cost_weight)
-            and cost_weight >= 0):
-        raise ValueError(f"cost weight must be finite and nonnegative, got {cost_weight!r}")
-
-
 def _path_totals(path: Trajectory) -> tuple[float, float]:
     """(area, busy time): the exact sums of level times width over the
     path's segments, and of the widths at nonzero levels, ``_BLOCK``
@@ -269,9 +261,11 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
     Count averages are zero for an empty window population rather than
     raising, so quiet windows still serialise cleanly.  The path and the
     ledger must cover the same window, of positive length, and the cost
-    weight must be finite and nonnegative.
+    weight must be a finite real number >= 0, taken as a Python number.
     """
-    check_cost_weight(cost_weight)
+    if not (isinstance(path, Trajectory) and isinstance(ledger, CustomerLedger)):
+        raise ValueError(f"need a Trajectory and a CustomerLedger, got {path!r}, {ledger!r}")
+    cost_weight = real("cost_weight", cost_weight, 0)
     window = (path.initial_time, path.final_time)
     if window != tuple(ledger.window):
         raise ValueError(f"path window {window} does not match ledger {ledger.window}")
@@ -326,9 +320,7 @@ def verify_theorem(
     """
     if variant not in ("obs", "act"):
         raise ValueError(f"variant must be 'obs' or 'act', got {variant!r}")
-    lam = report.lambda_hat if arrival_rate is None else arrival_rate
-    if lam < 0:
-        raise ValueError(f"arrival rate must be nonnegative, got {lam}")
+    lam = report.lambda_hat if arrival_rate is None else real("arrival_rate", arrival_rate, 0)
     if not report.stable:
         warnings.warn(
             f"rate relation evaluated on a saturated window (rho_hat={report.rho_hat:.3f}); "

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real
 from .artifacts import write_csv
 from .distributions import DistributionSpec
 
@@ -113,8 +114,7 @@ class CustomerLedger:
         """The rows arriving at or before ``t_final``, as views, over the
         window [open, t_final]; see ``Trajectory.restrict``."""
         t_initial, end = self.window
-        if not (t_initial <= t_final <= end):
-            raise ValueError(f"t_final={t_final} outside window [{t_initial}, {end}]")
+        t_final = real("t_final", t_final, t_initial, end)
         cut = slice(_count_upto(self.arrival_time, t_final))
         return CustomerLedger(self.arrival_time[cut], self.service_start[cut],
                               self.service_duration[cut], self.departure_time[cut],
@@ -183,11 +183,8 @@ class Trajectory:
         at or before ``t_final``, as views.  For a ``simulate`` run this
         path and the ledger's ``restrict`` are, bit for bit, those of a
         fresh ``simulate`` on the same seed whose window ends at
-        ``t_final``."""
-        if not (self.initial_time <= t_final <= self.final_time):
-            raise ValueError(
-                f"t_final={t_final} outside window [{self.initial_time}, {self.final_time}]"
-            )
+        ``t_final``, a real number in the window."""
+        t_final = real("t_final", t_final, self.initial_time, self.final_time)
         cut = _count_upto(self.times, t_final)
         return Trajectory(self.initial_time, t_final, self.initial_count,
                           self.times[:cut], self.counts[:cut])
@@ -222,10 +219,10 @@ def simulate(
         discipline: "fcfs", "lcfs" or "random-order".
         warmup: window opens at this time; the system starts empty at 0.
         horizon: window length; the window is [warmup, warmup + horizon].
-        seed: master seed; arrival, service and discipline draws come
-            from independent substreams spawned from it.
+        seed: master seed, an integer >= 0; arrival, service and
+            discipline draws come from independent substreams of it.
         event_cap: hard bound on processed events (arrivals plus
-            departures, in time order).
+            departures, in time order), an integer >= 0.
 
     Ties between an arrival and a departure at the same instant are
     broken arrival-first.
@@ -246,13 +243,13 @@ def simulate(
     the cap allows, so a dense arrival stream cannot outgrow memory
     first.
     """
-    if not warmup >= 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not (isinstance(arrival, DistributionSpec) and isinstance(service, DistributionSpec)):
+        raise ValueError(f"arrival and service must be DistributionSpecs: {arrival!r}, {service!r}")
+    t_initial = float(real("warmup", warmup, 0))
+    t_final = t_initial + real("horizon", horizon, 0, above=True)
+    seed = integer("seed", seed)
+    event_cap = integer("event_cap", event_cap)
     mode = _normalise_discipline(discipline)
-    t_initial = float(warmup)
-    t_final = t_initial + float(horizon)
     if not math.isfinite(t_final):
         raise ValueError(f"window end warmup + horizon must be finite, got {warmup} + {horizon}")
 
@@ -268,7 +265,6 @@ def simulate(
     owners = None if queue is None else _Column(np.int64)  # customer of each slot
     late = []  # (customers, starts, durations, departures) of drain slots
     kept = None  # arrivals of the kept slots, once the drain forgets them
-    cap_index = max(event_cap, 0)  # 0-based index of the event that breaks the cap
     k = 0  # slots computed
     dep = -math.inf  # departure of slot k - 1
     tail = (0, departures.values)  # first slot and departures of the latest chunk kept whole
@@ -282,8 +278,8 @@ def simulate(
         if k:
             # unfinished, so every event up to slot k - 1's departure is processed
             seen = arrivals.count_upto(dep) + _count_upto(tail[1], dep) + tail[0]
-            if seen > cap_index:
-                raise _cap_exceeded(event_cap, cap_index, arrivals, *tail)
+            if seen > event_cap:
+                raise _cap_exceeded(event_cap, arrivals, *tail)
         drain = n_window is not None and k >= n_window
         if drain:
             # the drain reads no arrival before slot k's own
@@ -310,7 +306,7 @@ def simulate(
         # allows, all before d[-1]: a run that reaches the last of them
         # fails the cap checks below, and one that ends before it reads
         # no arrival after it
-        arrivals.ensure_past(d[-1], cap_index)
+        arrivals.ensure_past(d[-1], event_cap)
         if n_window is None:
             n_window = arrivals.passed(t_final)
         if queue is not None:
@@ -336,8 +332,8 @@ def simulate(
         last_slot = n_window - 1
         last_dep = float(D[last_slot]) if n_window else -math.inf
     processed = int(arrivals.count_upto(max(t_final, last_dep))) + last_slot + 1
-    if processed > cap_index:
-        raise _cap_exceeded(event_cap, cap_index, arrivals, *tail)
+    if processed > event_cap:
+        raise _cap_exceeded(event_cap, arrivals, *tail)
 
     times, counts = _queue_path(A[:n_window], D[: _count_upto(D, t_final)])
     first = int(np.searchsorted(times, t_initial, side="left"))
@@ -669,10 +665,10 @@ def _queue_path(arrival_times: np.ndarray, departure_times: np.ndarray) -> tuple
     return times[order], np.cumsum(steps, dtype=np.int64)
 
 
-def _cap_exceeded(event_cap: int, index: int, arrivals: _Arrivals, first_slot: int,
+def _cap_exceeded(index: int, arrivals: _Arrivals, first_slot: int,
                   departure_times: np.ndarray) -> EventCapExceeded:
     """The error for the run reaching event ``index`` (0-based, in the
-    merged order of ``_queue_path``) with the cap already spent.
+    merged order of ``_queue_path``) with a cap of ``index`` events spent.
 
     ``departure_times`` are those of the slots from ``first_slot`` on;
     every earlier slot departs before that event.
@@ -687,7 +683,7 @@ def _cap_exceeded(event_cap: int, index: int, arrivals: _Arrivals, first_slot: i
         t = float(arrivals.between(i, i + 1)[0])
     n = index - 2 * n_dep
     return EventCapExceeded(
-        f"event cap {event_cap} exceeded at t={t:.6g} (queue length {n})",
+        f"event cap {index} exceeded at t={t:.6g} (queue length {n})",
         events=index,
         time_reached=t,
         queue_length=n,

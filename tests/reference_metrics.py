@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from gg1lab.metrics import MetricsReport, check_cost_weight
+from gg1lab.metrics import MetricsReport
 from gg1lab.simulator import CustomerLedger, Trajectory
 
 
@@ -52,7 +52,9 @@ def _actual_totals(ledger, arr, dep, cost_weight) -> tuple[float, float, float]:
 
 
 def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float = 1.0) -> MetricsReport:
-    check_cost_weight(cost_weight)
+    if isinstance(cost_weight, bool) or not (isinstance(cost_weight, (int, float))
+                                             and math.isfinite(cost_weight) and cost_weight >= 0):
+        raise ValueError(f"cost weight must be finite and nonnegative, got {cost_weight!r}")
     window = (path.initial_time, path.final_time)
     if window != tuple(ledger.window):
         raise ValueError(f"path window {window} does not match ledger {ledger.window}")

@@ -28,6 +28,16 @@ def suite():
     return AcceptanceSuite(scale=1.0, master_seed=2026)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"scale": 0}, {"scale": 2.0}, {"scale": float("nan")}, {"scale": True}, {"scale": "1"},
+    {"master_seed": 1.5}, {"master_seed": True}, {"master_seed": "1"}, {"master_seed": -1},
+])
+def test_suite_rejects_a_scale_or_seed_it_cannot_run(kwargs):
+    # master_seed=1.5 ran as seed 1, and a str scale raised TypeError
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        AcceptanceSuite(**kwargs)
+
+
 def check(suite, number):
     result = suite.criterion(number)
     print(result.line())

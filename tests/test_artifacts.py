@@ -36,6 +36,30 @@ MDP_CONFIG = {
     "method": "relative-value-iteration",
 }
 
+# the same verbs with int values where floats are usual: an int that
+# works today is echoed as an int
+SWEEP_INT_CONFIG = {
+    "version": 1,
+    "arrival": {"kind": "exponential", "params": [1]},
+    "service_shape": {"kind": "gamma", "params": [2, 1]},
+    "rate_grid": [2, 3, 4],
+    "seeds": [3, 4],
+    "cost_weight": 2,
+    "penalty_k0": 1,
+    "penalty_k1": 1,
+    "warmup": 0,
+    "horizon": 500,
+}
+
+MDP_INT_CONFIG = {
+    "arrival_rate": 1,
+    "action_grid": [1, 2, 3],
+    "n_states": 30,
+    "cost_weight": 2,
+    "penalty": [1, -1],
+    "method": "policy-iteration",
+}
+
 # Fixed small runs of every CLI verb that writes files.  Config files are
 # written into the run's directory first; "{dir}" stands for it.
 GOLDEN_RUNS = {
@@ -56,7 +80,9 @@ GOLDEN_RUNS = {
         "--warmup", "10", "--horizon", "2000", "--epoch-rate", "0.3", "--seed", "6",
     ],
     "sweep": ["sweep", "--config", "{dir}/sweep.json"],
+    "sweep-int": ["sweep", "--config", "{dir}/sweep_int.json"],
     "mdp-solve": ["mdp", "solve", "--config", "{dir}/mdp.json"],
+    "mdp-solve-int": ["mdp", "solve", "--config", "{dir}/mdp_int.json"],
 }
 
 # sha256 of every file each run writes, recorded before the writers were
@@ -84,6 +110,9 @@ GOLDEN_SHA256 = {
     "mdp-solve": {
         "solution.json": "36f6582760f69aff507b8e36f427b9844754733c984fcaea28ce99ac712a5b56",
     },
+    "mdp-solve-int": {
+        "solution.json": "67a94da19d16c444d512a0f8b2e760d59f43b26159083aa6af8897c4c8bb572e",
+    },
     "simulate-fcfs-warmup": {
         "customer.csv": "cff8c739ea4fce4d54432143331d732624f9b2e4f7d7e8a4c57ef7c58f284d91",
         "path.csv": "4f8c4f2b6c207acc1673e0e1fcbef718b03699dc541221d4f163e5feba589efd",
@@ -100,6 +129,12 @@ GOLDEN_SHA256 = {
         "reports.jsonl": "0572307ec252530c60dfbcc15d7cfb67918605458e9f9048ee0f7deb94e34847",
         "surface.csv": "69925ea3c38316ff4d25736f749fc47214c2350187e490d8fb612901a15b392a",
     },
+    "sweep-int": {
+        "config.echo.json": "c4f8cd6b232b8692a6f8133e99beee1a12a40b42f192ceef019c85ff3ea1a6d1",
+        "equivalence.json": "4e7b2e4146ba509c2bc31365a7f3bb24cb429ff7d00e78615d454f54df0954ef",
+        "reports.jsonl": "cb69c1677c5782d1e34bc9f3a890b9f2acba680b49c4ba473cf22eb3b8114e53",
+        "surface.csv": "b7de9c71f25984a5ffc0e10d80fee332a6d059215d9f2033f43ea71f85b436ce",
+    },
 }
 
 
@@ -114,6 +149,8 @@ def _digests(directory):
 def test_cli_artifacts_match_recorded_bytes(tmp_path, capsys, run):
     (tmp_path / "sweep.json").write_text(json.dumps(SWEEP_CONFIG))
     (tmp_path / "mdp.json").write_text(json.dumps(MDP_CONFIG))
+    (tmp_path / "sweep_int.json").write_text(json.dumps(SWEEP_INT_CONFIG))
+    (tmp_path / "mdp_int.json").write_text(json.dumps(MDP_INT_CONFIG))
     out = tmp_path / "out"
     argv = [a.format(dir=tmp_path) for a in GOLDEN_RUNS[run]] + ["--out", str(out)]
     assert main(argv) == 0

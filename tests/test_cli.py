@@ -117,11 +117,15 @@ def test_sweep_rejects_a_bad_penalty_before_any_output(tmp_path, capsys, penalty
     {"arrival": {"kind": "exponential", "params": 0.4}},
     {"arrival": {"kind": "exponential", "params": [None]}},
     {"arrival": {"kind": "exponential", "params": ["0.4"]}},
+    {"seeds": [True]},
+    {"horizon": "5"},
+    # a config that is not an object replaces the whole file
+    5, None, [1, 2],
 ])
 def test_sweep_rejects_a_bad_config_value_before_any_output(tmp_path, capsys, change):
     # a traceback, a silent substitute (seeds 1 and 2), or a misspelt key ignored
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({**SWEEP_CFG, **change}))
+    cfg_file.write_text(json.dumps({**SWEEP_CFG, **change} if isinstance(change, dict) else change))
     out_dir = tmp_path / "out"
     rc = main(["sweep", "--config", str(cfg_file), "--out", str(out_dir)])
     assert rc == 2
@@ -130,19 +134,33 @@ def test_sweep_rejects_a_bad_config_value_before_any_output(tmp_path, capsys, ch
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("key", ["arrival_rate", "cost_weight", "penalty", "action_grid"])
+BAD_MDP_VALUES = {
+    "arrival_rate": ["0.1", True],
+    "cost_weight": ["0.1"],
+    "penalty": [["0.1", "-8.0"]],
+    "action_grid": [["0.15", "0.4"]],
+    "tol": ["1e-9", True],
+    "method": [["a"]],
+    # a config that is not an object replaces the whole file
+    "config": [5, None, [1, 2]],
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_MDP_VALUES))
 def test_mdp_solve_rejects_a_value_that_is_not_a_number(tmp_path, capsys, key):
+    # a str tol, a list method or a config that is not an object ended
+    # in a TypeError traceback; True was taken as 1
     with open(os.path.join(CONFIGS, "mdp_demo.json")) as fh:
         cfg = json.load(fh)
-    cfg[key] = {"penalty": ["0.1", "-8.0"], "action_grid": ["0.15", "0.4"]}.get(key, "0.1")
     cfg_file = tmp_path / "mdp.json"
-    cfg_file.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
-    rc = main(["mdp", "solve", "--config", str(cfg_file), "--out", str(out_dir)])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and "real numbers" in err["message"]
-    assert not out_dir.exists()
+    for bad in BAD_MDP_VALUES[key]:
+        cfg_file.write_text(json.dumps(bad if key == "config" else {**cfg, key: bad}))
+        rc = main(["mdp", "solve", "--config", str(cfg_file), "--out", str(out_dir)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and key in err["message"]
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1"])
@@ -157,7 +175,7 @@ def test_inspect_rejects_a_bad_epoch_rate_before_simulating(tmp_path, capsys, mo
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError",
-                   "message": f"epoch rate must be finite and > 0, got {float(rate)}"}
+                   "message": f"rate must be a finite real number > 0, got {float(rate)}"}
     assert not (tmp_path / "out").exists()
 
 
@@ -291,6 +309,13 @@ def test_errors_exit_2_with_json(tmp_path, capsys):
     assert err["error"] == "ValueError"
     assert "rate" in err["message"]
 
+    # usage errors printed argparse's text, not JSON
+    for argv in (["simulate", "--arrival", "exponential:1", "--service", "exponential:2",
+                  "--horizon", "abc"], [], ["mdp"], ["sweep", "--seeds"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
+
 
 def test_simulate_rejects_nan_cost_weight(tmp_path, capsys):
     rc = main(["simulate", "--arrival", "exponential:0.5", "--service", "exponential:1",
@@ -298,7 +323,7 @@ def test_simulate_rejects_nan_cost_weight(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError",
-                   "message": "cost weight must be finite and nonnegative, got nan"}
+                   "message": "cost_weight must be a finite real number >= 0, got nan"}
     assert not (tmp_path / "out").exists()
 
 
@@ -317,7 +342,7 @@ def test_simulate_rejects_a_bad_cost_weight_before_any_draw(tmp_path, capsys, mo
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-    assert err["message"].startswith("cost weight must be finite and nonnegative")
+    assert err["message"].startswith("cost_weight must be a finite real number >= 0")
     assert not (tmp_path / "out").exists()
 
 

@@ -101,19 +101,27 @@ def test_pdf_sf_truncated_mean_match_scipy_bitwise(spec):
     assert isinstance(spec.truncated_mean(0.5), float)
 
 
+def _at_plus_inf(t, values, limit):
+    """scipy's values, with the limit at t = +inf in place of scipy's
+    NaN: a density is 0 there and the truncated mean is the mean."""
+    return np.where(np.asarray(t) == np.inf, limit, values)[()]
+
+
 @pytest.mark.parametrize("spec", DENSITY_SPECS, ids=spec_ids)
 def test_pdf_sf_match_scipy_bitwise_off_the_support(spec):
     # negatives, NaN and infinities; scipy warns at some of these and so
     # may the copy, so only the values are compared
     ref = SCIPY[spec.kind](spec.params)
     with np.errstate(invalid="ignore"):
-        assert same_bits(spec.pdf(ODD_POINTS), ref.pdf(ODD_POINTS))
+        assert same_bits(spec.pdf(ODD_POINTS), _at_plus_inf(ODD_POINTS, ref.pdf(ODD_POINTS), 0.0))
         assert same_bits(spec.sf(ODD_POINTS), ref.sf(ODD_POINTS))
         for t in ODD_POINTS:
-            assert same_bits(spec.pdf(t), ref.pdf(t))
+            assert same_bits(spec.pdf(t), _at_plus_inf(t, ref.pdf(t), 0.0))
             assert same_bits(spec.sf(t), ref.sf(t))
         positive = np.array([np.inf, np.nan])
-        assert same_bits(spec.truncated_mean(positive), _scipy_truncated_mean(spec, positive))
+        assert same_bits(spec.truncated_mean(positive),
+                         _at_plus_inf(positive, _scipy_truncated_mean(spec, positive), spec.mean()))
+        assert spec.truncated_mean(np.inf) == spec.mean()
 
 
 QS = (0.0, 5e-324, 1e-12, 0.001, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-12, 1.0)
@@ -148,7 +156,7 @@ def test_distribution_functions_match_scipy_bitwise_property(kind, a, b):
 @pytest.mark.parametrize("spec", SPECS, ids=spec_ids)
 def test_quantile_rejects_q_outside_unit_interval(spec):
     for q in (-1e-300, -0.5, 1.0 + 1e-15, 2.0, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="0 <= q <= 1"):
+        with pytest.raises(ValueError, match=r"q must be a finite real number in \[0, 1\]"):
             spec.quantile(q)
     # the ends keep scipy's values: the support's ends
     low, high = {"uniform": spec.params, "deterministic": spec.params * 2}.get(
@@ -276,6 +284,8 @@ def test_validation_errors():
         exponential(0.0)
     with pytest.raises(ValueError):
         exponential(-1.0)
+    with pytest.raises(ValueError, match="exponential rate must be a finite real number > 0"):
+        exponential(True)
     with pytest.raises(ValueError):
         deterministic(-2.0)
     with pytest.raises(ValueError):
@@ -298,7 +308,7 @@ def test_validation_errors():
         DistributionSpec(kind="exponential", params=(1.0, 2.0))
     # a TypeError, a TypeError, and a str taken as 0.4
     for params in (0.4, [None], ["0.4"]):
-        with pytest.raises(ValueError, match="list of real numbers"):
+        with pytest.raises(ValueError, match="exponential (params|rate) must be a"):
             DistributionSpec.from_dict({"kind": "exponential", "params": params})
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from gg1lab.distributions import deterministic, exponential, uniform
+from gg1lab.distributions import deterministic, exponential, gamma, lognormal, uniform
 from gg1lab.inspection import (
     age_cdf,
     analytic_pdfs,
@@ -82,6 +82,9 @@ def test_total_cdf_against_size_biased_density():
             assert float(total_cdf(spec, t)) == pytest.approx(part, abs=1e-9)
         assert float(total_cdf(spec, 0.0)) == 0.0
         assert float(total_cdf(spec, upper)) == pytest.approx(1.0, abs=1e-9)
+    # inf * sf(inf) made both NaN at +inf for every kind
+    for spec in (EXP, DET, UNI, gamma(2.0, 0.5), lognormal(0.0, 0.5)):
+        assert total_cdf(spec, math.inf) == 1.0 and age_cdf(spec, math.inf) == 1.0
 
 
 def test_hand_placed_epochs():
@@ -129,14 +132,23 @@ def test_poisson_epochs_properties():
     np.testing.assert_array_equal(a, b)
 
 
+# each case keeps the id it had, which quotes the old wording
 @pytest.mark.parametrize("window,rate,match", [
-    ((0.0, 10.0), math.nan, "epoch rate must be finite and > 0"),
-    ((0.0, 10.0), math.inf, "epoch rate must be finite and > 0"),
-    ((0.0, 10.0), 0.0, "epoch rate must be finite and > 0"),
-    ((0.0, 10.0), -1.0, "epoch rate must be finite and > 0"),
-    ((0.0, math.inf), 1.0, "finite ends"),
-    ((-math.inf, 0.0), 1.0, "finite ends"),
-    ((math.nan, 1.0), 1.0, "finite ends"),
+    pytest.param((0.0, 10.0), math.nan, "rate must be a finite real number > 0",
+                 id="window0-nan-epoch rate must be finite and > 0"),
+    pytest.param((0.0, 10.0), math.inf, "rate must be a finite real number > 0",
+                 id="window1-inf-epoch rate must be finite and > 0"),
+    pytest.param((0.0, 10.0), 0.0, "rate must be a finite real number > 0",
+                 id="window2-0.0-epoch rate must be finite and > 0"),
+    pytest.param((0.0, 10.0), -1.0, "rate must be a finite real number > 0",
+                 id="window3--1.0-epoch rate must be finite and > 0"),
+    pytest.param((0.0, math.inf), 1.0, "window end must be a finite real number",
+                 id="window4-1.0-finite ends"),
+    pytest.param((-math.inf, 0.0), 1.0, "window start must be a finite real number",
+                 id="window5-1.0-finite ends"),
+    pytest.param((math.nan, 1.0), 1.0, "window start must be a finite real number",
+                 id="window6-1.0-finite ends"),
+    ((0.0, 10.0), True, "rate must be a finite real number > 0"),
 ])
 def test_poisson_epochs_rejects_a_rate_or_window_it_cannot_draw(window, rate, match):
     # nan and inf reached NumPy's Poisson draw, which raised its own errors

@@ -131,21 +131,27 @@ def test_policy_validation():
         policy_evaluation(inst, np.zeros(5, dtype=int), distinguished_state=9)
 
 
+# a case whose message was reworded keeps the id it had, which quotes
+# the old wording
 @pytest.mark.parametrize("kwargs, match", [
-    ({"arrival_rate": float("nan")}, "arrival rate"),
-    ({"arrival_rate": float("inf")}, "arrival rate"),
+    pytest.param({"arrival_rate": float("nan")}, "arrival_rate", id="kwargs0-arrival rate"),
+    pytest.param({"arrival_rate": float("inf")}, "arrival_rate", id="kwargs1-arrival rate"),
     ({"mu_grid": [0.8, float("inf")]}, "service rates must be finite"),
     ({"mu_grid": [float("nan"), 1.2]}, "service rates must be finite"),
-    ({"cost_weight": float("nan")}, "cost weight"),
-    ({"cost_weight": float("inf")}, "cost weight"),
-    ({"penalty": (float("nan"), 1.0)}, "penalty coefficients"),
-    ({"penalty": (0.1, float("-inf"))}, "penalty coefficients"),
+    pytest.param({"cost_weight": float("nan")}, "cost_weight", id="kwargs4-cost weight"),
+    pytest.param({"cost_weight": float("inf")}, "cost_weight", id="kwargs5-cost weight"),
+    pytest.param({"penalty": (float("nan"), 1.0)}, r"penalty\[0\]",
+                 id="kwargs6-penalty coefficients"),
+    pytest.param({"penalty": (0.1, float("-inf"))}, r"penalty\[1\]",
+                 id="kwargs7-penalty coefficients"),
     ({"penalty": (0.1, -1000.0)}, "overflows"),
     ({"n_states": 20.7}, "integer"),
     ({"n_states": float("nan")}, "integer"),
     ({"mu_grid": ["0.8", "1.2"]}, "real numbers"),
-    ({"penalty": ("0.1", "1")}, "real numbers"),
-    ({"penalty": 0.1}, "real numbers"),
+    pytest.param({"penalty": ("0.1", "1")}, r"penalty\[0\] must be a finite real number",
+                 id="kwargs12-real numbers"),
+    pytest.param({"penalty": 0.1}, "penalty must be a pair", id="kwargs13-real numbers"),
+    ({"arrival_rate": True}, "arrival_rate"),
 ])
 def test_instance_rejects_nonfinite_and_nonintegral_inputs(kwargs, match):
     args = {"arrival_rate": 0.5, "mu_grid": [0.8, 1.2], "n_states": 20, **kwargs}
@@ -159,11 +165,14 @@ def test_instance_rejects_values_that_are_not_real_numbers(key):
     # a str action grid was read as floats
     data = build_instance(0.1, [0.15, 0.4], 20, penalty=(0.1, -8.0)).to_dict()
     bad = {"penalty": ["0.1", "-8.0"], "action_grid": ["0.15", "0.4"]}.get(key, "0.1")
-    with pytest.raises(ValueError, match="must be real numbers"):
+    with pytest.raises(ValueError, match=f"{key}.* must be a (finite real number|nonempty list of real numbers)"):
         MdpInstance.from_dict({**data, key: bad})
     # a solve config's method and tol are not the instance's, and stay ignored
     inst = MdpInstance.from_dict({**data, "method": "policy-iteration", "tol": 1e-10})
     assert inst.to_dict() == data
+    # a numpy scalar is stored as a Python number, which a writer takes
+    weight = MdpInstance.from_dict({**data, "cost_weight": np.float32(0.3)}).cost_weight
+    assert type(weight) is float and weight == float(np.float32(0.3))
 
 
 def test_instance_state_count_must_be_integral():
@@ -179,14 +188,14 @@ def test_instance_state_count_must_be_integral():
 @pytest.mark.parametrize("state", [-1, 21, 99, 1.5, True, float("nan")])
 def test_solvers_reject_distinguished_state_outside(method, state):
     inst = build_instance(0.5, [0.8, 1.2], n_states=20)
-    with pytest.raises(ValueError, match="distinguished state"):
+    with pytest.raises(ValueError, match="distinguished_state"):
         solve_optimal(inst, method, distinguished_state=state)
 
 
 @pytest.mark.parametrize("state", [1.5, True, np.True_, -1, 21])
 def test_policy_evaluation_rejects_distinguished_state_outside(state):
     inst = build_instance(0.5, [0.8, 1.2], n_states=20)
-    with pytest.raises(ValueError, match="distinguished state"):
+    with pytest.raises(ValueError, match="distinguished_state"):
         policy_evaluation(inst, np.zeros(21, dtype=int), distinguished_state=state)
 
 
@@ -205,10 +214,10 @@ def test_integral_distinguished_state_is_accepted(state):
 
 
 @pytest.mark.parametrize("method", ["policy-iteration", "relative-value-iteration"])
-@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10])
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10, True, "1e-9"])
 def test_solvers_reject_nonpositive_tolerance(method, tol):
     inst = build_instance(0.5, [0.8, 1.2], n_states=20)
-    with pytest.raises(ValueError, match="tolerance"):
+    with pytest.raises(ValueError, match="tol must be a finite real number > 0"):
         solve_optimal(inst, method, tol=tol)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gg1lab import metrics
+from gg1lab.artifacts import write_json
 from gg1lab.distributions import deterministic, exponential, gamma, uniform
 from gg1lab.metrics import (
     MetricsReport,
@@ -122,13 +123,18 @@ def test_report_rejects_a_zero_length_window(t0):
         compute_report(path.restrict(t0), ledger.restrict(t0))
 
 
-@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0, -1e-300, "1", None, [1.0]])
-def test_report_rejects_a_cost_weight_not_finite_and_nonnegative(dd1, c):
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0, -1e-300, "1", None, [1.0],
+                               True, pytest.param(10**400, id="10**400")])
+def test_report_rejects_a_cost_weight_not_finite_and_nonnegative(dd1, c, tmp_path):
     # nan made every total NaN, -1 a negative H_total, and "1" a TypeError
     path, ledger = dd1
-    with pytest.raises(ValueError, match="cost weight must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="cost_weight must be a finite real number >= 0"):
         compute_report(path, ledger, cost_weight=c)
     assert compute_report(path, ledger, cost_weight=0.0).H_total == 0.0
+    # a float32 weight gave float32 totals, which write_json refused
+    report = compute_report(path, ledger, cost_weight=np.float32(0.3))
+    assert all(type(v) is float for v in (report.cost_weight, report.H_total, report.R_act_total))
+    write_json(tmp_path / "report.json", report.to_dict())
 
 
 @given(seed=st.integers(0, 2**31 - 1), c=st.floats(0.1, 5.0))

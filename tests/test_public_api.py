@@ -89,6 +89,22 @@ def _public_fields(path):
                     yield f"{path.stem}.{node.name}.{item.target.id}", as_dict
 
 
+def test_number_rule_lives_in_checks_only():
+    """Only ``_checks`` imports ``numbers`` or calls ``.is_integer()``, so
+    the rule for numeric arguments is written once."""
+    found = []
+    for path in PACKAGE:
+        if path.name == "_checks.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                        else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "numbers" in imported or (isinstance(node, ast.Attribute)
+                                         and node.attr == "is_integer"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"numeric checks outside _checks: {found}"
+
+
 def test_public_fields_have_a_library_reader():
     read = set()
     for path in CALLERS:

@@ -261,6 +261,15 @@ def test_argument_validation():
         simulate(exponential(1.0), exponential(1.0), warmup=-1.0)
     with pytest.raises(ValueError):
         simulate(exponential(1.0), exponential(1.0), discipline="priority")
+    # a NaN cap was no cap, 1.5 a TypeError from a slice and -1 a cap of
+    # 0; the seeds and the str horizon were TypeErrors, and horizon=True
+    # a window of length 1
+    for name, bad in [("event_cap", float("nan")), ("event_cap", 1.5), ("event_cap", True),
+                      ("event_cap", "5"), ("event_cap", -1), ("seed", 1.5), ("seed", "a"),
+                      ("seed", True), ("horizon", True), ("horizon", "5")]:
+        kwargs = {"horizon": 10.0, "event_cap": 10_000, name: bad}
+        with pytest.raises(ValueError, match=name):
+            simulate(exponential(1.0), exponential(1.0), **kwargs)
 
 
 @pytest.mark.parametrize("warmup,horizon", [
