@@ -67,17 +67,15 @@ class MdpInstance:
     penalty: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        grid = np.asarray(self.action_grid)
-        if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size == 0:
+        grid = self.action_grid
+        grid = grid.tolist() if isinstance(grid, np.ndarray) else grid
+        if not (isinstance(grid, (list, tuple)) and grid):
             raise ValueError(f"action_grid must be a nonempty list of real numbers, "
                              f"got {self.action_grid!r}")
-        grid = grid.astype(float)
-        if not np.all(np.isfinite(grid)):
-            raise ValueError(f"service rates must be finite, got {grid.tolist()}")
+        grid = np.array([real(f"action_grid[{i}]", r, 0, above=True) for i, r in enumerate(grid)],
+                        dtype=float)
         if np.any(np.diff(grid) <= 0):
             raise ValueError("action grid must be strictly increasing")
-        if np.any(grid <= 0):
-            raise ValueError("service rates must be positive")
         object.__setattr__(self, "action_grid", grid)
         object.__setattr__(self, "arrival_rate", real("arrival_rate", self.arrival_rate, 0))
         object.__setattr__(self, "n_states", integer("n_states", self.n_states, 2))
@@ -515,6 +513,9 @@ def _relative_value_iteration(instance, chain, tol, x0) -> MdpSolution:
         values = new_values
         if gap <= tol:
             break
+        if not math.isfinite(gap):
+            raise ValueError(f"relative value iteration diverged: sweep {it} gave a value "
+                             "that is not finite")
     else:
         raise RuntimeError(
             f"relative value iteration failed to reach tol={tol} in {MAX_ITERATIONS} sweeps"

@@ -27,6 +27,12 @@ flagged ``pre_window``.  Every run drains: it continues past the
 window end until each customer that arrived by then has departed (those
 later events never extend the recorded path), or raises
 ``EventCapExceeded``.  ``restrict`` takes a shorter window of a run.
+
+A run keeps one record per slot that serves a window customer, in slot
+order, whether or not the window has closed: its start, duration and
+departure, and under LCFS and random order its customer.  The ledger
+is the records placed by customer; the path's departures are the
+record departures up to the window end.
 """
 
 from __future__ import annotations
@@ -227,21 +233,22 @@ def simulate(
     Ties between an arrival and a departure at the same instant are
     broken arrival-first.
 
-    Service slots are computed a chunk at a time until every slot the
-    run needs is known: those of the window's arrivals, plus, under
-    LCFS or random order, the drain slots up to the departure of the
-    last window customer.  A chunk of ``_PARALLEL_MIN`` slots or more
-    is computed a busy period at a time (guessed starts, NumPy sums, an
-    exact check of every start, the scalar loop from the first wrong
-    guess on); shorter ones, such as the first chunks and the drain's,
-    by the scalar loop.  Both give the same bits.  Arrivals after the
-    window end take slots and service draws but get no ledger row: a
-    slot's customer is kept only when its index is below the window's
-    arrival count.  The event cap is checked after every chunk, so a run
-    stops within one chunk of reaching it.  A chunk draws the arrivals
-    up to its last departure, but stops once more epochs are drawn than
-    the cap allows, so a dense arrival stream cannot outgrow memory
-    first.
+    Service slots are computed a chunk at a time until every window
+    customer has had its slot: under FCFS the first slots, one per
+    window arrival; under LCFS or random order the slots up to the
+    departure of the last window customer, drain slots included.  A
+    chunk of ``_PARALLEL_MIN`` slots or more is computed a busy period
+    at a time (guessed starts, NumPy sums, an exact check of every
+    start, the scalar loop from the first wrong guess on); shorter
+    ones, such as the first chunks and the drain's, by the scalar loop.
+    Both give the same bits.  Every chunk appends a record of its slots
+    that serve a window customer (start, duration, departure, and the
+    customer under LCFS and random order); arrivals after the window
+    end take slots and service draws but get no record.  The event cap
+    is checked after every chunk, so a run stops within one chunk of
+    reaching it.  A chunk draws the arrivals up to its last departure,
+    but stops once more epochs are drawn than the cap allows, so a
+    dense arrival stream cannot outgrow memory first.
     """
     if not (isinstance(arrival, DistributionSpec) and isinstance(service, DistributionSpec)):
         raise ValueError(f"arrival and service must be DistributionSpecs: {arrival!r}, {service!r}")
@@ -258,34 +265,24 @@ def simulate(
     services = _Draws(service, np.random.default_rng(svc_ss))
     queue = None if mode == 0 else _Queue(mode, np.random.default_rng(disc_ss))
 
-    # every slot up to the window's last arrival is kept; later (drain)
-    # slots only when they serve a window customer, in ``late``
-    departures = _Column()
-    durations = _Column()
-    owners = None if queue is None else _Column(np.int64)  # customer of each slot
-    late = []  # (customers, starts, durations, departures) of drain slots
-    kept = None  # arrivals of the kept slots, once the drain forgets them
+    # one record per slot that serves a window customer, in slot order:
+    # (starts, durations, departures), plus the customers under LCFS and
+    # random order (under FCFS slot j serves customer j)
+    records = []
+    recorded = 0  # window customers with a record
+    last = 0  # slots up to the latest record's
     k = 0  # slots computed
     dep = -math.inf  # departure of slot k - 1
-    tail = (0, departures.values)  # first slot and departures of the latest chunk kept whole
-    assigned = 0  # window customers given a slot (LCFS, random order)
-    last_slot, last_dep = -1, -math.inf  # latest slot holding a window customer
     step = _FIRST_CHUNK
 
     arrivals.ensure_count(1)
     n_window = arrivals.passed(t_final)  # arrivals up to t_final, once known
-    while n_window is None or (k if queue is None else assigned) < n_window:
-        if k:
-            # unfinished, so every event up to slot k - 1's departure is processed
-            seen = arrivals.count_upto(dep) + _count_upto(tail[1], dep) + tail[0]
-            if seen > event_cap:
-                raise _cap_exceeded(event_cap, arrivals, *tail)
-        drain = n_window is not None and k >= n_window
-        if drain:
-            # the drain reads no arrival before slot k's own
-            if kept is None:
-                kept = arrivals.between(0, k).copy()
-            arrivals.forget_before(k)
+    while n_window is None or recorded < n_window:
+        # unfinished, so all k slots and every arrival up to slot k - 1's
+        # departure are processed; the events before the latest chunk
+        # passed the check before it
+        if arrivals.count_upto(dep) + k > event_cap:
+            raise _cap_exceeded(event_cap, arrivals, k - len(d), d)
         if n_window is not None and k < n_window:
             hi = min(k + _SAMPLE_BLOCK, n_window)
         else:
@@ -296,46 +293,40 @@ def simulate(
         a = arrivals.between(k, hi)
         s = services.take(hi - k)
         d = _departures(a, s, dep)
-        if drain:
-            tail = (k, d)
-        else:
-            departures.extend(d)
-            durations.extend(s)
-            tail = (0, departures.values)
         # stopped short of d[-1], the stream holds more epochs than the cap
         # allows, all before d[-1]: a run that reaches the last of them
-        # fails the cap checks below, and one that ends before it reads
-        # no arrival after it
+        # fails the cap checks, and one that ends before it reads no
+        # arrival after it
         arrivals.ensure_past(d[-1], event_cap)
         if n_window is None:
             n_window = arrivals.passed(t_final)
-        if queue is not None:
-            before = _previous_departures(dep, d)
-            starts = np.maximum(before, a)
-            arrived = arrivals.count_upto(starts)
-            who = np.array(queue.fill(k, a > before, arrived), dtype=np.int64)
-            mine = np.flatnonzero(who < (arrivals.end if n_window is None else n_window))
-            if drain:
-                late.append((who[mine], starts[mine], s[mine], d[mine]))
-            else:
-                owners.extend(who)
+        before = _previous_departures(dep, d)
+        starts = np.maximum(before, a)
+        window = arrivals.end if n_window is None else n_window  # window customers are below it
+        if queue is None:  # slot j serves customer j
+            mine = slice(0, min(hi, window) - k)
+            records.append((starts[mine], s[mine], d[mine]))
+            last = k + mine.stop
+        else:
+            who = np.array(queue.fill(k, a > before, arrivals.count_upto(starts)), dtype=np.int64)
+            mine = np.flatnonzero(who < window)
+            records.append((starts[mine], s[mine], d[mine], who[mine]))
             if mine.size:
-                assigned += mine.size
-                last_slot = k + int(mine[-1])
-                last_dep = float(d[mine[-1]])
+                last = k + int(mine[-1]) + 1
+        recorded += len(records[-1][0])
         k = hi
         dep = float(d[-1])
 
-    D = departures.values
-    A = arrivals.between(0, len(D)) if kept is None else kept  # the kept slots' arrivals
-    if queue is None:
-        last_slot = n_window - 1
-        last_dep = float(D[last_slot]) if n_window else -math.inf
-    processed = int(arrivals.count_upto(max(t_final, last_dep))) + last_slot + 1
-    if processed > event_cap:
-        raise _cap_exceeded(event_cap, arrivals, *tail)
-
-    times, counts = _queue_path(A[:n_window], D[: _count_upto(D, t_final)])
+    start, duration, departure, *customers = (
+        map(np.concatenate, zip(*records)) if records else [np.empty(0)] * 3)
+    del records  # the chunks, freed before the path is built
+    # the run ends at t_final or at the last window customer's departure
+    end = max(t_final, float(departure[-1])) if n_window else t_final
+    if arrivals.count_upto(end) + last > event_cap:
+        raise _cap_exceeded(event_cap, arrivals, k - len(d), d)
+    # a slot that departs by t_final serves a customer who arrived by then
+    times, counts = _queue_path(arrivals.between(0, n_window),
+                                departure[: _count_upto(departure, t_final)])
     first = int(np.searchsorted(times, t_initial, side="left"))
     initial_count = int(counts[first - 1]) if first else 0
     times, counts = _canonical_path(times[first:], counts[first:], initial_count)
@@ -347,36 +338,20 @@ def simulate(
         counts=counts,
     )
 
-    # the kept slots up to the last window customer's
-    served = min(last_slot + 1, len(D))
-    starts = np.maximum(_previous_departures(-math.inf, D[:served]), A[:served])
-    finish = D[:served]
-    spans = durations.values[:served]
-    start_a = np.full(n_window, math.nan)
-    dur_a = np.full(n_window, math.nan)
-    dep_a = np.full(n_window, math.nan)
-
-    def place(customers, starts, spans, finish):
-        start_a[customers] = starts
-        dur_a[customers] = spans
-        dep_a[customers] = finish
-
-    if queue is None:
-        place(slice(0, served), starts, spans, finish)
-    else:
-        who = owners.values[:served]
-        mine = who < n_window
-        place(who[mine], starts[mine], spans[mine], finish[mine])
-        for chunk in late:
-            place(*chunk)
-    arr_a = A[:n_window].copy()
-    pre = (arr_a < t_initial) & (dep_a >= t_initial)
+    arrival_time = arrivals.between(0, n_window).copy()
+    if customers:  # the records placed by customer
+        slot = np.empty(n_window, dtype=np.int64)
+        slot[customers[0]] = np.arange(n_window)
+        # a column at a time, so each slot-order column is freed before the next is placed
+        start = start[slot]
+        duration = duration[slot]
+        departure = departure[slot]
     ledger = CustomerLedger(
-        arrival_time=arr_a,
-        service_start=start_a,
-        service_duration=dur_a,
-        departure_time=dep_a,
-        pre_window=pre,
+        arrival_time=arrival_time,
+        service_start=start,
+        service_duration=duration,
+        departure_time=departure,
+        pre_window=(arrival_time < t_initial) & (departure >= t_initial),
         window=(t_initial, t_final),
     )
     return trajectory, ledger
@@ -415,11 +390,6 @@ class _Column:
         self._buf[self.size : end] = items
         self.size = end
 
-    def drop(self, n: int) -> None:
-        """Remove the first ``n`` values."""
-        self._buf[: self.size - n] = self._buf[n : self.size]
-        self.size -= n
-
 
 class _Draws:
     """One sampling stream, drawn a block at a time and consumed in order."""
@@ -449,21 +419,18 @@ class _Arrivals:
     Each block of draws is accumulated sequentially from the last epoch
     before it, so every epoch is the float sum ``t + gap`` of the one
     before (``carry + np.cumsum(gaps)`` would round differently).
-    Epochs are addressed by arrival index; ``forget_before`` drops the
-    ones a drain no longer reads.
     """
 
     def __init__(self, spec: DistributionSpec, rng: np.random.Generator) -> None:
         self._spec = spec
         self._rng = rng
         self._times = _Column()
-        self._first = 0  # index of the arrival at _times.values[0]
         self.last = 0.0
 
     @property
     def end(self) -> int:
         """Index past the last epoch drawn."""
-        return self._first + self._times.size
+        return self._times.size
 
     def _grow(self) -> None:
         gaps = self._spec.sample(self._rng, _SAMPLE_BLOCK)
@@ -482,20 +449,15 @@ class _Arrivals:
             self._grow()
 
     def between(self, lo: int, hi: int) -> np.ndarray:
-        return self._times.values[lo - self._first : hi - self._first]
+        return self._times.values[lo:hi]
 
     def passed(self, t: float) -> int | None:
         """Arrivals at or before ``t`` once the stream has passed it."""
         return int(self.count_upto(t)) if self.last > t else None
 
     def count_upto(self, t):
-        """Arrivals at or before ``t`` (a float or an array), for times
-        no earlier than the last forgotten epoch."""
-        return self._first + np.searchsorted(self._times.values, t, side="right")
-
-    def forget_before(self, n: int) -> None:
-        self._times.drop(n - self._first)
-        self._first = n
+        """Arrivals at or before ``t`` (a float or an array)."""
+        return np.searchsorted(self._times.values, t, side="right")
 
 
 def _departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> np.ndarray:
@@ -661,8 +623,10 @@ def _queue_path(arrival_times: np.ndarray, departure_times: np.ndarray) -> tuple
     at ties, with the queue length after each event."""
     times = np.concatenate((arrival_times, departure_times))
     order = np.argsort(times, kind="stable")
+    times = times[order]
     steps = np.where(order < len(arrival_times), np.int8(1), np.int8(-1))
-    return times[order], np.cumsum(steps, dtype=np.int64)
+    del order  # freed before the cumsum allocates the counts
+    return times, np.cumsum(steps, dtype=np.int64)
 
 
 def _cap_exceeded(index: int, arrivals: _Arrivals, first_slot: int,

@@ -1,6 +1,8 @@
-"""Traced memory of compute_report and cycle_rewards on an M/M/1 run of
-about a million events: each walks the run in blocks, so its
-temporaries stay at a few blocks' worth whatever the run's length."""
+"""Traced memory of simulate, compute_report and cycle_rewards on an
+M/M/1 run of about a million events.  simulate keeps one record per
+window customer and frees its path temporaries early; the other two
+walk the run in blocks, so their temporaries stay at a few blocks' worth
+whatever the run's length."""
 
 import tracemalloc
 
@@ -12,9 +14,13 @@ from gg1lab.renewal import cycle_rewards, detect_cycles
 from gg1lab.simulator import simulate
 
 
+def simulate_run():
+    return simulate(exponential(0.5), exponential(1.0), horizon=1e6, seed=1000)
+
+
 @pytest.fixture(scope="module")
 def run():
-    path, ledger = simulate(exponential(0.5), exponential(1.0), horizon=1e6, seed=1000)
+    path, ledger = simulate_run()
     assert len(path.times) > 990_000
     return path, ledger, detect_cycles(path)
 
@@ -29,6 +35,12 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return peak - before
+
+
+def test_simulate_with_its_outputs_stays_under_44_mb():
+    # the path and ledger it returns hold about 31 MB; whole-slot
+    # columns and the path's merge temporaries peaked at about 52 MB
+    assert traced_peak(simulate_run) < 44 * 2**20
 
 
 def test_compute_report_temporaries_stay_under_8_mb(run):

@@ -176,6 +176,12 @@ def test_library_entry_refuses_or_returns_plain_floats(case, value):
     assert _floats_ok(result), (case, value, result)
 
 
+def test_bool_inside_the_action_grid_is_refused():
+    # the grid was once checked as an array, which read True as the rate 1.0
+    with pytest.raises(ValueError, match=r"action_grid\[2\]"):
+        MdpInstance(0.1, [0.15, 0.25, True], 20)
+
+
 def _json_value(value):
     """The value as a config file can hold it: numpy scalars become
     Python numbers."""

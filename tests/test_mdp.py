@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -136,8 +137,10 @@ def test_policy_validation():
 @pytest.mark.parametrize("kwargs, match", [
     pytest.param({"arrival_rate": float("nan")}, "arrival_rate", id="kwargs0-arrival rate"),
     pytest.param({"arrival_rate": float("inf")}, "arrival_rate", id="kwargs1-arrival rate"),
-    ({"mu_grid": [0.8, float("inf")]}, "service rates must be finite"),
-    ({"mu_grid": [float("nan"), 1.2]}, "service rates must be finite"),
+    pytest.param({"mu_grid": [0.8, float("inf")]}, r"action_grid\[1\]",
+                 id="kwargs2-service rates must be finite"),
+    pytest.param({"mu_grid": [float("nan"), 1.2]}, r"action_grid\[0\]",
+                 id="kwargs3-service rates must be finite"),
     pytest.param({"cost_weight": float("nan")}, "cost_weight", id="kwargs4-cost weight"),
     pytest.param({"cost_weight": float("inf")}, "cost_weight", id="kwargs5-cost weight"),
     pytest.param({"penalty": (float("nan"), 1.0)}, r"penalty\[0\]",
@@ -147,7 +150,8 @@ def test_policy_validation():
     ({"penalty": (0.1, -1000.0)}, "overflows"),
     ({"n_states": 20.7}, "integer"),
     ({"n_states": float("nan")}, "integer"),
-    ({"mu_grid": ["0.8", "1.2"]}, "real numbers"),
+    pytest.param({"mu_grid": ["0.8", "1.2"]}, r"action_grid\[0\] must be a finite real number",
+                 id="kwargs11-real numbers"),
     pytest.param({"penalty": ("0.1", "1")}, r"penalty\[0\] must be a finite real number",
                  id="kwargs12-real numbers"),
     pytest.param({"penalty": 0.1}, "penalty must be a pair", id="kwargs13-real numbers"),
@@ -219,6 +223,19 @@ def test_solvers_reject_nonpositive_tolerance(method, tol):
     inst = build_instance(0.5, [0.8, 1.2], n_states=20)
     with pytest.raises(ValueError, match="tol must be a finite real number > 0"):
         solve_optimal(inst, method, tol=tol)
+
+
+@pytest.mark.parametrize("method", ["policy-iteration", "relative-value-iteration"])
+def test_overflowing_stage_costs_raise_at_once(method):
+    # a cost weight of 1e308 overflows the stage costs to inf; relative
+    # value iteration ran all its sweeps (9 s at N = 20) before it raised
+    # a RuntimeError
+    inst = build_instance(0.1, [0.15, 0.25, 0.4], 20, cost_weight=1e308)
+    start = time.perf_counter()
+    with warnings.catch_warnings(), pytest.raises(ValueError):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        solve_optimal(inst, method)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,47 @@ def test_hand_traced_dd1_matches_reference(discipline, warmup, drains):
     assert errors[0][1] == 15 and errors[0][2] > warmup + 5.0
 
 
+def outcome(run, *args, **kwargs):
+    """The error's text and fields, or the bytes of the path and ledger."""
+    try:
+        path, ledger = run(*args, **kwargs)
+    except EventCapExceeded as err:
+        return str(err), err.events, err.time_reached, err.queue_length
+    return (path.initial_count, path.times.tobytes(), path.counts.tobytes(),
+            *(getattr(ledger, name).tobytes() for name in LEDGER_COLUMNS))
+
+
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random-order"])
+@pytest.mark.parametrize("arrival, service, warmup, horizon, seed, edge", [
+    # more than 256 slots: caps fall in the first chunk, the second and
+    # the drain
+    (exponential(1.0), exponential(1.0 / 0.9), 20.0, 400.0, 4, ()),
+    # overloaded, with ties; LCFS never drains it.  The first chunk is the
+    # window's 302 slots; the last departs at 605, after 605 arrivals, so
+    # the check after it counts 907 events
+    (deterministic(1.0), deterministic(2.0), 2.5, 300.0, 7, (906, 907)),
+], ids=["mm1-0.9", "dd1-2"])
+def test_event_cap_sweep_matches_reference(arrival, service, warmup, horizon, seed, edge,
+                                           discipline):
+    args = (arrival, service, discipline, warmup, horizon, seed)
+
+    def stopped(cap):
+        want = outcome(reference_engine.simulate, *args, event_cap=cap)
+        assert outcome(simulate, *args, event_cap=cap) == want, cap
+        return isinstance(want[0], str)
+
+    # every 11th cap from 0 to 1,400, which keeps the test to a few
+    # seconds, then every cap up to the first of those that lets the run
+    # finish, and the chunk edge
+    stops = [stopped(cap) for cap in range(0, 1401, 11)]
+    if not all(stops):
+        first = 11 * stops.index(False)
+        for cap in range(first - 10, first):
+            stopped(cap)
+    for cap in edge:
+        stopped(cap)
+
+
 @pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random-order"])
 def test_exact_ties_match_reference(discipline):
     # arrivals every 0.5, services of 1.5 or 0.25: exact binary fractions,
