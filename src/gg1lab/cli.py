@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, inspection, metrics
+from . import experiments, inspection, mdp, metrics
 from ._checks import real
 from .artifacts import write_json
 from .distributions import DistributionSpec
@@ -141,8 +141,6 @@ def _describe_policy(policy: np.ndarray, grid) -> str:
 
 
 def _cmd_mdp_solve(args) -> int:
-    from . import mdp
-
     with open(args.config) as fh:
         data = json.load(fh)
     instance = mdp.MdpInstance.from_dict(data)
@@ -241,7 +239,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

@@ -287,13 +287,31 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
-def test_import_leaves_control_model_unloaded():
-    # the control model pulls in scipy.linalg; only `mdp solve` needs it
-    code = "import sys, gg1lab.cli; print(sorted({'gg1lab.mdp', 'scipy.linalg'} & set(sys.modules)))"
+def test_mdp_solve_loads_no_scipy(tmp_path):
+    # importing scipy.linalg alone took about 0.25 s, most of a solve
+    code = ("import sys; from gg1lab.cli import main; "
+            f"rc = main(['mdp', 'solve', '--config', {os.path.join(CONFIGS, 'mdp_demo.json')!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(gg1lab.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "solution.json").exists()
+
+
+def test_mdp_solve_reports_a_state_count_too_large_to_hold(tmp_path, capsys):
+    # a trillion states asks NumPy for terabytes at once, which fails
+    # before any page is touched; it ended in a MemoryError traceback
+    with open(os.path.join(CONFIGS, "mdp_demo.json")) as fh:
+        cfg = json.load(fh)
+    cfg_file = tmp_path / "mdp.json"
+    cfg_file.write_text(json.dumps({**cfg, "n_states": 10**12}))
+    out_dir = tmp_path / "out"
+    assert main(["mdp", "solve", "--config", str(cfg_file), "--out", str(out_dir)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "MemoryError"
+    assert not out_dir.exists()
 
 
 def test_errors_exit_2_with_json(tmp_path, capsys):

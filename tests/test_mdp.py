@@ -440,11 +440,11 @@ def test_serialization_round_trips():
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "mdp_demo.json")
 # sha256 of the demo instance's policy-iteration and relative-value-iteration
 # solutions (policy, relative values, rho_bar, residual, iterations) and
-# their implied responses, with policies evaluated by the tridiagonal
-# solve of the differenced Poisson equation
+# their implied responses, with policies evaluated by the subtraction-free
+# elimination of the differenced Poisson equation
 DEMO_SOLUTION_SHA256 = {
-    100: "36e3700a889e85ed9796e2934f5781a57eaf1687f6c992353b371690ab0ba16a",
-    1000: "e739b749be597f5d280e493ef65808553a6e3d8e1396b638c5db7523d229836e",
+    100: "ce91052b37aa755299cec94bd0a34de7294fb991a8231552dc966800d25edab8",
+    1000: "6d33d9f8d43ccd37a3d12412e6d331150cb2acc178712614d2594a3b6599cb46",
 }
 
 

@@ -105,6 +105,21 @@ def test_number_rule_lives_in_checks_only():
     assert not found, f"numeric checks outside _checks: {found}"
 
 
+def test_scipy_lives_in_distributions_and_acceptance_only():
+    """Only ``distributions`` and ``acceptance`` import ``scipy``, so the
+    simulator, the reports and the control model run without it."""
+    found = []
+    for path in PACKAGE:
+        if path.name in ("distributions.py", "acceptance.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                        else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.split(".")[0] == "scipy" for name in imported):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy imported outside distributions and acceptance: {found}"
+
+
 def test_public_fields_have_a_library_reader():
     read = set()
     for path in CALLERS:
