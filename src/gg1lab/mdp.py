@@ -25,6 +25,9 @@ the flow up among all the intervals only where that test fails, and
 computes only the certified action's q-value, by the same multiply-adds
 as the full scan.  The first-minimum scan over all actions runs only on
 the states left uncertified, so every sweep's bits are the full scan's.
+Relative value iteration sweeps between two value buffers, checks its
+stopping rule at one state before it checks all of them, and builds the
+greedy policy once, at the end.
 
 Policy evaluation works on the flows J(x+1) - J(x): differencing
 neighbouring rows of the Poisson equation removes the gain and leaves a
@@ -239,7 +242,7 @@ class _Chain:
     then on.  A certified state computes the q-value of its kept action
     only, from the same table entries in the same order, so its bits are
     the full scan's.  The full first-minimum scan runs on the rest (its
-    pick is returned, not kept): ties and flows near a crossing, state 0
+    pick is not kept): ties and flows near a crossing, state 0
     when some action's cost exceeds the least by more than 0 but at most
     2m, and every state of a sweep whose values are not all finite.  The
     intervals are tabulated at twice the margin a sweep needs, and again,
@@ -247,6 +250,16 @@ class _Chain:
     they were built with.  The greedy policy of value iteration changes in
     few sweeps, so most sweeps gather no table entries and look nothing
     up.
+
+    ``lookahead`` is the sweep.  It writes the q-values into an array the
+    caller owns, reads J through views J[1:] and J[:-1] that value
+    iteration builds once per buffer, and takes max|J|, for its margin,
+    from the caller.  Its work arrays and their views are made once per
+    chain, so a sweep that certifies every state allocates nothing.
+    ``greedy_policy`` builds the greedy policy, as a new array, only
+    where a caller needs it: at the end of value iteration and in each
+    improvement step of policy iteration.  ``sweep`` does both on new
+    arrays.
     """
 
     def __init__(self, instance: MdpInstance):
@@ -277,12 +290,18 @@ class _Chain:
         self._kept_p_stay = np.zeros(n + 1)
         self._lo = np.full(n + 1, np.inf)
         self._hi = np.full(n + 1, -np.inf)
-        # work space; state 0 has no flow and tests 0 against its ends
+        # the states the last sweep scanned and the actions it picked there
+        self._scanned = (_NONE, _NONE)
+        # work space, and the views of it a sweep uses; state 0 has no
+        # flow and tests 0 against its ends
         self._flows = np.zeros(n + 1)
         self._ok = np.empty(n + 1, dtype=bool)
-        self._below = np.empty(n + 1, dtype=bool)
         self._up_term = np.empty(n + 1)
         self._term = np.empty(n + 1)
+        self._flows_tail = self._flows[1:]
+        self._up_term_head = self._up_term[:-1]
+        self._term_tail = self._term[1:]
+        self._kept_p_down_tail = self._kept_p_down[1:]
 
     def _tabulate(self, margin: float) -> None:
         """The safe intervals of d for this margin.  ``_lo_end[1, a]`` and
@@ -339,23 +358,27 @@ class _Chain:
         self._lo[states] = self._lo_end.take(ends)
         self._hi[states] = self._hi_end.take(ends)
 
-    def _uncertified(self, values: np.ndarray) -> np.ndarray:
-        """The states where no action is safely the least at these values.
-        A state whose kept action is not, but whose flow lies in another
-        action's safe interval (one ``searchsorted`` over their ends),
-        keeps that action instead."""
-        margin = 8 * _EPS * (self._cost_scale + 4 * np.abs(values).max()) + _TINY
+    def _uncertified(self, values: tuple, size: float) -> np.ndarray:
+        """The states where no action is safely the least at these values
+        (a ``_slices`` triple), of which ``size`` is max|J|.  A state whose
+        kept action is not, but whose flow lies in another action's safe
+        interval (one ``searchsorted`` over their ends), keeps that action
+        instead."""
+        margin = 8 * _EPS * (self._cost_scale + 4 * size) + _TINY
         if not math.isfinite(margin):
             return self.states
         if margin > self._margin:
             self._tabulate(2.0 * margin)
+        _, up, down = values
         flows, ok = self._flows, self._ok
-        np.subtract(values[1:], values[:-1], out=flows[1:])
+        np.subtract(up, down, out=self._flows_tail)
+        # ok[ok.argmin()] is ok.all(), at a third of its cost
         np.less_equal(self._lo, flows, out=ok)
-        ok &= np.less(flows, self._hi, out=self._below)
-        if ok.all():
-            return _NONE
-        moved = np.flatnonzero(~ok)
+        if ok[ok.argmin()]:
+            np.less(flows, self._hi, out=ok)
+            if ok[ok.argmin()]:
+                return _NONE
+        moved = np.flatnonzero(~((self._lo <= flows) & (flows < self._hi)))
         found = self._action_at.take(np.searchsorted(self._edges, flows[moved], side="right"))
         if moved[0] == 0:
             found[0] = self._action_at_0
@@ -363,32 +386,54 @@ class _Chain:
         self._keep(moved[hit], found[hit])
         return moved[~hit]
 
-    def sweep(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One-step lookahead: per state, the action minimising stage cost
-        plus expected next value, and that minimal q-value.  As with
-        ``argmin``, a tie goes to the lowest action index and a NaN
-        q-value counts as the least.  The policy returned is a new array,
-        which later sweeps leave alone."""
-        scan = self._uncertified(values)
+    def lookahead(self, values: tuple, size: float, out: np.ndarray) -> None:
+        """One-step lookahead in place: per state, the least over actions
+        of stage cost plus expected next value, written into ``out``.
+        ``values`` is a ``_slices`` triple, ``size`` max|J| and ``out``
+        another array than J.  The greedy policy is not built here;
+        ``greedy_policy`` builds it from what this sweep kept and picked."""
+        scan = self._uncertified(values, size)
         # the kept action's q-value at every state; the scan below
         # replaces it where the kept action is not certified
-        up_term = self._up_term
-        np.multiply(self.p_up, values[1:], out=up_term[:-1])
+        values, up, down = values
+        up_term, term = self._up_term, self._term
+        np.multiply(self.p_up, up, out=self._up_term_head)
         up_term[-1] = up_term[-2]  # the arrival at N stays at N
-        term = self._term
-        np.multiply(self._kept_p_down[1:], values[:-1], out=term[1:])
+        np.multiply(self._kept_p_down_tail, down, out=self._term_tail)
         term[0] = self._kept_p_down[0] * values[0]
-        q = np.add(self._kept_cost, up_term)
-        q += term
-        q += np.multiply(self._kept_p_stay, values, out=term)
-        best = self._policy.copy()
+        np.add(self._kept_cost, up_term, out=out)
+        out += term
+        out += np.multiply(self._kept_p_stay, values, out=term)
+        pick = _NONE
         if len(scan):
             q_all = self.cost[:, scan] + up_term[scan]
             q_all += self.p_down[:, scan] * values[self.down[scan]]
             q_all += self.p_stay[:, scan] * values[scan]
-            best[scan] = pick = np.argmin(q_all, axis=0)
-            q[scan] = q_all[pick, np.arange(len(scan))]
-        return best, q
+            pick = np.argmin(q_all, axis=0)
+            out[scan] = q_all[pick, np.arange(len(scan))]
+        self._scanned = (scan, pick)
+
+    def greedy_policy(self) -> np.ndarray:
+        """The last sweep's greedy policy, as a new array: the kept
+        actions, with the full scan's picks at the states it scanned.  As
+        with ``argmin``, a tie goes to the lowest action index and a NaN
+        q-value counts as the least."""
+        best = self._policy.copy()
+        scan, pick = self._scanned
+        best[scan] = pick
+        return best
+
+    def sweep(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The greedy policy at these values and its q-values, as new
+        arrays, which later sweeps leave alone."""
+        q = np.empty_like(values)
+        self.lookahead(_slices(values), float(np.abs(values).max()), q)
+        return self.greedy_policy(), q
+
+
+def _slices(values: np.ndarray) -> tuple:
+    """values with the views values[1:] and values[:-1] a sweep reads."""
+    return values, values[1:], values[:-1]
 
 
 def policy_evaluation(
@@ -520,23 +565,48 @@ def _policy_iteration(instance, chain, tol, x0) -> MdpSolution:
 
 
 def _relative_value_iteration(instance, chain, tol, x0) -> MdpSolution:
-    values = np.zeros(instance.n_states + 1)
-    rho_bar = 0.0
+    """From J = 0, J <- T J - (T J)(x0) until max|change| <= tol.
+
+    The sweeps alternate between two value buffers; the values returned
+    are the last one written, which nothing writes again.  max|J| is
+    taken once per sweep, from the new values.  It is the next sweep's
+    margin, and with the last sweep's it bounds every change:
+    |J_new(x) - J_old(x)| <= max|J_new| + max|J_old|.  Where that bound
+    is finite, the stopping test looks first at the probe, the state
+    whose change was the largest at the last full test.  A change over
+    tol there puts the largest over tol, and none can be inf, so the full
+    test would neither stop nor raise, and it is skipped.  Otherwise the
+    full max|change| is taken, and its argmax becomes the probe.  So the
+    run stops, or raises on a change that is not finite, at the same
+    sweep as with the full test alone; on the demo, the full test runs in
+    2, 8 and 46 of 343, 2,086 and 5,689 sweeps at N = 100, 1,000, 3,000.
+    """
+    n = instance.n_states
+    old, new = _slices(np.zeros(n + 1)), _slices(np.empty(n + 1))
+    work = np.empty(n + 1)
+    size = 0.0  # max|J| of the values the next sweep reads
+    probe = 0  # the state whose change was largest at the last full test
     for it in range(1, MAX_ITERATIONS + 1):
-        policy, q = chain.sweep(values)
-        rho_bar = float(q[x0])
-        new_values = q - rho_bar
-        gap = float(np.abs(new_values - values).max())
-        values = new_values
-        if gap <= tol:
-            break
-        if not math.isfinite(gap):
-            raise ValueError(f"relative value iteration diverged: sweep {it} gave a value "
-                             "that is not finite")
+        values = new[0]
+        chain.lookahead(old, size, values)
+        rho_bar = float(values[x0])
+        np.subtract(values, rho_bar, out=values)
+        last_size, size = size, float(work[np.abs(values, out=work).argmax()])
+        if not math.isfinite(size + last_size) or abs(values[probe] - old[0][probe]) <= tol:
+            np.abs(np.subtract(values, old[0], out=work), out=work)
+            probe = int(work.argmax())
+            gap = float(work[probe])
+            if gap <= tol:
+                break
+            if not math.isfinite(gap):
+                raise ValueError(f"relative value iteration diverged: sweep {it} gave a value "
+                                 "that is not finite")
+        old, new = new, old
     else:
         raise RuntimeError(
             f"relative value iteration failed to reach tol={tol} in {MAX_ITERATIONS} sweeps"
         )
+    policy = chain.greedy_policy()  # before the residual's sweep replaces it
     return MdpSolution(
         policy=policy,
         relative_values=values,

@@ -238,6 +238,24 @@ def test_overflowing_stage_costs_raise_at_once(method):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("args, cost_weight, sweep", [
+    ((0.1, [0.15, 0.25, 0.4], 20), 1e308, 1),  # the stage costs are inf
+    ((0.1, [0.15, 0.25, 0.4], 20), 3e305, 24),
+    ((0.3, [0.35, 0.5], 60), 1e305, 27),
+])
+def test_value_iteration_names_the_sweep_that_overflowed(args, cost_weight, sweep):
+    # the last two have finite stage costs, but relative values that grow
+    # past the largest float on the way to a fixed point beyond it; from
+    # sweeps 10 and 14 on, max|J| is over half the largest float, too
+    # large for the stopping test's shortcut, so every sweep takes the
+    # full test
+    inst = build_instance(*args, cost_weight=cost_weight)
+    message = f"relative value iteration diverged: sweep {sweep} gave a value that is not finite"
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{message}$"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        solve_optimal(inst, "relative-value-iteration")
+
+
 # ---------------------------------------------------------------------------
 # evaluation against the birth-death oracle
 

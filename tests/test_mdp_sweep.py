@@ -24,6 +24,8 @@ q-value lines, at state-0 costs that tie only after rounding and at
 non-finite values, all of which must take the full scan.  A chain keeps
 each state's certified action from one sweep to the next, so it is also
 checked at every sweep of one chain over random sequences of values.
+Relative value iteration sweeps between two reused value buffers, so the
+solutions it returns are checked to share no memory with the chain.
 """
 
 import json
@@ -260,20 +262,68 @@ def test_every_rvi_sweep_matches_reference(monkeypatch, inst, tol):
     # the values of a whole run, from zeros to the fixed point, including
     # the final residual sweep; criterion 9's grid has no penalty, so all
     # its lines cross at d = 0 and its state 0 ties in every sweep
-    real = mdp._Chain.sweep
+    real = mdp._Chain.lookahead
     swept = []
 
-    def checked(chain, values):
-        best, q = real(chain, values)
-        ref_best, ref_q = reference_mdp.greedy(inst, values)
-        assert_same_array(best, ref_best)
-        assert_same_array(q, ref_q)
-        swept.append(values)
-        return best, q
+    def checked(chain, values, size, out):
+        real(chain, values, size, out)
+        ref_best, ref_q = reference_mdp.greedy(inst, values[0])
+        assert size == np.abs(values[0]).max()
+        assert_same_array(chain.greedy_policy(), ref_best)
+        assert_same_array(out, ref_q)
+        swept.append(size)
 
-    monkeypatch.setattr(mdp._Chain, "sweep", checked)
+    monkeypatch.setattr(mdp._Chain, "lookahead", checked)
     sol = mdp.solve_optimal(inst, "relative-value-iteration", tol=tol)
     assert len(swept) == sol.iterations + 1
+
+
+def test_values_past_half_the_largest_float_match_reference():
+    # max|J| reaches 1.35e308, so the change between two sweeps could
+    # overflow and 159 of the 174 sweeps take the full stopping test
+    inst = mdp.build_instance(0.1, [0.15, 0.25, 0.4], 20, cost_weight=2e305)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = assert_same_solution(inst, "relative-value-iteration")
+    assert np.abs(sol.relative_values).max() > np.finfo(float).max / 2
+
+
+def chain_arrays(chain):
+    return [v for v in vars(chain).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solutions_share_no_memory_with_the_chain(method):
+    # relative value iteration sweeps between two reused value buffers;
+    # the solution it returns must be its own, unchanged by further sweeps
+    # of the same chain and by a second solve on it
+    inst, tol = demo_instance(100)
+    solve = {"policy-iteration": mdp._policy_iteration,
+             "relative-value-iteration": mdp._relative_value_iteration}[method]
+    chain = mdp._Chain(inst)
+    sol = solve(inst, chain, tol, 0)
+    policy, values = sol.policy.copy(), sol.relative_values.copy()
+    rng = np.random.default_rng(29)
+    for swept in (np.zeros(101), rng.normal(size=101), 2.0 * values):
+        chain.sweep(swept)
+        chain.lookahead(mdp._slices(swept), np.abs(swept).max(), np.empty(101))
+    again = solve(inst, chain, tol, 0)
+    for got in (sol, again):
+        for array in (got.policy, got.relative_values):
+            assert not any(np.shares_memory(array, work) for work in chain_arrays(chain))
+    assert not np.shares_memory(sol.relative_values, again.relative_values)
+    assert not np.shares_memory(sol.policy, again.policy)
+    assert_same_array(sol.policy, policy)
+    assert_same_array(sol.relative_values, values)
+    # the kept actions and margin a solve leaves behind change no bits
+    assert_same_array(again.policy, policy)
+    assert_same_array(again.relative_values, values)
+    assert (again.rho_bar, again.residual, again.iterations) == (sol.rho_bar, sol.residual,
+                                                                 sol.iterations)
+
+
+def chain_uncertified(chain, values):
+    """The states a sweep of ``chain`` at ``values`` would scan."""
+    return chain._uncertified(mdp._slices(values), np.abs(values).max())
 
 
 def uncertified(inst, values):
@@ -283,7 +333,7 @@ def uncertified(inst, values):
     out = np.ones(inst.n_states + 1, dtype=bool)
     for a in range(inst.n_actions):
         chain._keep(inst.states, np.full(inst.n_states + 1, a))
-        out &= np.isin(inst.states, chain._uncertified(values))
+        out &= np.isin(inst.states, chain_uncertified(chain, values))
     return out
 
 
@@ -376,8 +426,8 @@ def test_a_retabulation_rechecks_every_kept_action():
     chain = mdp._Chain(inst)
     small, big = np.linspace(0.0, 1e-3, 7), np.linspace(0.0, 1e16, 7)
     assert chain.sweep(small)[0][0] == 2
-    assert 0 not in chain._uncertified(small)
-    assert 0 in chain._uncertified(big)
+    assert 0 not in chain_uncertified(chain, small)
+    assert 0 in chain_uncertified(chain, big)
     for values in (small, big, small, big):
         best, q = chain.sweep(values)
         ref_best, ref_q = reference_mdp.greedy(inst, values)
@@ -435,6 +485,33 @@ def test_random_instances_match_reference(case, seed):
     assert_same_evaluation(inst, stretched, x0)
     for method in METHODS:
         assert_same_solution(inst, method, tol=1e-9, x0=x0, ties=True)
+
+
+@st.composite
+def slow_stretches(draw):
+    """An instance whose arrival rate lies between its slowest and fastest
+    rates, and a policy that serves a stretch of at least four states at
+    the slowest rate after at least two at the fastest.  There an
+    elimination whose pivots subtract, like LAPACK's gtsv, cancels."""
+    slow, fast = draw(st.floats(0.05, 0.4)), draw(st.floats(1.0, 2.0))
+    middle = draw(st.lists(st.floats(0.45, 0.95), max_size=3, unique=True))
+    grid = [slow, *sorted(middle), fast]
+    arrival_rate = draw(st.floats(2.0 * slow, 0.9 * fast))
+    n = draw(st.integers(8, 40))
+    start = draw(st.integers(2, n - 4))
+    stop = draw(st.integers(start + 4, n + 1))
+    penalty = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-4.0, 4.0)))
+    inst = mdp.build_instance(arrival_rate, grid, n, draw(st.floats(0.0, 5.0)), penalty)
+    policy = np.full(n + 1, len(grid) - 1)
+    policy[start:stop] = 0
+    return inst, policy, draw(st.integers(0, n))
+
+
+@given(case=slow_stretches())
+@settings(max_examples=60, deadline=None)
+def test_random_slow_stretches_after_fast_ones_match_exact(case):
+    inst, policy, x0 = case
+    assert_same_evaluation(inst, policy, x0)
 
 
 @given(case=instances(), scale=st.sampled_from([1e-3, 1.0, 1e4]))
