@@ -17,11 +17,8 @@ from .distributions import (
 )
 from .metrics import (
     MetricsReport,
-    actual_response,
     compute_report,
-    holding_cost,
     littles_chain,
-    observed_response,
     verify_theorem,
 )
 from .renewal import RenewalCycles, cycle_rewards, detect_cycles
@@ -43,7 +40,6 @@ __all__ = [
     "MetricsReport",
     "RenewalCycles",
     "Trajectory",
-    "actual_response",
     "compute_report",
     "cycle_rewards",
     "detect_cycles",
@@ -51,11 +47,9 @@ __all__ = [
     "exponential",
     "fcfs_departure_times",
     "gamma",
-    "holding_cost",
     "littles_chain",
     "lindley_fcfs",
     "lognormal",
-    "observed_response",
     "simulate",
     "uniform",
     "verify_theorem",

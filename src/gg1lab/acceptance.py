@@ -490,8 +490,8 @@ class AcceptanceSuite:
         _, rho_0 = mdp.policy_evaluation(grid_inst, pi_sol.policy, distinguished_state=0)
         scaled = mdp.build_instance(lam, [0.75, 1.0, 1.25], 100, cost_weight=3.7)
         scaled_sol = mdp.solve_optimal(scaled, "policy-iteration", tol=tol)
-        n200 = mdp.solve_optimal(mdp.build_instance(lam, [0.75, 1.0, 1.25], 200)).rho_bar * (lam + 1.25)
-        n400 = mdp.solve_optimal(mdp.build_instance(lam, [0.75, 1.0, 1.25], 400)).rho_bar * (lam + 1.25)
+        longer = [mdp.build_instance(lam, [0.75, 1.0, 1.25], n) for n in (200, 400)]
+        n200, n400 = (mdp.continuous_time_average(i, mdp.solve_optimal(i).rho_bar) for i in longer)
 
         details = {
             "H_bar_t_mdp": float(h_mdp),

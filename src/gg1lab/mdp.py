@@ -14,7 +14,7 @@ uniformised stage; multiplying by the uniformisation constant recovers
 cost per unit time.
 
 The controlled chain is birth-death, and each solve tabulates it once
-(``_Chain``): the up/down neighbours of every state, the arrival
+(``_Chain``): the lower neighbour of every state, the arrival
 probability, and action-major tables of the service, stay and stage-cost
 terms.  For x >= 1 each action's q-value is a line in the flow
 J(x) - J(x-1), and a stated bound on rounding error (see ``_Chain``)
@@ -191,9 +191,9 @@ class _Chain:
     per solve, and its greedy sweep, which keeps each state's certified
     action from one sweep to the next.
 
-    ``up``/``down`` index each state's neighbours; the arrival at N is a
-    self-loop, so ``up[N] = N``.  ``p_up`` is the arrival probability of
-    every state.  The action-major tables hold, at [a, x], the service
+    ``down`` indexes each state's lower neighbour, with ``down[0] = 0``;
+    the arrival at N is a self-loop.  ``p_up`` is the arrival probability
+    of every state.  The action-major tables hold, at [a, x], the service
     probability mu_a / Lambda (0 at x = 0), the stay probability
     1 - p_up - p_down (unclamped) and the stage cost.
 
@@ -268,7 +268,6 @@ class _Chain:
         k0, k1 = instance.penalty
         n = instance.n_states
         self.states = states = instance.states
-        self.up = np.minimum(states + 1, n)
         self.down = np.maximum(states - 1, 0)
         mu = instance.action_grid[:, None]
         self.p_up = lam / big

@@ -1,12 +1,13 @@
 """Cost and response functionals over a simulated window.
 
 The central quantities, all in cost units for a weight c per customer
-per unit time:
+per unit time, are fields of the report that ``compute_report`` builds:
 
-* holding cost: c times the integral of the queue length over the window,
-* observed response: per-customer in-system time clipped to the window,
-* actual response: full sojourns of the same customers, which exceeds
-  the observed total by exactly the pre-window and post-window slices.
+* holding cost ``H_total``: c times the integral of the queue length,
+* observed response ``R_obs_total``: in-system time clipped to the window,
+* actual response ``R_act_total``: full sojourns of the same customers,
+  which exceeds the observed total by exactly the pre-window and
+  post-window slices ``R_un_initial`` and ``R_un_final``.
 
 The observed total equals the holding cost identically, path by path,
 so the two give independent computations of the same number.  Every
@@ -37,9 +38,6 @@ from .simulator import CustomerLedger, Trajectory
 _EXP_MIN = -1073
 _N_BINS = 1024 - _EXP_MIN + 1
 _BLOCK = 1 << 16
-# a bin summing at most this many whole parts (integers below 2**27) or
-# fractions (multiples of 2**-26 below 1) stays an exact double
-_FLUSH_LIMIT = 1 << 26
 
 
 class ExactSum:
@@ -48,61 +46,59 @@ class ExactSum:
     over all of them.
 
     Summation by exponent (Demmel & Hida 2003).  ``np.frexp`` writes
-    each value as m * 2**e with |m| < 1 and m * 2**53 an integer.  The
-    53-bit mantissa splits exactly into a truncated whole part
-    trunc(m * 2**27), below 2**27, and a fraction m * 2**27 - whole, a
-    multiple of 2**-26 below 1.  Both parts are added into one bin per
-    exponent with ``np.bincount``, at most ``_BLOCK`` values at a time;
-    one fixed pair of bin arrays spans all 2,098 exponents.  A bin stays
-    exact while it holds at most ``_FLUSH_LIMIT`` parts; before more
-    arrive the bins are flushed into one Python int, and one int
-    division rounds the total correctly.  An exact sum does not depend
-    on how its terms are grouped, so the blocks may be cut anywhere.
+    each value as m * 2**e with |m| < 1 and m * 2**53 an integer, which
+    splits exactly into a whole part trunc(m * 2**27), below 2**27, and a
+    rest m * 2**53 - whole * 2**26, below 2**26.  ``np.bincount`` sums
+    each part by exponent, ``_BLOCK`` = 2**16 values at a time, so its
+    sums (below 2**43) are exact doubles, and adds them into two int64
+    bins for each of the 2,098 exponents.  The bins stay exact for 2**36
+    values, far more than the 2 * ``DEFAULT_EVENT_CAP`` terms of any sum
+    over a run, so they are never flushed: ``value`` turns them into one
+    Python int, and one int division rounds it.  An exact sum does not
+    depend on how its terms are grouped, so the blocks may be cut
+    anywhere.
 
-    ``value`` is NaN once a NaN or an infinity has been added.
+    ``value`` is NaN once a NaN or an infinity has been added: the whole
+    parts of a block holding one have no finite sum.
     """
 
     def __init__(self) -> None:
-        self._whole, self._frac = np.zeros((2, _N_BINS))
-        self._total = 0  # flushed bins, times 2**(53 - _EXP_MIN)
-        self._pending = 0  # values added since the last flush
+        self._whole, self._rest = np.zeros((2, _N_BINS), dtype=np.int64)
         self._finite = True
 
     def add(self, values) -> None:
         """Add the terms of a float64 array, ``_BLOCK`` at a time."""
         x = np.asarray(values, dtype=np.float64).ravel()
         for start in range(0, x.size, _BLOCK):
-            part = x[start:start + _BLOCK]
-            if self._pending + part.size > _FLUSH_LIMIT:
-                self._empty_bins()
-            mant, expo = np.frexp(part)
+            mant, expo = np.frexp(x[start:start + _BLOCK])
             mant *= 1 << 27
             hi = np.trunc(mant)
             with np.errstate(invalid="ignore"):  # inf - inf: a non-finite sum
                 mant -= hi
             idx = expo.astype(np.intp)
             idx -= _EXP_MIN
-            self._whole += np.bincount(idx, weights=hi, minlength=_N_BINS)
-            self._frac += np.bincount(idx, weights=mant, minlength=_N_BINS)
-            self._pending += part.size
+            whole = np.bincount(idx, weights=hi, minlength=_N_BINS)
+            if not math.isfinite(whole.sum()):
+                self._finite = False
+                continue
+            rest = np.bincount(idx, weights=mant, minlength=_N_BINS)
+            rest *= 1 << 26
+            self._whole += whole.astype(np.int64)
+            self._rest += rest.astype(np.int64)
 
     def value(self) -> float:
         """The exact sum of every term added, rounded once; 0.0 when it
         is zero or nothing was added.  An exact sum beyond the float
         range raises OverflowError."""
-        if self._pending:
-            self._empty_bins()
         if not self._finite:
             return math.nan
-        return self._total / (1 << (53 - _EXP_MIN))
-
-    def _empty_bins(self) -> None:
-        if math.isfinite(self._whole.sum() + self._frac.sum()):
-            self._total += _flush(self._whole, self._frac)
-        else:
-            self._finite = False
-            self._whole[:] = self._frac[:] = 0.0
-        self._pending = 0
+        # bin i holds parts of values m * 2**e with e = i + _EXP_MIN; in
+        # units of 2**(_EXP_MIN - 53) a whole part weighs 2**(i + 26) and
+        # a rest 2**i
+        nz = np.flatnonzero(self._whole | self._rest)
+        total = sum(((w << 26) + r) << i for i, w, r in
+                    zip(nz.tolist(), self._whole[nz].tolist(), self._rest[nz].tolist()))
+        return total / (1 << (53 - _EXP_MIN))
 
 
 def exact_sum(values) -> float:
@@ -130,21 +126,6 @@ def exact_sum(values) -> float:
     total = acc.value()
     if math.isnan(total):
         return math.fsum(x.tolist())
-    return total
-
-
-def _flush(whole: np.ndarray, frac: np.ndarray) -> int:
-    """The bins' exact total times 2**(53 - _EXP_MIN), as a Python int;
-    both bins are left zeroed.  Bin i holds parts of values m * 2**e
-    with e = i + _EXP_MIN, so after the scaling a whole part weighs
-    2**(i + 26) and a fraction times 2**26 weighs 2**i."""
-    total = 0
-    frac *= 1 << 26
-    for bins, shift in ((whole, 26), (frac, 0)):
-        nz = np.flatnonzero(bins)
-        for i, v in zip(nz.tolist(), bins[nz].tolist()):
-            total += int(v) << (i + shift)
-        bins[:] = 0.0
     return total
 
 
@@ -182,31 +163,6 @@ def _ledger_totals(ledger: CustomerLedger) -> tuple[tuple[float, float, float, f
         final.add(dep[dep > t_final] - t_final)
         count += int(np.count_nonzero(sel))
     return (observed.value(), actual.value(), initial.value(), final.value()), count
-
-
-def holding_cost(path: Trajectory, cost_weight: float) -> float:
-    """c times the integral of the queue length over the window."""
-    return cost_weight * _path_totals(path)[0]
-
-
-def observed_response(ledger: CustomerLedger, cost_weight: float) -> float:
-    """Window-clipped in-system time, summed over the window population.
-
-    Customers still present at the window close contribute up to the
-    close only; the rest of their sojourn is in ``actual_response``.
-    """
-    return cost_weight * _ledger_totals(ledger)[0][0]
-
-
-def actual_response(ledger: CustomerLedger, cost_weight: float) -> tuple[float, float, float]:
-    """(full-sojourn total, pre-window slice, post-window slice).
-
-    The full sojourn of every window customer, plus its split into the
-    parts falling before the window opened and after it closed.  The
-    sojourns end at the departures that ``simulate``'s drain resolves.
-    """
-    _, actual, initial, final = _ledger_totals(ledger)[0]
-    return cost_weight * actual, cost_weight * initial, cost_weight * final
 
 
 @dataclass
@@ -255,13 +211,13 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
     time, and the observed, actual, pre-window and post-window response.
     Only the first and last path blocks copy, to add the window ends and
     the initial count.  ``rho_hat`` is the exact busy time over the
-    window length.  The public functionals take the same walks, so the
-    report's totals are theirs bit for bit.
+    window length.
 
     Count averages are zero for an empty window population rather than
     raising, so quiet windows still serialise cleanly.  The path and the
     ledger must cover the same window, of positive length, and the cost
-    weight must be a finite real number >= 0, taken as a Python number.
+    weight must be a finite real number >= 0, taken as a Python number,
+    that keeps every total and time average finite.
     """
     if not (isinstance(path, Trajectory) and isinstance(ledger, CustomerLedger)):
         raise ValueError(f"need a Trajectory and a CustomerLedger, got {path!r}, {ledger!r}")
@@ -273,9 +229,13 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
     if not length > 0:
         raise ValueError(f"window {window} has nonpositive length")
     area, busy = _path_totals(path)
-    h_total = cost_weight * area
     sums, n_total = _ledger_totals(ledger)
-    r_obs, r_act, r_un_initial, r_un_final = (cost_weight * v for v in sums)
+    totals = [cost_weight * v for v in (area, *sums)]
+    per_time = [v / length for v in totals[:3]]
+    if not all(map(math.isfinite, totals + per_time)):
+        raise ValueError(f"cost_weight {cost_weight!r} takes a total or a time average "
+                         "past the float range")
+    h_total, r_obs, r_act, r_un_initial, r_un_final = totals
     lam_hat = n_total / length
     if n_total > 0:
         h_bar_n = h_total / n_total
@@ -290,9 +250,9 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
         R_act_total=r_act,
         R_un_initial=r_un_initial,
         R_un_final=r_un_final,
-        H_bar_t=h_total / length,
-        R_bar_t_obs=r_obs / length,
-        R_bar_t_act=r_act / length,
+        H_bar_t=per_time[0],
+        R_bar_t_obs=per_time[1],
+        R_bar_t_act=per_time[2],
         H_bar_n=h_bar_n,
         R_bar_n_obs=r_bar_n_obs,
         R_bar_n_act=r_bar_n_act,
@@ -352,8 +312,12 @@ class LittlesChain:
 def littles_chain(report: MetricsReport, arrival_rate: float | None = None) -> LittlesChain:
     """Estimate the time-average queue length three ways: from the path
     integral directly, from the holding-cost time average, and from the
-    per-customer response via the arrival rate (Little's law)."""
-    lam = report.lambda_hat if arrival_rate is None else arrival_rate
+    per-customer response via the arrival rate (Little's law).  The last
+    two divide by the cost weight, so a report of weight 0 raises
+    ValueError, as does an arrival rate that is not a finite real >= 0."""
+    if report.cost_weight == 0:
+        raise ValueError("littles_chain needs a report of positive cost_weight, got 0")
+    lam = report.lambda_hat if arrival_rate is None else real("arrival_rate", arrival_rate, 0)
     return LittlesChain(
         n_bar_direct=report.n_bar_t,
         n_bar_from_H=report.H_bar_t / report.cost_weight,

@@ -335,13 +335,19 @@ def test_errors_exit_2_with_json(tmp_path, capsys):
         assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
 
 
-def test_simulate_rejects_nan_cost_weight(tmp_path, capsys):
+@pytest.mark.parametrize("weight,message", [
+    ("nan", "cost_weight must be a finite real number >= 0, got nan"),
+    # a finite weight that scales the totals past the float range; it
+    # wrote nine Infinity tokens into report.json
+    ("1e308", "cost_weight 1e+308 takes a total or a time average past the float range"),
+])
+def test_simulate_rejects_a_cost_weight_with_one_json_line(tmp_path, capsys, weight, message):
     rc = main(["simulate", "--arrival", "exponential:0.5", "--service", "exponential:1",
-               "--horizon", "100", "--cost-weight", "nan", "--out", str(tmp_path / "out")])
+               "--horizon", "100", "--cost-weight", weight, "--out", str(tmp_path / "out")])
     assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError",
-                   "message": "cost_weight must be a finite real number >= 0, got nan"}
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
     assert not (tmp_path / "out").exists()
 
 

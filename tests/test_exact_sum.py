@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gg1lab import metrics
 from gg1lab.metrics import exact_sum
+from gg1lab.simulator import DEFAULT_EVENT_CAP
 
 TINY = 5e-324  # smallest subnormal
 SPECIAL = [0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, -2.225073858507201e-308,
@@ -114,37 +115,21 @@ def test_inf_minus_inf_raises_like_fsum():
         exact_sum(np.array([math.inf, 1.0, -math.inf]))
 
 
-def test_flush_bound_keeps_every_bin_exact():
-    # worst case at the real limit: every part is as large as it can be
-    assert metrics._BLOCK <= metrics._FLUSH_LIMIT
-    assert metrics._FLUSH_LIMIT * (2**27 - 1) < 2**53
-    assert metrics._FLUSH_LIMIT * (2**26 - 1) < 2**53  # fractions, in units of 2**-26
+def test_int64_bins_stay_exact_without_a_flush():
+    # a block's bincount sums (whole parts below 2**27, rests below 2**26)
+    # are exact doubles, and no sum a run takes can carry an int64 bin
+    # past 2**63: at most two terms per event, each adding below 2**27
+    assert metrics._BLOCK * 2**27 <= 2**53
+    assert 2 * DEFAULT_EVENT_CAP * 2**27 < 2**63
 
 
-def test_bins_are_flushed_before_the_limit(monkeypatch):
-    # with 4-value blocks and a limit of 8 values, no flush may see more
-    # than 8 values in a bin; every value of 1 - 2**-53 lands in one bin
-    # with the largest whole part, 2**27 - 1
+def test_largest_parts_add_up_in_one_bin_across_blocks(monkeypatch):
+    # every value of 1 - 2**-53 lands in one bin with the largest whole
+    # part, 2**27 - 1, and the largest rest, 2**26 - 1
     monkeypatch.setattr(metrics, "_BLOCK", 4)
-    monkeypatch.setattr(metrics, "_FLUSH_LIMIT", 8)
-    seen = []
-    flush = metrics._flush
-
-    def counting(whole, frac):
-        seen.append(int(whole.max()) // (2**27 - 1))
-        return flush(whole, frac)
-
-    monkeypatch.setattr(metrics, "_flush", counting)
     x = np.full(101, 1.0 - 2.0**-53)
     assert_same(exact_sum(x), math.fsum(x.tolist()))
-    assert seen == [8] * 12 + [5]
-    # the fallback still sees a NaN that arrives after earlier flushes
-    seen.clear()
-    x[-1] = math.nan
-    assert math.isnan(exact_sum(x))
-    rng = np.random.default_rng(3)
-    y = rng.standard_normal(997) * 10.0 ** rng.integers(-200, 200, 997)
-    assert_same(exact_sum(y), math.fsum(y.tolist()))
+    assert_same(exact_sum(np.r_[x, -x[:50]]), math.fsum(x[50:].tolist()))
 
 
 def test_every_exact_sum_in_the_package_goes_through_exact_sum():
@@ -165,45 +150,21 @@ def test_every_exact_sum_in_the_package_goes_through_exact_sum():
     span=st.integers(0, 300),
     cancel=st.booleans(),
     block=st.sampled_from([4, 7, 64, 1 << 16]),
-    limit=st.sampled_from([8, 100, 1 << 26]),
 )
 @settings(max_examples=200, deadline=None)
-def test_accumulator_fed_pieces_matches_fsum(n, cuts, seed, span, cancel, block, limit):
-    # any split of the input, empty pieces included, with blocks and a
-    # flush limit small enough that most inputs cross several flushes
+def test_accumulator_fed_pieces_matches_fsum(n, cuts, seed, span, cancel, block):
+    # any split of the input, empty pieces included, with blocks small
+    # enough that most inputs span several
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-span, span + 1, n)
     if cancel:
         x[n // 2:] = -rng.permutation(x)[: n - n // 2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_BLOCK", block)
-        mp.setattr(metrics, "_FLUSH_LIMIT", max(limit, block))
         acc = metrics.ExactSum()
         for piece in np.split(x, sorted(c % (n + 1) for c in cuts)):
             acc.add(piece)
         assert_same(acc.value(), math.fsum(x.tolist()))
-
-
-def test_accumulator_flushes_across_pieces(monkeypatch):
-    # 4-value blocks, a limit of 8 values: pieces of 3 and 5 values still
-    # never put more than 8 into a bin between flushes
-    monkeypatch.setattr(metrics, "_BLOCK", 4)
-    monkeypatch.setattr(metrics, "_FLUSH_LIMIT", 8)
-    seen = []
-    flush = metrics._flush
-
-    def counting(whole, frac):
-        seen.append(int(whole.max()) // (2**27 - 1))
-        return flush(whole, frac)
-
-    monkeypatch.setattr(metrics, "_flush", counting)
-    x = np.full(101, 1.0 - 2.0**-53)
-    acc = metrics.ExactSum()
-    for start in range(0, 101, 8):
-        acc.add(x[start:start + 3])
-        acc.add(x[start + 3:start + 8])
-    assert_same(acc.value(), math.fsum(x.tolist()))
-    assert max(seen) <= 8 and sum(seen) == 101
 
 
 def test_accumulator_of_negative_zeros_is_positive_zero():

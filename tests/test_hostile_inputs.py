@@ -32,7 +32,7 @@ from gg1lab.distributions import DistributionSpec, exponential
 from gg1lab.experiments import ExperimentConfig
 from gg1lab.inspection import poisson_epochs
 from gg1lab.mdp import MdpInstance, build_instance, solve_optimal
-from gg1lab.metrics import compute_report
+from gg1lab.metrics import compute_report, littles_chain, verify_theorem
 from gg1lab.simulator import EventCapExceeded, simulate
 
 HOSTILE = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, 10**400, True,
@@ -82,6 +82,7 @@ def _paths(args: dict) -> list[tuple]:
 
 
 _RUN = simulate(exponential(1.0), exponential(2.0), warmup=5.0, horizon=20.0, seed=1)
+_REPORT = compute_report(*_RUN)
 _INSTANCE = build_instance(0.1, [0.15, 0.25, 0.4], 20, penalty=(0.1, -8.0))
 
 SPEC_ARGS = {
@@ -143,6 +144,10 @@ CASES = {
     "compute_report.path": lambda v: compute_report(v, _RUN[1]),
     "compute_report.ledger": lambda v: compute_report(_RUN[0], v),
     "compute_report.cost_weight": lambda v: compute_report(*_RUN, v),
+    "verify_theorem.arrival_rate": lambda v: verify_theorem(_REPORT, v),
+    "littles_chain.arrival_rate": lambda v: littles_chain(_REPORT, v),
+    # 0.0 and -0.0 make a report of weight 0, which littles_chain divides by
+    "littles_chain.report.cost_weight": lambda v: littles_chain(compute_report(*_RUN, v)),
     "poisson_epochs.window": lambda v: poisson_epochs(v, 0.5, 1),
     "poisson_epochs.window[0]": lambda v: poisson_epochs((v, 20.0), 0.5, 1),
     "poisson_epochs.window[1]": lambda v: poisson_epochs((0.0, v), 0.5, 1),
@@ -188,6 +193,23 @@ def _json_value(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def _assert_strict_json(directory):
+    """Every .json and .jsonl file under ``directory`` parses with no
+    NaN or Infinity token."""
+    written = [os.path.join(root, name) for root, _, names in os.walk(directory)
+               for name in names if name.endswith((".json", ".jsonl"))]
+    assert written
+    for name in written:
+        with open(name) as fh:
+            text = fh.read()
+        for doc in text.splitlines() if name.endswith(".jsonl") else [text]:
+            json.loads(doc, parse_constant=_refuse_constant)
+
+
 # (verb, path of the config entry replaced); the empty path replaces the file
 CLI_CASES = [(verb, path) for verb, config in (("sweep", SWEEP_CONFIG), ("mdp", MDP_CONFIG))
              for path in [(), *_paths(config)]]
@@ -216,6 +238,8 @@ def test_cli_config_value_exits_0_or_2_with_one_json_line(verb, path, value):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = cli.main([*argv, "--config", cfg, "--out", os.path.join(tmp, "out")])
+        if rc == 0:
+            _assert_strict_json(os.path.join(tmp, "out"))
     assert rc in (0, 2), (verb, path, value, rc)
     if rc == 2:
         lines = err.getvalue().splitlines()

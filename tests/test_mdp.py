@@ -78,12 +78,12 @@ def test_transition_row_hand_example():
     assert chain.p_down[0, 3] == pytest.approx(0.5)
     assert chain.p_up == pytest.approx(1.0 / 3.0)
     assert chain.p_stay[0, 3] == pytest.approx(1.0 / 6.0)
-    assert (chain.down[3], chain.up[3]) == (2, 4)
+    assert chain.down[3] == 2
     assert inst.stage_costs(np.zeros(7, dtype=int))[3] == pytest.approx(10.0)
     # state 0 never serves; state N turns arrivals into a self-loop
     assert (chain.p_down[:, 0] == 0.0).all()
     assert chain.p_stay[0, 0] == pytest.approx(2.0 / 3.0)
-    assert (chain.down[0], chain.up[6], chain.down[6]) == (0, 6, 5)
+    assert (chain.down[0], chain.down[6]) == (0, 5)
     assert chain.p_up + chain.p_stay[0, 6] == pytest.approx(0.5)
 
 
@@ -302,7 +302,8 @@ def poisson_residual(inst, policy, values, rho_bar):
     sweep tables."""
     chain = _Chain(inst)
     a, x = np.asarray(policy), inst.states
-    lookahead = (chain.cost[a, x] + chain.p_up * values[chain.up]
+    up = np.minimum(x + 1, inst.n_states)
+    lookahead = (chain.cost[a, x] + chain.p_up * values[up]
                  + chain.p_down[a, x] * values[chain.down] + chain.p_stay[a, x] * values)
     return float(np.max(np.abs(lookahead - rho_bar - values)))
 

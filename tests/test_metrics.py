@@ -8,15 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gg1lab import metrics
 from gg1lab.artifacts import write_json
 from gg1lab.distributions import deterministic, exponential, gamma, uniform
-from gg1lab.metrics import (
-    MetricsReport,
-    actual_response,
-    compute_report,
-    holding_cost,
-    littles_chain,
-    observed_response,
-    verify_theorem,
-)
+from gg1lab.metrics import MetricsReport, compute_report, littles_chain, verify_theorem
 from gg1lab.simulator import DISCIPLINES, simulate
 
 import reference_metrics
@@ -32,14 +24,14 @@ def dd1():
     return simulate(deterministic(1.0), deterministic(2.0), horizon=5.0, seed=7)
 
 
-def test_hand_traced_primitives(dd1):
+def test_hand_traced_totals(dd1):
     path, ledger = dd1
-    assert holding_cost(path, 1.0) == 8.0
-    assert holding_cost(path, 2.5) == 20.0
-    assert holding_cost(path.restrict(3.0), 1.0) == 3.0
-    assert observed_response(ledger, 1.0) == 8.0
-    total, initial, final = actual_response(ledger, 1.0)
-    assert (total, initial, final) == (20.0, 0.0, 12.0)
+    assert compute_report(path, ledger).H_total == 8.0
+    assert compute_report(path, ledger, 2.5).H_total == 20.0
+    assert compute_report(path.restrict(3.0), ledger.restrict(3.0)).H_total == 3.0
+    rep = compute_report(path, ledger)
+    assert rep.R_obs_total == 8.0
+    assert (rep.R_act_total, rep.R_un_initial, rep.R_un_final) == (20.0, 0.0, 12.0)
 
 
 def test_hand_traced_report(dd1):
@@ -91,17 +83,20 @@ def test_identity_across_configurations(arrival, service, disc, warmup, horizon,
 
 
 @pytest.mark.parametrize("arrival,service,disc,warmup,horizon,c", CONFIGS)
-def test_report_matches_the_public_functions(arrival, service, disc, warmup, horizon, c):
-    """compute_report and the public functionals share one walk of the
-    path and one of the ledger, so its totals are theirs bit for bit;
+def test_report_scales_exact_totals(arrival, service, disc, warmup, horizon, c):
+    """Each total of a weighted report is the weight times the unit
+    report's, and each time average that total over the window length;
     rho_hat is the exact busy time over the window length."""
     path, ledger = simulate(arrival, service, discipline=disc, warmup=warmup,
                             horizon=horizon, seed=3)
     rep = compute_report(path, ledger, cost_weight=c)
-    assert rep.H_total == holding_cost(path, c)
-    assert rep.n_bar_t == holding_cost(path, 1.0) / path.window_length
-    assert rep.R_obs_total == observed_response(ledger, c)
-    assert (rep.R_act_total, rep.R_un_initial, rep.R_un_final) == actual_response(ledger, c)
+    unit = compute_report(path, ledger)
+    for total, rate in (("H_total", "H_bar_t"), ("R_obs_total", "R_bar_t_obs"),
+                        ("R_act_total", "R_bar_t_act")):
+        assert getattr(rep, total) == c * getattr(unit, total)
+        assert getattr(rep, rate) == getattr(rep, total) / path.window_length
+    assert (rep.R_un_initial, rep.R_un_final) == (c * unit.R_un_initial, c * unit.R_un_final)
+    assert rep.n_bar_t == unit.H_total / path.window_length
     bounds, levels = path.segments()
     busy = metrics.exact_sum(np.diff(bounds)[levels > 0])
     assert rep.rho_hat == busy / path.window_length
@@ -135,6 +130,19 @@ def test_report_rejects_a_cost_weight_not_finite_and_nonnegative(dd1, c, tmp_pat
     report = compute_report(path, ledger, cost_weight=np.float32(0.3))
     assert all(type(v) is float for v in (report.cost_weight, report.H_total, report.R_act_total))
     write_json(tmp_path / "report.json", report.to_dict())
+
+
+@pytest.mark.parametrize("c", [1e308, 6e307])
+def test_report_refuses_a_cost_weight_that_overflows(c):
+    # over [1, 1.5] one customer is present throughout, R_act_total is
+    # 2c and R_bar_t_act 4c: 1e308 overflows a total and 6e307 only the
+    # time average; both wrote Infinity into report.json
+    run = simulate(deterministic(1.0), deterministic(2.0), warmup=1.0, horizon=0.5, seed=7)
+    with pytest.raises(ValueError, match=r"cost_weight .* past the float range"):
+        compute_report(*run, cost_weight=c)
+    rep = compute_report(*run, cost_weight=4e307)
+    assert rep.R_bar_t_act == 1.6e308
+    rep.to_json(allow_nan=False)
 
 
 @given(seed=st.integers(0, 2**31 - 1), c=st.floats(0.1, 5.0))
@@ -220,15 +228,27 @@ def test_littles_chain_zero_traffic():
     assert verify_theorem(rep) == 0.0
 
 
+def test_littles_chain_validation(dd1):
+    # a weight of 0 raised ZeroDivisionError, and a NaN rate gave NaN
+    with pytest.raises(ValueError, match="positive cost_weight"):
+        littles_chain(compute_report(*dd1, cost_weight=0))
+    rep = compute_report(*dd1)
+    for rate in (math.nan, -0.5, "1"):
+        with pytest.raises(ValueError, match="arrival_rate"):
+            littles_chain(rep, arrival_rate=rate)
+    assert littles_chain(rep, arrival_rate=1.0) == littles_chain(rep)
+
+
 def test_drained_run_splits_response_at_window_end():
     # D/D/1 with services of 2 every 1 over [0, 5]: customers 2-4 are
     # still present at the close and drain out at 7, 9 and 11
-    _, ledger = simulate(deterministic(1.0), deterministic(2.0), horizon=5.0, seed=7)
+    path, ledger = simulate(deterministic(1.0), deterministic(2.0), horizon=5.0, seed=7)
     np.testing.assert_array_equal(ledger.departure_time, [3.0, 5.0, 7.0, 9.0, 11.0])
     # the clipped total counts them up to the close only; the full
     # sojourns add the 2 + 4 + 6 after it
-    assert observed_response(ledger, 1.0) == 8.0
-    assert actual_response(ledger, 1.0) == (20.0, 0.0, 12.0)
+    rep = compute_report(path, ledger)
+    assert rep.R_obs_total == 8.0
+    assert (rep.R_act_total, rep.R_un_initial, rep.R_un_final) == (20.0, 0.0, 12.0)
 
 
 def test_cost_weight_scales_linearly(dd1):

@@ -1,9 +1,10 @@
 """Every public top-level function and class in ``src/gg1lab``, and every
 public method and property of a public class, has a caller outside the
-tests, or (for top-level names) is part of the package's exported API;
-and every public field of a public dataclass or NamedTuple has a reader
-outside the tests.  So code and state that only the tests use do not
-collect in the library.
+tests (being exported from ``gg1lab`` is no caller); every public field
+of a public dataclass or NamedTuple has a reader outside the tests; and
+every attribute that a private class, or any class under a private
+name, stores on ``self`` is read in ``src/gg1lab``.  So code and state
+that only the tests use do not collect in the library.
 
 Callers and readers are found by name, not by type: an attribute of
 the same name on another object counts.  A ``cdf`` method read only by
@@ -45,16 +46,29 @@ def _referenced_names(node) -> set[str]:
 
 
 def _public_definitions(path):
-    """(qualified name, exported) for each public top-level function and
-    class of a module, and each public method and property of those
-    classes; only top-level names can be exported."""
+    """The qualified name of each public top-level function and class of
+    a module, and of each public method and property of those classes."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
-            yield f"{path.stem}.{node.name}", node.name in gg1lab.__all__
+            yield f"{path.stem}.{node.name}"
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{path.stem}.{node.name}.{item.name}", False
+                        yield f"{path.stem}.{node.name}.{item.name}"
+
+
+def _stored_attributes(path):
+    """The qualified name of each attribute that a top-level class of a
+    module stores on ``self``, when the class or the attribute is
+    private."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            stored = {n.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                      and isinstance(n.value, ast.Name) and n.value.id == "self"}
+            for attr in sorted(stored):
+                if node.name.startswith("_") or attr.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{attr}"
 
 
 def _read_attributes(tree) -> set[str]:
@@ -130,14 +144,25 @@ def test_public_fields_have_a_library_reader():
     assert not unread, f"read only by tests: {unread}"
 
 
-def test_public_definitions_have_a_library_caller_or_are_exported():
+def test_private_state_has_a_library_reader():
+    read = set()
+    for path in PACKAGE:
+        read |= _read_attributes(ast.parse(path.read_text()))
+    stored = [a for path in PACKAGE for a in _stored_attributes(path)]
+    assert len(stored) > 50 and "mdp._Chain.p_up" in stored
+    unread = [q for q in stored if q.rsplit(".", 1)[1] not in read]
+    assert not unread, f"stored but never read in the library: {unread}"
+
+
+def test_public_definitions_have_a_library_caller():
     referenced = set()
     for path in CALLERS:
-        referenced |= _referenced_names(ast.parse(path.read_text()))
+        if path.name != "__init__.py":  # a re-export is no caller
+            referenced |= _referenced_names(ast.parse(path.read_text()))
     public = [d for path in PACKAGE for d in _public_definitions(path)]
     assert len(PACKAGE) >= 10 and any(p.parent.name == "perfbench" for p in CALLERS)
-    assert sum("." not in q.split(".", 1)[1] for q, _ in public) > 50
-    assert sum("." in q.split(".", 1)[1] for q, _ in public) > 50
-    unused = [q for q, exported in public
-              if q.rsplit(".", 1)[1] not in referenced and not exported]
-    assert not unused, f"called only by tests, and not exported: {unused}"
+    assert sum("." not in q.split(".", 1)[1] for q in public) > 50
+    assert sum("." in q.split(".", 1)[1] for q in public) > 50
+    assert set(gg1lab.__all__) - {"__version__"} <= {q.split(".")[1] for q in public}
+    unused = [q for q in public if q.rsplit(".", 1)[1] not in referenced]
+    assert not unused, f"called only by tests: {unused}"
