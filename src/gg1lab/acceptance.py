@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from . import birthdeath, experiments, inspection, mdp, metrics, renewal
+from . import birthdeath, experiments, inspection, mdp, metrics, renewal, simulator
 from ._checks import integer, real
 from .artifacts import write_json
 from .distributions import (
@@ -124,26 +124,18 @@ def _ks_2samp(data1, data2) -> float:
 
 
 def _theorem_entry(seed: int, horizons: list[float]) -> dict:
-    """One seed of the theorem runs.  The shorter windows are the long
-    run restricted to them, the same bits as separate runs at those
-    horizons.  The run is dropped on return, before the next seed's."""
-    path, ledger = simulate(
-        exponential(THEOREM_ARRIVAL_RATE), exponential(THEOREM_SERVICE_RATE),
-        warmup=THEOREM_WARMUP, horizon=horizons[-1], seed=seed,
-    )
-    reports = []
-    for h in horizons[:-1]:
-        t_final = THEOREM_WARMUP + h
-        reports.append(metrics.compute_report(path.restrict(t_final), ledger.restrict(t_final)))
-    reports.append(metrics.compute_report(path, ledger))
-    cycles = renewal.detect_cycles(path)
-    rewards = renewal.cycle_rewards(cycles, path, ledger)
-    return {
-        "seed": seed,
-        "horizons": horizons,
-        "reports": reports,
-        "renewal": renewal.CycleTotals.of(cycles, rewards),
-    }
+    """One seed of the theorem runs: one pass over the run's chunks feeds
+    a report fold per window, the shorter ones the restricted run's (the
+    bits of separate runs at those horizons), and the cycle fold."""
+    windows = [metrics._Window(THEOREM_WARMUP, THEOREM_WARMUP + h) for h in horizons]
+    cycles = renewal._Cycles(totals=True)
+    arrival, service = exponential(THEOREM_ARRIVAL_RATE), exponential(THEOREM_SERVICE_RATE)
+    for chunk in simulator._stream(arrival, service, warmup=THEOREM_WARMUP,
+                                   horizon=horizons[-1], seed=seed):
+        for fold in (*windows, cycles):
+            fold.add(chunk)
+    reports = [window.report(1.0) for window in windows]
+    return {"seed": seed, "horizons": horizons, "reports": reports, "renewal": cycles.totals()}
 
 
 class AcceptanceSuite:
@@ -181,7 +173,8 @@ class AcceptanceSuite:
 
     def inspection_runs(self) -> dict:
         """Busy-server inspection samples for three service kinds, sized
-        for about n_epochs Poisson inspection epochs each."""
+        for about n_epochs Poisson inspection epochs each, folded from
+        each run's chunks; only the busy epochs are kept."""
         if self._inspection_cache is not None:
             return self._inspection_cache
         # the KS tolerances downstream need tens of thousands of busy
@@ -196,17 +189,15 @@ class AcceptanceSuite:
             mean = spec.mean()
             epoch_rate = 0.25 / mean
             horizon = n_epochs / epoch_rate
-            path, ledger = simulate(
-                exponential(0.5 / mean), spec, horizon=horizon, seed=self.master_seed + 77
-            )
-            epochs = inspection.poisson_epochs(
-                (path.initial_time, path.final_time), epoch_rate, self.master_seed + 177
-            )
-            out[tag] = {
-                "spec": spec,
-                "expected_age": expect,
-                "samples": inspection.sample_inspections(ledger, path, epochs),
-            }
+            # the run's window is [0, horizon]; its chunks fold into the samples
+            epochs = inspection.poisson_epochs((0.0, horizon), epoch_rate, self.master_seed + 177)
+            samples = inspection._Inspections(epochs, (0.0, horizon))
+            for chunk in simulator._stream(exponential(0.5 / mean), spec, horizon=horizon,
+                                           seed=self.master_seed + 77):
+                samples.add(chunk.start, chunk.departure)
+            every = samples.samples()  # criteria 6 and 7 read its busy epochs only
+            busy = inspection.InspectionSamples(*(c[every.busy] for c in vars(every).values()))
+            out[tag] = {"spec": spec, "expected_age": expect, "samples": busy}
         self._inspection_cache = out
         return out
 

@@ -6,6 +6,7 @@ biased: its mean exceeds the plain service mean by
 beta = Var / mean, and the age and residual of the interrupted service
 share the density sf(t) / mean.  Epochs come from a Poisson stream
 independent of the queue so the sampling itself adds no further bias.
+They are drawn up front, so the samples fold from a run's chunks.
 """
 
 from __future__ import annotations
@@ -83,25 +84,46 @@ def sample_inspections(ledger: CustomerLedger, path: Trajectory, epochs) -> Insp
     At a busy epoch the sample carries the age (time since service
     start), the residual (time to completion), and the total length of
     the interrupted service; idle epochs carry nan for all three.
+    ``_Inspections`` given the ledger's services, in order of start.
     """
-    epochs = np.asarray(epochs, dtype=float)
-    if epochs.size and (epochs.min() < path.initial_time or epochs.max() > path.final_time):
-        raise ValueError(
-            f"epochs must lie within the window [{path.initial_time}, {path.final_time}]"
-        )
+    fold = _Inspections(epochs, (path.initial_time, path.final_time))
     order = np.argsort(ledger.service_start, kind="stable")
-    starts = ledger.service_start[order]
-    deps = ledger.departure_time[order]
+    fold.add(ledger.service_start[order], ledger.departure_time[order], last=True)
+    return fold.samples()
 
-    idx = np.searchsorted(starts, epochs, side="right") - 1
-    valid = idx >= 0
-    safe = np.maximum(idx, 0)
-    dep_at = deps[safe]
-    busy = valid & (epochs < dep_at)
-    age = np.where(busy, epochs - starts[safe], np.nan)
-    residual = np.where(busy, dep_at - epochs, np.nan)
-    total = np.where(busy, dep_at - starts[safe], np.nan)
-    return InspectionSamples(epochs, busy, age, residual, total)
+
+class _Inspections:
+    """The inspection fold: epochs up front, then services in order of
+    start.  An epoch sees the latest service to start by then, so a chunk
+    resolves the sorted epochs before its last start; the last, the rest."""
+
+    def __init__(self, epochs, window: tuple[float, float]) -> None:
+        self._epochs = epochs = np.asarray(epochs, dtype=float)
+        if epochs.size and (epochs.min() < window[0] or epochs.max() > window[1]):
+            raise ValueError(f"epochs must lie within the window [{window[0]}, {window[1]}]")
+        self._busy = np.zeros(len(epochs), dtype=bool)
+        self._seen = np.empty((3, len(epochs)))  # age, residual, total
+        self._done = 0  # epochs resolved
+        self._start, self._departure = -np.inf, np.nan  # the latest service; none yet
+
+    def add(self, starts: np.ndarray, departures: np.ndarray, last: bool = False) -> None:
+        # the epochs before the chunk's last start, if it has one
+        lo, hi = self._done, int(np.searchsorted(self._epochs, starts[-1:]).sum())
+        self._done = hi = len(self._epochs) if last else max(lo, hi)
+        starts = np.concatenate(([self._start], starts))
+        deps = np.concatenate(([self._departure], departures))
+        self._start, self._departure = starts[-1], deps[-1]
+        epochs = self._epochs[lo:hi]
+        idx = np.searchsorted(starts, epochs, side="right") - 1
+        start, dep = starts[idx], deps[idx]
+        self._busy[lo:hi] = busy = epochs < dep
+        for out, value in zip(self._seen, (epochs - start, dep - epochs, dep - start)):
+            out[lo:hi] = np.where(busy, value, np.nan)
+
+    def samples(self) -> InspectionSamples:
+        """Every epoch's sample, once the last chunk is in."""
+        self.add(np.empty(0), np.empty(0), last=True)
+        return InspectionSamples(self._epochs, self._busy, *self._seen)
 
 
 def expected_age(spec: DistributionSpec) -> float:

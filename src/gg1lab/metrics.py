@@ -15,10 +15,9 @@ total, the busy time behind ``rho_hat`` included, is the correctly
 rounded sum of its terms, from an ``ExactSum`` accumulator (summation
 by exponent in NumPy, the same bits as ``math.fsum``), so that
 identity can be asserted at 1e-9 relative tolerance.  An exact sum does
-not depend on how its terms are grouped, so the path and the ledger
-are each walked in blocks of ``_BLOCK`` rows, and no temporary grows
-with the run.  The rest of the package sums through ``exact_sum``, the
-same accumulator fed a whole array.
+not depend on how its terms are grouped, so the report is a fold over a
+run's chunks, ``_Window``, and no temporary grows with the run;
+``compute_report`` runs it over a whole path and ledger.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from ._checks import real
-from .simulator import CustomerLedger, Trajectory
+from .simulator import CustomerLedger, Trajectory, _Chunk
 
 # exact_sum's layout: frexp exponents of finite doubles run from -1073
 # (the smallest subnormal, 0.5 * 2**-1073) to 1024, one bin each
@@ -129,40 +128,109 @@ def exact_sum(values) -> float:
     return total
 
 
-def _path_totals(path: Trajectory) -> tuple[float, float]:
-    """(area, busy time): the exact sums of level times width over the
-    path's segments, and of the widths at nonzero levels, ``_BLOCK``
-    segments at a time."""
-    area, busy = ExactSum(), ExactSum()
-    n = len(path.times) + 1
+class _Terms:
+    """The terms of one exact sum, gathered in a buffer (grown to hold
+    them, up to a block) and handed to ``ExactSum.add`` a full ``_BLOCK``
+    at a time, the rest by ``value``, which frees it."""
+
+    def __init__(self) -> None:
+        self._sum = ExactSum()
+        self._buf = np.empty(0)
+        self._size = 0
+
+    def add(self, values: np.ndarray) -> None:
+        if not self._size and len(values) >= _BLOCK:  # whole blocks need no buffer
+            self._sum.add(values[: len(values) - len(values) % _BLOCK])
+            values = values[len(values) - len(values) % _BLOCK :]
+        while len(values):
+            if self._size == len(self._buf):  # doubled or more, up to a block
+                grown = max(2 * self._size, self._size + len(values), 1024)
+                self._buf = np.resize(self._buf, min(grown, _BLOCK))
+            n = min(len(values), len(self._buf) - self._size)
+            self._buf[self._size : self._size + n] = values[:n]
+            self._size += n
+            values = values[n:]
+            if self._size == _BLOCK:
+                self._sum.add(self._buf)
+                self._size = 0
+
+    def value(self) -> float:
+        if self._size:
+            self._sum.add(self._buf[: self._size])
+        self._buf, self._size = np.empty(0), 0
+        return self._sum.value()
+
+
+def _chunks(path: Trajectory, ledger: CustomerLedger):
+    """A whole path and ledger as the chunks of ``simulator._stream``: the
+    segments ``_BLOCK`` at a time, each after the rows (``_BLOCK`` at a
+    time) that arrive by its last bound, as ``restrict`` cuts the ledger."""
+    n, rows = len(path.times) + 1, 0
+    columns = list(vars(ledger).values())[:5]
     for start in range(0, n, _BLOCK):
         bounds, levels = path.segments(start, start + _BLOCK)
+        end = len(ledger) if start + _BLOCK >= n else max(rows, len(ledger.restrict(bounds[-1])))
+        for lo in range(rows, max(end, rows + 1), _BLOCK):  # the rows, then the segments
+            hi = min(lo + _BLOCK, end)
+            yield _Chunk(*(column[lo:hi] for column in columns), None,
+                         bounds if hi == end else bounds[:1], levels if hi == end else levels[:0])
+        rows = end
+
+
+class _Window:
+    """The report fold over [open, ``t_final``]: the six exact sums and
+    the count of ``compute_report``.  A window that closes before the run
+    cuts the path with ``Trajectory.restrict``: the restricted run's."""
+
+    def __init__(self, t_initial: float, t_final: float) -> None:
+        self.window = (t_initial, t_final)
+        self._sums = [_Terms() for _ in range(6)]
+        self._count = 0
+        self._closed = None  # the sums, once no later chunk has a term
+
+    def add(self, chunk: _Chunk) -> None:
+        t_initial, t_final = self.window
+        if self._closed:
+            return
+        area, busy, observed, actual, initial, final = self._sums
+        bounds, levels = chunk.bounds, chunk.levels
+        if len(levels) and bounds[-1] > t_final:  # the window closes by the chunk's end
+            piece = Trajectory(bounds[0], bounds[-1], int(levels[0]), bounds[1:-1], levels[1:])
+            bounds, levels = (piece.restrict(t_final).segments() if bounds[0] <= t_final
+                              else (bounds[:1], levels[:0]))
         widths = np.diff(bounds)
         area.add(levels * widths)
         busy.add(widths[levels > 0])
-    return area.value(), busy.value()
-
-
-def _ledger_totals(ledger: CustomerLedger) -> tuple[tuple[float, float, float, float], int]:
-    """((observed, actual, pre-window, post-window), count) over the
-    window population, ``_BLOCK`` ledger rows at a time: the exact sums
-    of the window-clipped sojourns, the full sojourns and their slices
-    before the open and after the close, and the number of customers."""
-    t_initial, t_final = ledger.window
-    observed, actual, initial, final = (ExactSum() for _ in range(4))
-    count = 0
-    for start in range(0, len(ledger), _BLOCK):
-        stop = start + _BLOCK
-        sel = ledger.in_window_mask(start, stop)
-        arrivals = ledger.arrival_time[start:stop]
-        arr = arrivals[sel]
-        dep = ledger.departure_time[start:stop][sel]
+        # the chunk's customers, as a ledger over the window selects them
+        sel = CustomerLedger(*chunk[:5], window=self.window).in_window_mask()
+        arr, dep = chunk.arrival[sel], chunk.departure[sel]
         observed.add(np.minimum(dep, t_final) - np.maximum(arr, t_initial))
         actual.add(dep - arr)
-        initial.add(t_initial - arrivals[ledger.pre_window[start:stop]])
+        initial.add(t_initial - chunk.arrival[chunk.pre_window])
         final.add(dep[dep > t_final] - t_final)
-        count += int(np.count_nonzero(sel))
-    return (observed.value(), actual.value(), initial.value(), final.value()), count
+        self._count += int(np.count_nonzero(sel))
+        # past the end on the path and, in customer order, the arrivals
+        if (chunk.bounds[-1] > t_final and chunk.customer is None
+                and len(chunk.arrival) and chunk.arrival[-1] > t_final):
+            self._closed = [total.value() for total in self._sums]  # frees their buffers
+
+    def report(self, cost_weight: float) -> MetricsReport:
+        """The report at a cost weight already checked to be a real >= 0."""
+        length = self.window[1] - self.window[0]
+        area, busy, *sums = self._closed or [total.value() for total in self._sums]
+        unscaled = [area, *sums, *(v / length for v in (area, *sums[:2]))]
+        totals = [cost_weight * v for v in (area, *sums)]
+        scaled = totals + [v / length for v in totals[:3]]
+        tiny = np.finfo(float).tiny  # the smallest normal float
+        past = not all(map(math.isfinite, scaled))
+        if past or cost_weight and any(abs(v) < tiny <= abs(u) for u, v in zip(unscaled, scaled)):
+            raise ValueError(f"cost_weight {cost_weight!r} takes a total or a time average "
+                             f"{'past the' if past else 'below the normal'} float range")
+        n = self._count
+        # the fields in order: totals, time averages, count averages, the rest
+        per_customer = [v / n if n > 0 else 0.0 for v in totals[:3]]
+        return MetricsReport(cost_weight, *scaled, *per_customer, area / length, n / length,
+                             busy / length, n, self.window)
 
 
 @dataclass
@@ -204,20 +272,16 @@ class MetricsReport:
 
 
 def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float = 1.0) -> MetricsReport:
-    """Evaluate every functional over the full window and bundle them.
-
-    One walk over the path's segments and one over the ledger's rows,
-    ``_BLOCK`` at a time, feed six exact sums: the area and the busy
-    time, and the observed, actual, pre-window and post-window response.
-    Only the first and last path blocks copy, to add the window ends and
-    the initial count.  ``rho_hat`` is the exact busy time over the
-    window length.
+    """Evaluate every functional over the full window and bundle them:
+    the report fold, ``_Window``, over the path and the ledger a block
+    at a time.  ``rho_hat`` is the exact busy time over the window length.
 
     Count averages are zero for an empty window population rather than
     raising, so quiet windows still serialise cleanly.  The path and the
     ledger must cover the same window, of positive length, and the cost
     weight must be a finite real number >= 0, taken as a Python number,
-    that keeps every total and time average finite.
+    that keeps every total and time average finite and, where nonzero
+    at weight 1, a normal float.
     """
     if not (isinstance(path, Trajectory) and isinstance(ledger, CustomerLedger)):
         raise ValueError(f"need a Trajectory and a CustomerLedger, got {path!r}, {ledger!r}")
@@ -228,40 +292,10 @@ def compute_report(path: Trajectory, ledger: CustomerLedger, cost_weight: float 
     length = path.window_length
     if not length > 0:
         raise ValueError(f"window {window} has nonpositive length")
-    area, busy = _path_totals(path)
-    sums, n_total = _ledger_totals(ledger)
-    totals = [cost_weight * v for v in (area, *sums)]
-    per_time = [v / length for v in totals[:3]]
-    if not all(map(math.isfinite, totals + per_time)):
-        raise ValueError(f"cost_weight {cost_weight!r} takes a total or a time average "
-                         "past the float range")
-    h_total, r_obs, r_act, r_un_initial, r_un_final = totals
-    lam_hat = n_total / length
-    if n_total > 0:
-        h_bar_n = h_total / n_total
-        r_bar_n_obs = r_obs / n_total
-        r_bar_n_act = r_act / n_total
-    else:
-        h_bar_n = r_bar_n_obs = r_bar_n_act = 0.0
-    return MetricsReport(
-        cost_weight=cost_weight,
-        H_total=h_total,
-        R_obs_total=r_obs,
-        R_act_total=r_act,
-        R_un_initial=r_un_initial,
-        R_un_final=r_un_final,
-        H_bar_t=per_time[0],
-        R_bar_t_obs=per_time[1],
-        R_bar_t_act=per_time[2],
-        H_bar_n=h_bar_n,
-        R_bar_n_obs=r_bar_n_obs,
-        R_bar_n_act=r_bar_n_act,
-        n_bar_t=area / length,
-        lambda_hat=lam_hat,
-        rho_hat=busy / length,
-        N_total=n_total,
-        window=window,
-    )
+    fold = _Window(*window)
+    for chunk in _chunks(path, ledger):
+        fold.add(chunk)
+    return fold.report(cost_weight)
 
 
 def verify_theorem(

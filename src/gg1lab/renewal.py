@@ -8,18 +8,10 @@ time before the first renewal point and after the last one belongs to
 no cycle and enters no estimator, since the estimators treat cycles as
 i.i.d.
 
-Cycles are found and summed by path event index.  ``detect_cycles``
-keeps each renewal point's event index, and ``cycle_rewards`` sums each
-cycle over its own events and customers with ``np.add.reduceat``, a
-block of whole cycles at a time: no lookup into the path, and no
-difference of running totals, whose rounding grows with the length of
-the run.
-
-Each run's cycles reduce to a ``CycleTotals`` of Python scalars, and
-``pooled_averages`` takes ratios of sums (total reward over total
-length, total response over total count, the consistent form for a
-reward/length ratio) over any number of runs, one run being a pool of
-one.
+One fold, ``_Cycles``, finds the cycles a chunk at a time and sums each
+over its own segments and customers by ``np.add.reduceat``.
+``detect_cycles`` and ``cycle_rewards`` run it over a whole path; the
+theorem runs keep its ``CycleTotals``, which ``pooled_averages`` pools.
 """
 
 from __future__ import annotations
@@ -31,8 +23,7 @@ import numpy as np
 
 from . import metrics
 from .artifacts import write_csv
-from .metrics import exact_sum
-from .simulator import CustomerLedger, Trajectory
+from .simulator import CustomerLedger, Trajectory, _Chunk
 
 
 @dataclass(frozen=True)
@@ -100,33 +91,16 @@ class RenewalCycles:
 
 
 def detect_cycles(path: Trajectory) -> RenewalCycles:
-    """Split a trajectory into renewal cycles.
-
-    Renewal points are the events where the queue length steps from 0
-    to 1, and each cycle's busy period ends at its first emptying event
-    after its opening one.  Both are found by event index: one pass
-    over the levels finds the emptying events, and the renewal points
-    are the events right after them that reach level 1.  Fewer than
-    two renewal points give no cycle, with ``renewal_index`` None.  It
-    relies on the strictly increasing event times that ``Trajectory``
-    guarantees.
-    """
-    times = path.times
-    counts = path.counts
-    empty = np.flatnonzero(counts == 0)
-    if path.initial_count == 0:  # the level before the first event
-        empty = np.concatenate(([-1], empty))
-    # an emptying last event has no successor to open a cycle
-    opens = empty[:-1] if len(empty) and empty[-1] == len(counts) - 1 else empty
-    k = np.flatnonzero(counts[opens + 1] == 1)
-    index = opens[k] + 1
-    if len(index) < 2:
-        return RenewalCycles(np.empty(0), np.empty(0), np.empty(0))
-    renewal = times[index]
-    # the emptying event after a cycle's opening one is the next in
-    # ``empty``; the closing renewal point guarantees there is one
-    busy_end = times[empty[k[:-1] + 1]]
-    return RenewalCycles(renewal[:-1], busy_end, renewal[1:], renewal_index=index)
+    """Split a trajectory at the events where the queue length steps from
+    0 to 1 (``_Cycles`` over the path); each busy period ends at its first
+    emptying event.  Fewer than two give no cycle and no renewal_index."""
+    empty = CustomerLedger(*[np.empty(0)] * 5, (path.initial_time, path.final_time))
+    found = [closed[0] for closed in _Cycles(rewards=False).over(path, empty)]
+    if len(found) < 2:
+        return found[0] if found else RenewalCycles(np.empty(0), np.empty(0), np.empty(0))
+    index = [c.renewal_index[:-1] for c in found] + [found[-1].renewal_index[-1:]]
+    return RenewalCycles(*(np.concatenate([getattr(c, name) for c in found]) for name in
+                           ("busy_start", "busy_end", "cycle_end")), np.concatenate(index))
 
 
 @dataclass
@@ -145,75 +119,122 @@ class CycleRewards:
 
 
 def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedger) -> CycleRewards:
-    """Tally holding cost, response cost, and arrival count per cycle, at
-    unit cost weight.
-
-    Holding comes from the trajectory, response from the ledger, so the
-    two stay independent routes to the same quantity.  Each cycle is
-    summed on its own terms: holding is ``np.add.reduceat`` of the
-    segment areas from the cycle's renewal event index to the next,
-    response the same over ``dep - arr`` of the customers arriving in
-    the cycle, found by one ``searchsorted`` of the renewal times into
-    the arrivals.  A cycle's sum of n nonnegative terms is then within
-    (n - 1) * 2**-53 relative of the exact one.  A difference of two
-    running totals over the whole run carries the rounding of every term
-    before the cycle: up to 2.6e-9 relative on a million-event run.
-
-    The areas and sojourns are built for blocks of whole cycles, each
-    spanning at most ``metrics._BLOCK`` events, or for one longer cycle
-    alone.  ``reduceat`` sums each cycle's terms exactly as it would
-    over the whole run, so the block a cycle falls in leaves its bits
-    unchanged, and no temporary grows with the run.
-
-    The cycles must come from ``detect_cycles`` on this path: cycles
-    without renewal indices, or whose indices do not point at their
-    bounds in ``path``, raise ValueError, as does a ledger with no
-    arrival in some cycle.  Empty cycles give empty rewards.
-    """
+    """Tally holding cost (from the path), response cost (from the
+    ledger) and arrival count per cycle, at unit cost weight: ``_Cycles``
+    over both.  A cycle's sum of n terms is within (n - 1) * 2**-53
+    relative of the exact one.  Cycles not from ``detect_cycles`` on this
+    path, or a ledger with no arrival in some cycle, raise ValueError."""
     if len(cycles) == 0:
         return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int))
     index = cycles.renewal_index
     if index is None:
         raise ValueError("cycle rewards need the renewal indices that detect_cycles sets")
-    times = path.times
-    if index[-1] >= len(times):
+    if index[-1] >= len(path.times):
         raise ValueError("cycles reach past the end of this path")
-    renewal = times[index]
+    renewal = path.times[index]
     if not (np.array_equal(renewal[:-1], cycles.busy_start)
             and np.array_equal(renewal[1:], cycles.cycle_end)):
         raise ValueError("cycles were not detected on this path")
-
-    arr = ledger.arrival_time
-    dep = ledger.departure_time
-    lo = np.searchsorted(arr, renewal, side="left")
-    count = np.diff(lo)
-    # every cycle opens with an arrival, which also keeps reduceat's
-    # starts strictly increasing and inside the sojourns
-    if count.min() < 1:
-        raise ValueError("a cycle has no arrival in this ledger")
-    holding = np.empty(len(cycles))
-    response = np.empty(len(cycles))
-    for a, b in _cycle_blocks(index):
-        # segment i (level counts[i] on [times[i], times[i+1])) of the
-        # events from cycle a's renewal point up to cycle b's
-        first, last = index[a], index[b]
-        areas = path.counts[first:last] * np.diff(times[first:last + 1])
-        holding[a:b] = np.add.reduceat(areas, index[a:b] - first)
-        first, last = lo[a], lo[b]
-        response[a:b] = np.add.reduceat(dep[first:last] - arr[first:last], lo[a:b] - first)
-    return CycleRewards(holding, response, count)
+    done, batches = 0, []  # cycles matched so far, their rewards
+    for found, rewards in _Cycles().over(path, ledger):
+        if not np.array_equal(found.renewal_index, index[done : done + len(found) + 1]):
+            raise ValueError("cycles were not detected on this path")
+        done += len(found)
+        batches.append(rewards)
+    if done != len(cycles):
+        raise ValueError("cycles were not detected on this path")
+    return batches[0] if len(batches) == 1 else CycleRewards(
+        *(np.concatenate([vars(r)[name] for r in batches]) for name in vars(batches[0])))
 
 
-def _cycle_blocks(index: np.ndarray):
-    """(a, b) for runs of whole cycles a to b - 1, each spanning at most
-    ``_BLOCK`` events, or one cycle that alone spans more."""
-    block = metrics._BLOCK
-    a, n = 0, len(index) - 1
-    while a < n:
-        b = int(np.searchsorted(index, index[a] + block, side="right")) - 1
-        b = max(b, a + 1)
-        yield a, b
-        a = b
+class _Cycles:
+    """The cycle fold: it keeps the open cycle's segments and, with
+    ``rewards``, the records that may still fall in a cycle (records come
+    ahead of the segments).  A chunk sums each cycle it closes over all
+    its terms, in customer order; with ``totals`` (rewards implied), into
+    ``totals`` too."""
+
+    def __init__(self, rewards: bool = True, totals: bool = False) -> None:
+        self._rewards = rewards or totals
+        self._level = -1  # of the latest segment; none yet
+        self._segments = 0  # segments taken
+        self._bounds, self._levels = [], []  # the open cycle's segments so far
+        self._records: list[tuple] = []  # (arrival, departure, customer) of each chunk kept
+        self._sums = [metrics._Terms() for _ in range(3)] if totals else None
+        self._cycles = self._count = 0
+
+    def add(self, chunk: _Chunk) -> tuple[RenewalCycles, CycleRewards | None] | None:
+        """Take a chunk; the cycles it closes, with their rewards, if any."""
+        bounds, levels = chunk.bounds, chunk.levels
+        # a renewal point is a level 1 right after a level 0, and its busy
+        # period ends at the next level 0: zero[ends[i]] for found[i]
+        zero = np.flatnonzero(levels == 0)
+        after = zero[zero < len(levels) - 1] + 1
+        ends = np.flatnonzero(levels[after] == 1)
+        found, ends = after[ends], ends + 1
+        if self._level == 0 and len(levels) and levels[0] == 1:
+            found, ends = np.concatenate(([0], found)), np.concatenate(([0], ends))
+        self._segments += len(levels)
+        self._level = int(levels[-1]) if len(levels) else self._level
+        if self._rewards:
+            self._records.append((chunk.arrival, chunk.departure, chunk.customer))
+        if self._levels:  # the open cycle, then this chunk's segments
+            self._bounds.append(bounds[:-1])
+            self._levels.append(levels)
+        if not found.size:
+            if not self._levels and self._rewards:  # the first cycle opens at bounds[-1] or later
+                self._customers(bounds[-1:])
+            return None
+        busy_end = bounds[zero[ends[:-1]]]
+        if self._levels:  # it closes here; its busy period ended at its first level 0
+            bounds = np.concatenate(self._bounds + [bounds[-1:]])
+            found = np.concatenate(([0], found + len(bounds) - len(levels) - 1))
+            levels = np.concatenate(self._levels)
+            busy_end = np.concatenate((bounds[[np.argmax(levels == 0)]], busy_end))
+        self._bounds, self._levels = [bounds[found[-1] : -1]], [levels[found[-1] :]]
+        times, index = bounds[found], self._segments - len(levels) + found - 1
+        if self._rewards:
+            arr, dep, lo = self._customers(times)
+        if len(found) < 2:
+            return None
+        cycles = RenewalCycles(times[:-1], busy_end, times[1:], renewal_index=index)
+        if not self._rewards:
+            return cycles, None
+        count = np.diff(lo)
+        # every cycle opens with an arrival, which also keeps reduceat's
+        # starts strictly increasing and inside the sojourns
+        if count.min() < 1:
+            raise ValueError("a cycle has no arrival in this ledger")
+        areas = levels[found[0] : found[-1]] * np.diff(bounds[found[0] : found[-1] + 1])
+        rewards = CycleRewards(
+            np.add.reduceat(areas, found[:-1] - found[0]),
+            np.add.reduceat(dep[lo[0] : lo[-1]] - arr[lo[0] : lo[-1]], lo[:-1] - lo[0]), count)
+        if self._sums is not None:
+            for total, values in zip(self._sums, (cycles.cycle_lengths, *vars(rewards).values())):
+                total.add(values)
+            self._cycles += len(cycles)
+            self._count += int(count.sum())
+        return cycles, rewards
+
+    def _customers(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The records kept, in customer order, and where each of ``times``
+        falls among their arrivals; those before the last are dropped."""
+        arr, dep, who = (c[0] if len(c) == 1 else None if c[-1] is None else np.concatenate(c)
+                         for c in zip(*self._records))
+        if who is not None:  # LCFS and random order record by slot
+            order = np.argsort(who, kind="stable")
+            arr, dep, who = arr[order], dep[order], who[order]
+        lo = np.searchsorted(arr, times, side="left")
+        self._records = [(arr[lo[-1]:], dep[lo[-1]:], None if who is None else who[lo[-1]:])]
+        return arr, dep, lo
+
+    def over(self, path: Trajectory, ledger: CustomerLedger):
+        """The batches the fold closes over a whole path and ledger."""
+        return filter(None, map(self.add, metrics._chunks(path, ledger)))
+
+    def totals(self) -> "CycleTotals":
+        """The totals of every cycle closed so far."""
+        return CycleTotals(self._cycles, *(total.value() for total in self._sums), self._count)
 
 
 class CycleTotals(NamedTuple):
@@ -226,14 +247,6 @@ class CycleTotals(NamedTuple):
     holding: float
     response: float
     count: int
-
-    @classmethod
-    def of(cls, cycles: RenewalCycles, rewards: CycleRewards) -> "CycleTotals":
-        """Each total by ``exact_sum`` over the run's cycles."""
-        if not (len(rewards.holding) == len(rewards.response) == len(rewards.count) == len(cycles)):
-            raise ValueError("rewards must align with cycles")
-        return cls(len(cycles), exact_sum(cycles.cycle_lengths), exact_sum(rewards.holding),
-                   exact_sum(rewards.response), int(rewards.count.sum()))
 
 
 def pooled_averages(totals) -> tuple[float, float]:

@@ -28,17 +28,18 @@ window end until each customer that arrived by then has departed (those
 later events never extend the recorded path), or raises
 ``EventCapExceeded``.  ``restrict`` takes a shorter window of a run.
 
-A run keeps one record per slot that serves a window customer, in slot
-order, whether or not the window has closed: its start, duration and
-departure, and under LCFS and random order its customer.  The ledger
-is the records placed by customer; the path's departures are the
-record departures up to the window end.
+``_stream`` yields a run a chunk of slots at a time: the records of
+the slots that serve window customers, and the window path's segments
+up to the chunk's last departure.  Folds over it give the report, the
+cycles and the inspections with no whole-run array; ``simulate`` is the
+fold that keeps every chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,6 +204,21 @@ class Trajectory:
 
 
 
+class _Chunk(NamedTuple):
+    """A finished chunk of a run: its slots' records of window customers
+    (customer None under FCFS: slot j serves customer j), and the window
+    path's segments it completes, as ``Trajectory.segments`` gives them."""
+
+    arrival: np.ndarray
+    start: np.ndarray
+    duration: np.ndarray
+    departure: np.ndarray
+    pre_window: np.ndarray
+    customer: np.ndarray | None
+    bounds: np.ndarray
+    levels: np.ndarray
+
+
 def simulate(
     arrival: DistributionSpec,
     service: DistributionSpec,
@@ -231,25 +247,38 @@ def simulate(
             departures, in time order), an integer >= 0.
 
     Ties between an arrival and a departure at the same instant are
-    broken arrival-first.
-
-    Service slots are computed a chunk at a time until every window
-    customer has had its slot: under FCFS the first slots, one per
-    window arrival; under LCFS or random order the slots up to the
-    departure of the last window customer, drain slots included.  A
-    chunk of ``_PARALLEL_MIN`` slots or more is computed a busy period
-    at a time (guessed starts, NumPy sums, an exact check of every
-    start, the scalar loop from the first wrong guess on); shorter
-    ones, such as the first chunks and the drain's, by the scalar loop.
-    Both give the same bits.  Every chunk appends a record of its slots
-    that serve a window customer (start, duration, departure, and the
-    customer under LCFS and random order); arrivals after the window
-    end take slots and service draws but get no record.  The event cap
-    is checked after every chunk, so a run stops within one chunk of
-    reaching it.  A chunk draws the arrivals up to its last departure,
-    but stops once more epochs are drawn than the cap allows, so a
-    dense arrival stream cannot outgrow memory first.
+    broken arrival-first.  The fold of ``_stream`` that keeps it all.
     """
+    parts = dict(zip(_Chunk._fields, map(list, zip(*_stream(
+        arrival, service, discipline, warmup, horizon, seed, event_cap=event_cap)))))
+    t_initial, t_final = float(parts["bounds"][0][0]), float(parts["bounds"][-1][-1])
+    times = np.concatenate([b[1:] for b in parts.pop("bounds")])[:-1]
+    levels = np.concatenate(parts.pop("levels"))
+    trajectory = Trajectory(t_initial, t_final, int(levels[0]), times, levels[1:])
+    slot = slice(None)  # under FCFS the records are in customer order
+    if parts["customer"][0] is not None:
+        customer = np.concatenate(parts.pop("customer"))
+        slot = np.empty_like(customer)
+        slot[customer] = np.arange(len(customer))
+    # a column at a time, each freed from its chunks before the next is placed
+    ledger = CustomerLedger(*(np.concatenate(parts.pop(name))[slot] for name in _Chunk._fields[:5]),
+                            window=(t_initial, t_final))
+    return trajectory, ledger
+
+
+def _stream(arrival, service, discipline="fcfs", warmup=0.0, horizon=1000.0, seed=0, *,
+            event_cap=DEFAULT_EVENT_CAP):
+    """The run of ``simulate``, a ``_Chunk`` of slots at a time, until
+    every window customer has had a slot (the drain's under LCFS and
+    random order).  A chunk of ``_PARALLEL_MIN`` slots or more is
+    computed a busy period at a time (guessed starts, NumPy sums, an
+    exact check of every start), a shorter one by the scalar loop, with
+    the same bits.  Arrivals after the window end get no record.  A
+    chunk's path events are those before its last departure, up to the
+    window end (a tie waits whole for the next chunk); events before the
+    window open only set the level.  Arrival epochs are kept from the
+    oldest customer without a slot or off the path; the event cap is
+    checked after every chunk, and arrivals are drawn only to it."""
     if not (isinstance(arrival, DistributionSpec) and isinstance(service, DistributionSpec)):
         raise ValueError(f"arrival and service must be DistributionSpecs: {arrival!r}, {service!r}")
     t_initial = float(real("warmup", warmup, 0))
@@ -265,24 +294,26 @@ def simulate(
     services = _Draws(service, np.random.default_rng(svc_ss))
     queue = None if mode == 0 else _Queue(mode, np.random.default_rng(disc_ss))
 
-    # one record per slot that serves a window customer, in slot order:
-    # (starts, durations, departures), plus the customers under LCFS and
-    # random order (under FCFS slot j serves customer j)
-    records = []
     recorded = 0  # window customers with a record
     last = 0  # slots up to the latest record's
+    last_departure = t_final  # of the latest record
     k = 0  # slots computed
     dep = -math.inf  # departure of slot k - 1
     step = _FIRST_CHUNK
+    on_path = 0  # arrivals on the path so far
+    held = np.empty(0)  # record departures up to t_final not yet on the path
+    level = 0  # queue length after the events on the path so far
+    bound = t_initial  # where the next segment opens
 
     arrivals.ensure_count(1)
     n_window = arrivals.passed(t_final)  # arrivals up to t_final, once known
-    while n_window is None or recorded < n_window:
+    while True:
         # unfinished, so all k slots and every arrival up to slot k - 1's
         # departure are processed; the events before the latest chunk
         # passed the check before it
         if arrivals.count_upto(dep) + k > event_cap:
             raise _cap_exceeded(event_cap, arrivals, k - len(d), d)
+        arrivals.keep_from(min(k if queue is None else queue.oldest, on_path))
         if n_window is not None and k < n_window:
             hi = min(k + _SAMPLE_BLOCK, n_window)
         else:
@@ -305,56 +336,45 @@ def simulate(
         window = arrivals.end if n_window is None else n_window  # window customers are below it
         if queue is None:  # slot j serves customer j
             mine = slice(0, min(hi, window) - k)
-            records.append((starts[mine], s[mine], d[mine]))
+            customer, arrival_time = None, a[mine].copy()
             last = k + mine.stop
         else:
-            who = np.array(queue.fill(k, a > before, arrivals.count_upto(starts)), dtype=np.int64)
+            who = queue.fill(k, a > before, arrivals.count_upto(starts))
             mine = np.flatnonzero(who < window)
-            records.append((starts[mine], s[mine], d[mine], who[mine]))
+            customer = who[mine]
+            arrival_time = arrivals.at(customer)
             if mine.size:
                 last = k + int(mine[-1]) + 1
-        recorded += len(records[-1][0])
+        departure = d[mine]
+        recorded += len(departure)
+        last_departure = max([last_departure, *departure[-1:].tolist()])
         k = hi
         dep = float(d[-1])
+        final = n_window is not None and recorded == n_window
+        # the run ends at t_final or at the last window customer's departure
+        if final and arrivals.count_upto(last_departure) + last > event_cap:
+            raise _cap_exceeded(event_cap, arrivals, k - len(d), d)
 
-    start, duration, departure, *customers = (
-        map(np.concatenate, zip(*records)) if records else [np.empty(0)] * 3)
-    del records  # the chunks, freed before the path is built
-    # the run ends at t_final or at the last window customer's departure
-    end = max(t_final, float(departure[-1])) if n_window else t_final
-    if arrivals.count_upto(end) + last > event_cap:
-        raise _cap_exceeded(event_cap, arrivals, k - len(d), d)
-    # a slot that departs by t_final serves a customer who arrived by then
-    times, counts = _queue_path(arrivals.between(0, n_window),
-                                departure[: _count_upto(departure, t_final)])
-    first = int(np.searchsorted(times, t_initial, side="left"))
-    initial_count = int(counts[first - 1]) if first else 0
-    times, counts = _canonical_path(times[first:], counts[first:], initial_count)
-    trajectory = Trajectory(
-        initial_time=t_initial,
-        final_time=t_final,
-        initial_count=initial_count,
-        times=times,
-        counts=counts,
-    )
-
-    arrival_time = arrivals.between(0, n_window).copy()
-    if customers:  # the records placed by customer
-        slot = np.empty(n_window, dtype=np.int64)
-        slot[customers[0]] = np.arange(n_window)
-        # a column at a time, so each slot-order column is freed before the next is placed
-        start = start[slot]
-        duration = duration[slot]
-        departure = departure[slot]
-    ledger = CustomerLedger(
-        arrival_time=arrival_time,
-        service_start=start,
-        service_duration=duration,
-        departure_time=departure,
-        pre_window=(arrival_time < t_initial) & (departure >= t_initial),
-        window=(t_initial, t_final),
-    )
-    return trajectory, ledger
+        # the events up to ``limit``: every one up to t_final once the last
+        # chunk is in, else those before this chunk's last departure
+        limit = t_final if final else min(t_final, math.nextafter(dep, -math.inf))
+        upto = int(arrivals.count_upto(limit))
+        deps = np.concatenate((held, departure[: _count_upto(departure, t_final)]))
+        n_dep = _count_upto(deps, limit)
+        times, counts = _queue_path(arrivals.between(on_path, upto), deps[:n_dep])
+        counts += level
+        on_path, held = upto, deps[n_dep:]
+        first = int(np.searchsorted(times, t_initial, side="left"))
+        opening = int(counts[first - 1]) if first else level  # the level at ``bound``
+        level = int(counts[-1]) if len(counts) else level
+        times, counts = _canonical_path(times[first:], counts[first:], opening)
+        yield _Chunk(arrival_time, starts[mine], s[mine], departure,
+                     (arrival_time < t_initial) & (departure >= t_initial), customer,
+                     np.concatenate(([bound], times, [t_final] if final else [])),
+                     np.concatenate(([opening], counts))[: len(counts) + final])
+        bound = float(times[-1]) if len(times) else bound
+        if final:
+            return
 
 
 def _count_upto(sorted_times: np.ndarray, t: float) -> int:
@@ -419,18 +439,29 @@ class _Arrivals:
     Each block of draws is accumulated sequentially from the last epoch
     before it, so every epoch is the float sum ``t + gap`` of the one
     before (``carry + np.cumsum(gaps)`` would round differently).
+    Indices count every epoch drawn; those before ``base`` are
+    forgotten, and the counts take them as passed.
     """
 
     def __init__(self, spec: DistributionSpec, rng: np.random.Generator) -> None:
         self._spec = spec
         self._rng = rng
         self._times = _Column()
+        self.base = 0
         self.last = 0.0
 
     @property
     def end(self) -> int:
         """Index past the last epoch drawn."""
-        return self._times.size
+        return self.base + self._times.size
+
+    def keep_from(self, i: int) -> None:
+        """Forget the epochs before index ``i`` once they are half of those
+        held or more (so each epoch moves O(1) times)."""
+        if 2 * (i - self.base) >= self._times.size:
+            kept = self._times.values[i - self.base :].copy()
+            self._times.size, self.base = 0, i
+            self._times.extend(kept)
 
     def _grow(self) -> None:
         gaps = self._spec.sample(self._rng, _SAMPLE_BLOCK)
@@ -449,7 +480,10 @@ class _Arrivals:
             self._grow()
 
     def between(self, lo: int, hi: int) -> np.ndarray:
-        return self._times.values[lo:hi]
+        return self._times.values[lo - self.base : hi - self.base]
+
+    def at(self, indices: np.ndarray) -> np.ndarray:
+        return self._times.values[indices - self.base]
 
     def passed(self, t: float) -> int | None:
         """Arrivals at or before ``t`` once the stream has passed it."""
@@ -457,7 +491,7 @@ class _Arrivals:
 
     def count_upto(self, t):
         """Arrivals at or before ``t`` (a float or an array)."""
-        return np.searchsorted(self._times.values, t, side="right")
+        return self.base + np.searchsorted(self._times.values, t, side="right")
 
 
 def _departures(arrivals: np.ndarray, services: np.ndarray, dep: float) -> np.ndarray:
@@ -578,9 +612,11 @@ class _Queue:
         self._joined = 0  # customers that have arrived into the queue or service
         self._picks: list[float] = []
         self._pick_i = 0
+        self.oldest = 0  # the oldest customer not yet given a slot
 
-    def fill(self, first_slot: int, direct: np.ndarray, arrived: np.ndarray) -> list[int]:
-        """The customer of each slot in a chunk.
+    def fill(self, first_slot: int, direct: np.ndarray, arrived: np.ndarray) -> np.ndarray:
+        """The customer of each slot in a chunk.  ``oldest`` is looked for
+        again only once it has a slot: amortised O(1) work a slot.
 
         ``direct[j]``: the slot's customer found the server idle (then it
         is customer ``first_slot + j`` and the queue is empty).
@@ -615,6 +651,9 @@ class _Queue:
             waiting.pop()
         self._joined = joined
         self._picks, self._pick_i = picks, pick_i
+        owners = np.array(owners, dtype=np.int64)
+        if (owners == self.oldest).any():
+            self.oldest = min(waiting, default=joined)
         return owners
 
 
@@ -644,7 +683,7 @@ def _cap_exceeded(index: int, arrivals: _Arrivals, first_slot: int,
         t = float(departure_times[j])
     else:
         i = index - n_dep
-        t = float(arrivals.between(i, i + 1)[0])
+        t = float(arrivals.at(i))
     n = index - 2 * n_dep
     return EventCapExceeded(
         f"event cap {index} exceeded at t={t:.6g} (queue length {n})",

@@ -9,6 +9,10 @@ before ``renewal.pooled_averages``.  Kept as the oracle of
 ``test_renewal.py``, less the leading and trailing fragments and the
 cost weight, which no caller read.
 
+``totals_of`` is ``CycleTotals.of`` as the library had it before the
+theorem runs summed their cycles in ``renewal._Cycles``: each total an
+exact sum over a run's per-cycle arrays.
+
 ``local_cycle_rewards`` is the per-cycle ``np.add.reduceat`` tally
 that ``cycle_rewards`` used before it summed blocks of whole cycles:
 one reduceat over the areas and sojourns of the whole run.  The block
@@ -20,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from gg1lab import metrics
-from gg1lab.renewal import CycleRewards, RenewalCycles
+from gg1lab.renewal import CycleRewards, CycleTotals, RenewalCycles
 from gg1lab.simulator import CustomerLedger, Trajectory
 
 
@@ -94,6 +98,15 @@ def local_cycle_rewards(cycles: RenewalCycles, path: Trajectory,
     sojourns = dep[lo[0]:lo[-1]] - arr[lo[0]:lo[-1]]
     response = np.add.reduceat(sojourns, lo[:-1] - lo[0])
     return CycleRewards(holding, response, count)
+
+
+def totals_of(cycles: RenewalCycles, rewards: CycleRewards) -> CycleTotals:
+    """One run's complete cycles summed to Python scalars."""
+    if not (len(rewards.holding) == len(rewards.response) == len(rewards.count) == len(cycles)):
+        raise ValueError("rewards must align with cycles")
+    return CycleTotals(len(cycles), metrics.exact_sum(cycles.cycle_lengths),
+                       metrics.exact_sum(rewards.holding), metrics.exact_sum(rewards.response),
+                       int(rewards.count.sum()))
 
 
 def theorem_renewal_record(cycles: RenewalCycles, rewards: CycleRewards) -> dict:

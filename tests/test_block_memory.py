@@ -2,12 +2,16 @@
 M/M/1 run of about a million events.  simulate keeps one record per
 window customer and frees its path temporaries early; the other two
 walk the run in blocks, so their temporaries stay at a few blocks' worth
-whatever the run's length."""
+whatever the run's length.  The acceptance gate's theorem and inspection
+runs fold the run a chunk at a time and hold none of it."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from gg1lab import acceptance, inspection, metrics, simulator
+from gg1lab.acceptance import THEOREM_HORIZONS, _theorem_entry
 from gg1lab.distributions import exponential
 from gg1lab.metrics import compute_report
 from gg1lab.renewal import cycle_rewards, detect_cycles
@@ -54,3 +58,60 @@ def test_cycle_rewards_with_its_outputs_stays_under_16_mb(run):
     path, ledger, cycles = run
     assert len(cycles) > 200_000
     assert traced_peak(lambda: cycle_rewards(cycles, path, ledger)) < 16 * 2**20
+
+
+def test_a_theorem_entry_stays_under_12_mb():
+    # simulate, two restricted reports, the full report and the cycles of
+    # the materialised run peaked at 47.3 MB
+    assert traced_peak(lambda: _theorem_entry(2026, list(THEOREM_HORIZONS))) < 12 * 2**20
+
+
+def test_a_theorem_entry_does_not_grow_with_the_horizon():
+    # R_act - R_obs is the slices of sojourns cut off at the window ends,
+    # so a run's report needs nothing of the run beyond its current chunk
+    short = traced_peak(lambda: _theorem_entry(2026, [1e4, 1e5, 1e6]))
+    long = traced_peak(lambda: _theorem_entry(2026, [1e4, 1e5, 4e6]))
+    assert long < short + 2 * 2**20
+
+
+def inspection_run(n_epochs=100_000, seed=9111):
+    """One of criterion 6's inspection runs, as the suite makes it."""
+    spec = exponential(1.0)
+    epoch_rate = 0.25 / spec.mean()
+    horizon = n_epochs / epoch_rate
+    epochs = inspection.poisson_epochs((0.0, horizon), epoch_rate, seed + 177)
+    samples = inspection._Inspections(epochs, (0.0, horizon))
+    for chunk in simulator._stream(exponential(0.5 / spec.mean()), spec, horizon=horizon,
+                                   seed=seed + 77):
+        samples.add(chunk.start, chunk.departure)
+    return samples.samples()
+
+
+def test_an_inspection_run_stays_under_8_mb():
+    # its samples hold 3.3 MB; the materialised run peaked at 23.2 MB
+    assert traced_peak(inspection_run) < 8 * 2**20
+
+
+def test_the_suites_inspection_runs_keep_only_busy_epochs():
+    runs = acceptance.AcceptanceSuite(scale=0.4, master_seed=3).inspection_runs()
+    for entry in runs.values():
+        samples = entry["samples"]
+        assert len(samples) > 10_000 and samples.busy.all()
+        assert not np.isnan(samples.age).any()
+
+
+def test_a_theorem_entry_adds_to_exact_sums_in_blocks(monkeypatch):
+    # 81 adds at the parent: six per block of each report, three for the
+    # cycle totals; an add per chunk would make hundreds
+    calls = []
+    add = metrics.ExactSum.add
+
+    def counting(self, values):
+        calls.append(len(values))
+        add(self, values)
+
+    monkeypatch.setattr(metrics.ExactSum, "add", counting)
+    _theorem_entry(2026, list(THEOREM_HORIZONS))
+    assert 0 < len(calls) <= 81
+    # every add but each sum's last takes whole blocks
+    assert sum(n % metrics._BLOCK == 0 for n in calls) >= len(calls) - 21

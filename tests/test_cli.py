@@ -340,6 +340,10 @@ def test_errors_exit_2_with_json(tmp_path, capsys):
     # a finite weight that scales the totals past the float range; it
     # wrote nine Infinity tokens into report.json
     ("1e308", "cost_weight 1e+308 takes a total or a time average past the float range"),
+    # weights that take the totals below the normal range, where they
+    # keep few of their digits: littles_chain read 3.0 for 2.8078
+    ("5e-324", "cost_weight 5e-324 takes a total or a time average below the normal float range"),
+    ("1e-310", "cost_weight 1e-310 takes a total or a time average below the normal float range"),
 ])
 def test_simulate_rejects_a_cost_weight_with_one_json_line(tmp_path, capsys, weight, message):
     rc = main(["simulate", "--arrival", "exponential:0.5", "--service", "exponential:1",

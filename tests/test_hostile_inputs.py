@@ -35,7 +35,7 @@ from gg1lab.mdp import MdpInstance, build_instance, solve_optimal
 from gg1lab.metrics import compute_report, littles_chain, verify_theorem
 from gg1lab.simulator import EventCapExceeded, simulate
 
-HOSTILE = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, 10**400, True,
+HOSTILE = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e308, 10**400, True,
            np.float32(0.3), np.int8(3), "1", None, [1], {}]
 
 SMALL_CAP = 10_000
@@ -179,6 +179,18 @@ def test_library_entry_refuses_or_returns_plain_floats(case, value):
     except (ValueError, EventCapExceeded):
         return
     assert _floats_ok(result), (case, value, result)
+
+
+@pytest.mark.parametrize("weight", [5e-324, 1e-310])
+def test_a_weight_that_takes_a_total_below_the_normal_range_is_refused(weight):
+    # at 5e-324 littles_chain read n_bar_from_H = n_bar_from_Rn = 3.0
+    # against n_bar_direct = 2.8078: the totals had lost their digits
+    run = simulate(exponential(1.0), exponential(2.0), warmup=5.0, horizon=20.0, seed=1)
+    for path, ledger in (run, _RUN):
+        with pytest.raises(ValueError, match=r"^cost_weight .* below the normal float range$"):
+            compute_report(path, ledger, weight)
+    chain = littles_chain(compute_report(*run, 1.0))
+    assert chain.n_bar_from_H == chain.n_bar_direct == 2.807801416166712
 
 
 def test_bool_inside_the_action_grid_is_refused():

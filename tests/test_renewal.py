@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference_renewal as ref
-from gg1lab import metrics
+from gg1lab import metrics, renewal
 from gg1lab.distributions import deterministic, exponential, uniform
 from gg1lab.metrics import compute_report
 from gg1lab.renewal import (
@@ -21,6 +21,15 @@ from gg1lab.simulator import Trajectory, simulate
 def make_path(times, counts, t0=0.0, t1=10.0, n0=0):
     return Trajectory(initial_time=t0, final_time=t1, initial_count=n0,
                       times=np.asarray(times, float), counts=np.asarray(counts, int))
+
+
+def fold_totals(path, ledger):
+    """A run's cycle totals as the theorem runs take them: the cycle fold
+    over the whole path and ledger."""
+    cycles = renewal._Cycles(totals=True)
+    for _ in cycles.over(path, ledger):
+        pass
+    return cycles.totals()
 
 
 # hand case: busy [0,4), idle [4,6), busy [6,9), idle [9,10)
@@ -59,7 +68,7 @@ def two_cycle_fixture():
 def test_ratio_of_sums_estimators():
     cycles = two_cycle_fixture()
     rewards = CycleRewards(np.array([4.0, 6.0]), np.array([3.0, 7.0]), np.array([2, 2]))
-    totals = CycleTotals.of(cycles, rewards)
+    totals = ref.totals_of(cycles, rewards)
     assert totals == (2, 5.0, 10.0, 10.0, 4)
     assert [type(v) for v in totals] == [int, float, float, float, int]
     assert pooled_averages([totals]) == (2.0, 2.5)
@@ -67,10 +76,10 @@ def test_ratio_of_sums_estimators():
     assert pooled_averages([totals, CycleTotals(1, 3.0, 2.0, 6.0, 2)]) == (1.5, 16.0 / 6)
 
 
-def test_estimator_errors():
+def test_estimator_errors(tmp_path):
     cycles = two_cycle_fixture()
     with pytest.raises(ValueError, match="align"):
-        CycleTotals.of(cycles, CycleRewards(np.array([1.0]), np.array([1.0]), np.array([1])))
+        cycles.to_csv(tmp_path / "cycles.csv", np.array([1.0]), np.array([1]))
     with pytest.raises(ValueError):
         RenewalCycles(np.array([0.0]), np.array([2.0]), np.array([1.0]))
 
@@ -78,12 +87,12 @@ def test_estimator_errors():
 def test_pooled_averages_need_a_cycle_and_a_customer():
     empty = RenewalCycles(np.empty(0), np.empty(0), np.empty(0))
     no_rewards = CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int))
-    for totals in ([], [CycleTotals.of(empty, no_rewards)], (t for t in ()),
+    for totals in ([], [ref.totals_of(empty, no_rewards)], (t for t in ()),
                    [CycleTotals(1, 0.0, 0.0, 0.0, 1)]):  # a hand-built cycle of zero length
         with pytest.raises(ValueError, match="at least one complete cycle"):
             pooled_averages(totals)
     with pytest.raises(ValueError, match="positive customer count"):
-        pooled_averages([CycleTotals(2, 5.0, 1.0, 0.0, 0), CycleTotals.of(empty, no_rewards)])
+        pooled_averages([CycleTotals(2, 5.0, 1.0, 0.0, 0), ref.totals_of(empty, no_rewards)])
 
 
 def test_csv_golden(tmp_path):
@@ -131,7 +140,7 @@ def test_all_idle_window_has_no_cycles():
     cycles = detect_cycles(path)
     assert len(cycles) == 0
     with pytest.raises(ValueError):
-        pooled_averages([CycleTotals.of(cycles, cycle_rewards(cycles, path, ledger))])
+        pooled_averages([fold_totals(path, ledger)])
 
 
 def test_mm1_renewal_estimates_agree_with_global():
@@ -145,7 +154,10 @@ def test_mm1_renewal_estimates_agree_with_global():
     # independent routes to the same per-cycle total
     np.testing.assert_allclose(rewards.holding, rewards.response, rtol=1e-9, atol=1e-9)
 
-    h_renewal, r_renewal = pooled_averages([CycleTotals.of(cycles, rewards)])
+    totals = fold_totals(path, ledger)
+    assert [type(v) for v in totals] == [int, float, float, float, int]
+    assert totals == ref.totals_of(cycles, rewards)
+    h_renewal, r_renewal = pooled_averages([totals])
     # cycle-based and window-based estimates of the same limits
     assert h_renewal == pytest.approx(rep.H_bar_t, rel=0.01)
     assert r_renewal == pytest.approx(rep.R_bar_n_act, rel=0.01)
@@ -181,7 +193,7 @@ def test_pooling_matches_concatenation():
                                 horizon=5000.0, seed=seed)
         cycles = detect_cycles(path)
         rewards = cycle_rewards(cycles, path, ledger)
-        totals.append(CycleTotals.of(cycles, rewards))
+        totals.append(fold_totals(path, ledger))
         lengths.append(cycles.cycle_lengths)
         holding.append(rewards.holding)
         response.append(rewards.response)
@@ -204,7 +216,7 @@ def pooled_batch(discipline, seed):
                                 warmup=10.0 * k, horizon=horizon, seed=seed + k)
         cycles = detect_cycles(path)
         rewards = cycle_rewards(cycles, path, ledger)
-        totals.append(CycleTotals.of(cycles, rewards))
+        totals.append(fold_totals(path, ledger))
         records.append(ref.theorem_renewal_record(cycles, rewards))
     return totals, records
 
@@ -411,7 +423,7 @@ def test_cycle_rewards_reject_foreign_cycles():
         cycle_rewards(hand, path, ledger)
     # hand-built cycles still serve the estimators
     rewards = cycle_rewards(cycles, path, ledger)
-    assert CycleTotals.of(hand, rewards) == CycleTotals.of(cycles, rewards)
+    assert ref.totals_of(hand, rewards) == ref.totals_of(cycles, rewards)
 
 
 @pytest.mark.parametrize("index", [[0, 2], [0, 3, 3], [-1, 2, 5], [0.0, 2.0, 5.0]])

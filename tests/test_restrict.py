@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gg1lab import acceptance
+from gg1lab import acceptance, simulator
 from gg1lab.distributions import deterministic, exponential, gamma
 from gg1lab.metrics import compute_report
 from gg1lab.simulator import simulate
@@ -100,12 +100,13 @@ def test_cut_outside_the_window_is_rejected():
 
 def test_theorem_runs_simulate_each_seed_once(monkeypatch):
     calls = []
+    stream = simulator._stream
 
     def counting(*args, **kwargs):
         calls.append(kwargs["horizon"])
-        return simulate(*args, **kwargs)
+        return stream(*args, **kwargs)
 
-    monkeypatch.setattr(acceptance, "simulate", counting)
+    monkeypatch.setattr(simulator, "_stream", counting)
     suite = acceptance.AcceptanceSuite(scale=0.02, master_seed=2026, self_check=False)
     runs = suite.theorem_runs()
     assert len(runs) == len(suite._seeds()) == len(calls)
