@@ -99,7 +99,10 @@ class _Inspections:
 
     def __init__(self, epochs, window: tuple[float, float]) -> None:
         self._epochs = epochs = np.asarray(epochs, dtype=float)
-        if epochs.size and (epochs.min() < window[0] or epochs.max() > window[1]):
+        if epochs.ndim != 1:
+            raise ValueError(f"epochs must be a 1-D array, got shape {epochs.shape}")
+        # written so that a NaN fails
+        if epochs.size and not (window[0] <= epochs.min() and epochs.max() <= window[1]):
             raise ValueError(f"epochs must lie within the window [{window[0]}, {window[1]}]")
         self._busy = np.zeros(len(epochs), dtype=bool)
         self._seen = np.empty((3, len(epochs)))  # age, residual, total

@@ -15,9 +15,10 @@ total, the busy time behind ``rho_hat`` included, is the correctly
 rounded sum of its terms, from an ``ExactSum`` accumulator (summation
 by exponent in NumPy, the same bits as ``math.fsum``), so that
 identity can be asserted at 1e-9 relative tolerance.  An exact sum does
-not depend on how its terms are grouped, so the report is a fold over a
-run's chunks, ``_Window``, and no temporary grows with the run;
-``compute_report`` runs it over a whole path and ledger.
+not depend on how its terms are grouped, so an ``ExactSum`` takes terms
+a chunk at a time and sums them a block at a time, and the report is a
+fold over a run's chunks, ``_Window``, in which no temporary grows with
+the run; ``compute_report`` runs it over a whole path and ledger.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ _BLOCK = 1 << 16
 
 
 class ExactSum:
-    """Accumulator of a correctly rounded float64 sum: ``add`` blocks of
-    terms in any grouping, then ``value`` gives the bits of ``math.fsum``
-    over all of them.
+    """Accumulator of a correctly rounded float64 sum: ``add`` terms in
+    any grouping, then ``value`` gives the bits of ``math.fsum`` over all
+    of them.
 
     Summation by exponent (Demmel & Hida 2003).  ``np.frexp`` writes
     each value as m * 2**e with |m| < 1 and m * 2**53 an integer, which
@@ -53,9 +54,13 @@ class ExactSum:
     bins for each of the 2,098 exponents.  The bins stay exact for 2**36
     values, far more than the 2 * ``DEFAULT_EVENT_CAP`` terms of any sum
     over a run, so they are never flushed: ``value`` turns them into one
-    Python int, and one int division rounds it.  An exact sum does not
-    depend on how its terms are grouped, so the blocks may be cut
-    anywhere.
+    Python int, and one int division rounds it.
+
+    A block costs the same whatever it holds, so terms are summed a full
+    block at a time: whole blocks go straight to the bins, and the rest
+    wait in a buffer, grown up to a block, until it fills or ``value``
+    sums it.  An exact sum does not depend on how its terms are grouped,
+    so the blocks may be cut anywhere.
 
     ``value`` is NaN once a NaN or an infinity has been added: the whole
     parts of a block holding one have no finite sum.
@@ -64,10 +69,30 @@ class ExactSum:
     def __init__(self) -> None:
         self._whole, self._rest = np.zeros((2, _N_BINS), dtype=np.int64)
         self._finite = True
+        self._buf = np.empty(0)
+        self._size = 0  # terms waiting in the buffer
 
     def add(self, values) -> None:
-        """Add the terms of a float64 array, ``_BLOCK`` at a time."""
+        """Add the terms of a float64 array."""
         x = np.asarray(values, dtype=np.float64).ravel()
+        if not self._size and len(x) >= _BLOCK:  # whole blocks need no buffer
+            cut = len(x) - len(x) % _BLOCK
+            self._add_blocks(x[:cut])
+            x = x[cut:]
+        while len(x):
+            if self._size == len(self._buf):  # doubled or more, up to a block
+                grown = max(2 * self._size, self._size + len(x), 1024)
+                self._buf = np.resize(self._buf, min(grown, _BLOCK))
+            n = min(len(x), len(self._buf) - self._size)
+            self._buf[self._size : self._size + n] = x[:n]
+            self._size += n
+            x = x[n:]
+            if self._size == _BLOCK:
+                self._add_blocks(self._buf)
+                self._size = 0
+
+    def _add_blocks(self, x: np.ndarray) -> None:
+        """Add the terms of a float64 array to the bins, ``_BLOCK`` at a time."""
         for start in range(0, x.size, _BLOCK):
             mant, expo = np.frexp(x[start:start + _BLOCK])
             mant *= 1 << 27
@@ -87,8 +112,12 @@ class ExactSum:
 
     def value(self) -> float:
         """The exact sum of every term added, rounded once; 0.0 when it
-        is zero or nothing was added.  An exact sum beyond the float
-        range raises OverflowError."""
+        is zero or nothing was added.  It sums the buffered terms and
+        frees the buffer.  An exact sum beyond the float range raises
+        OverflowError."""
+        if self._size:
+            self._add_blocks(self._buf[: self._size])
+        self._buf, self._size = np.empty(0), 0
         if not self._finite:
             return math.nan
         # bin i holds parts of values m * 2**e with e = i + _EXP_MIN; in
@@ -128,39 +157,6 @@ def exact_sum(values) -> float:
     return total
 
 
-class _Terms:
-    """The terms of one exact sum, gathered in a buffer (grown to hold
-    them, up to a block) and handed to ``ExactSum.add`` a full ``_BLOCK``
-    at a time, the rest by ``value``, which frees it."""
-
-    def __init__(self) -> None:
-        self._sum = ExactSum()
-        self._buf = np.empty(0)
-        self._size = 0
-
-    def add(self, values: np.ndarray) -> None:
-        if not self._size and len(values) >= _BLOCK:  # whole blocks need no buffer
-            self._sum.add(values[: len(values) - len(values) % _BLOCK])
-            values = values[len(values) - len(values) % _BLOCK :]
-        while len(values):
-            if self._size == len(self._buf):  # doubled or more, up to a block
-                grown = max(2 * self._size, self._size + len(values), 1024)
-                self._buf = np.resize(self._buf, min(grown, _BLOCK))
-            n = min(len(values), len(self._buf) - self._size)
-            self._buf[self._size : self._size + n] = values[:n]
-            self._size += n
-            values = values[n:]
-            if self._size == _BLOCK:
-                self._sum.add(self._buf)
-                self._size = 0
-
-    def value(self) -> float:
-        if self._size:
-            self._sum.add(self._buf[: self._size])
-        self._buf, self._size = np.empty(0), 0
-        return self._sum.value()
-
-
 def _chunks(path: Trajectory, ledger: CustomerLedger):
     """A whole path and ledger as the chunks of ``simulator._stream``: the
     segments ``_BLOCK`` at a time, each after the rows (``_BLOCK`` at a
@@ -184,7 +180,7 @@ class _Window:
 
     def __init__(self, t_initial: float, t_final: float) -> None:
         self.window = (t_initial, t_final)
-        self._sums = [_Terms() for _ in range(6)]
+        self._sums = [ExactSum() for _ in range(6)]
         self._count = 0
         self._closed = None  # the sums, once no later chunk has a term
 

@@ -10,8 +10,10 @@ i.i.d.
 
 One fold, ``_Cycles``, finds the cycles a chunk at a time and sums each
 over its own segments and customers by ``np.add.reduceat``.
-``detect_cycles`` and ``cycle_rewards`` run it over a whole path; the
-theorem runs keep its ``CycleTotals``, which ``pooled_averages`` pools.
+``detect_cycles`` and ``cycle_rewards`` run it over a whole path, and
+``cycle_rewards`` checks the cycles it is given against those the fold
+closes, by value; the theorem runs keep its ``CycleTotals``, which
+``pooled_averages`` pools.
 """
 
 from __future__ import annotations
@@ -31,30 +33,21 @@ class RenewalCycles:
     """Complete cycles of a single trajectory.
 
     Arrays are aligned per cycle: busy on [busy_start, busy_end), idle
-    on [busy_end, cycle_end).  ``renewal_index``
-    holds the path event index of each cycle's opening renewal point
-    and, last, of the closing one (n + 1 strictly increasing values);
-    ``detect_cycles`` sets it, hand-built cycles may leave it None.
+    on [busy_end, cycle_end).
     """
 
     busy_start: np.ndarray
     busy_end: np.ndarray
     cycle_end: np.ndarray
-    renewal_index: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("busy_start", "busy_end", "cycle_end"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (len(self.busy_start) == len(self.busy_end) == len(self.cycle_end)):
             raise ValueError("cycle arrays must be aligned")
-        if np.any(self.busy_end < self.busy_start) or np.any(self.cycle_end < self.busy_end):
-            raise ValueError("cycle boundaries out of order")
-        if self.renewal_index is not None:
-            index = np.asarray(self.renewal_index)
-            if not (index.dtype.kind in "iu" and index.shape == (len(self) + 1,)
-                    and index[0] >= 0 and np.all(index[1:] > index[:-1])):
-                raise ValueError("renewal_index must be n + 1 increasing event indices")
-            object.__setattr__(self, "renewal_index", index)
+        # written so that a NaN fails
+        if not (np.all(self.busy_start <= self.busy_end) and np.all(self.busy_end <= self.cycle_end)):
+            raise ValueError("cycle boundaries must satisfy busy_start <= busy_end <= cycle_end")
 
     def __len__(self) -> int:
         return len(self.busy_start)
@@ -93,14 +86,10 @@ class RenewalCycles:
 def detect_cycles(path: Trajectory) -> RenewalCycles:
     """Split a trajectory at the events where the queue length steps from
     0 to 1 (``_Cycles`` over the path); each busy period ends at its first
-    emptying event.  Fewer than two give no cycle and no renewal_index."""
+    emptying event.  Fewer than two give no cycle."""
     empty = CustomerLedger(*[np.empty(0)] * 5, (path.initial_time, path.final_time))
     found = [closed[0] for closed in _Cycles(rewards=False).over(path, empty)]
-    if len(found) < 2:
-        return found[0] if found else RenewalCycles(np.empty(0), np.empty(0), np.empty(0))
-    index = [c.renewal_index[:-1] for c in found] + [found[-1].renewal_index[-1:]]
-    return RenewalCycles(*(np.concatenate([getattr(c, name) for c in found]) for name in
-                           ("busy_start", "busy_end", "cycle_end")), np.concatenate(index))
+    return _joined(found) if found else RenewalCycles(np.empty(0), np.empty(0), np.empty(0))
 
 
 @dataclass
@@ -122,29 +111,29 @@ def cycle_rewards(cycles: RenewalCycles, path: Trajectory, ledger: CustomerLedge
     """Tally holding cost (from the path), response cost (from the
     ledger) and arrival count per cycle, at unit cost weight: ``_Cycles``
     over both.  A cycle's sum of n terms is within (n - 1) * 2**-53
-    relative of the exact one.  Cycles not from ``detect_cycles`` on this
-    path, or a ledger with no arrival in some cycle, raise ValueError."""
-    if len(cycles) == 0:
-        return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int))
-    index = cycles.renewal_index
-    if index is None:
-        raise ValueError("cycle rewards need the renewal indices that detect_cycles sets")
-    if index[-1] >= len(path.times):
-        raise ValueError("cycles reach past the end of this path")
-    renewal = path.times[index]
-    if not (np.array_equal(renewal[:-1], cycles.busy_start)
-            and np.array_equal(renewal[1:], cycles.cycle_end)):
-        raise ValueError("cycles were not detected on this path")
+    relative of the exact one.  Cycles that are not those ``detect_cycles``
+    finds on this path, compared bit for bit on all three boundaries as
+    the fold closes them, or a ledger with no arrival in some cycle,
+    raise ValueError."""
     done, batches = 0, []  # cycles matched so far, their rewards
     for found, rewards in _Cycles().over(path, ledger):
-        if not np.array_equal(found.renewal_index, index[done : done + len(found) + 1]):
+        given = (bounds[done : done + len(found)] for bounds in vars(cycles).values())
+        if not all(map(np.array_equal, vars(found).values(), given)):
             raise ValueError("cycles were not detected on this path")
         done += len(found)
         batches.append(rewards)
     if done != len(cycles):
         raise ValueError("cycles were not detected on this path")
-    return batches[0] if len(batches) == 1 else CycleRewards(
-        *(np.concatenate([vars(r)[name] for r in batches]) for name in vars(batches[0])))
+    return _joined(batches) if batches else CycleRewards(np.empty(0), np.empty(0),
+                                                         np.empty(0, dtype=int))
+
+
+def _joined(batches: list):
+    """The fold's batches of cycles, or of rewards, as one."""
+    if len(batches) == 1:
+        return batches[0]
+    return type(batches[0])(*(np.concatenate(column) for column in
+                              zip(*(vars(batch).values() for batch in batches))))
 
 
 class _Cycles:
@@ -157,10 +146,9 @@ class _Cycles:
     def __init__(self, rewards: bool = True, totals: bool = False) -> None:
         self._rewards = rewards or totals
         self._level = -1  # of the latest segment; none yet
-        self._segments = 0  # segments taken
         self._bounds, self._levels = [], []  # the open cycle's segments so far
         self._records: list[tuple] = []  # (arrival, departure, customer) of each chunk kept
-        self._sums = [metrics._Terms() for _ in range(3)] if totals else None
+        self._sums = [metrics.ExactSum() for _ in range(3)] if totals else None
         self._cycles = self._count = 0
 
     def add(self, chunk: _Chunk) -> tuple[RenewalCycles, CycleRewards | None] | None:
@@ -174,7 +162,6 @@ class _Cycles:
         found, ends = after[ends], ends + 1
         if self._level == 0 and len(levels) and levels[0] == 1:
             found, ends = np.concatenate(([0], found)), np.concatenate(([0], ends))
-        self._segments += len(levels)
         self._level = int(levels[-1]) if len(levels) else self._level
         if self._rewards:
             self._records.append((chunk.arrival, chunk.departure, chunk.customer))
@@ -192,12 +179,12 @@ class _Cycles:
             levels = np.concatenate(self._levels)
             busy_end = np.concatenate((bounds[[np.argmax(levels == 0)]], busy_end))
         self._bounds, self._levels = [bounds[found[-1] : -1]], [levels[found[-1] :]]
-        times, index = bounds[found], self._segments - len(levels) + found - 1
+        times = bounds[found]
         if self._rewards:
             arr, dep, lo = self._customers(times)
         if len(found) < 2:
             return None
-        cycles = RenewalCycles(times[:-1], busy_end, times[1:], renewal_index=index)
+        cycles = RenewalCycles(times[:-1], busy_end, times[1:])
         if not self._rewards:
             return cycles, None
         count = np.diff(lo)

@@ -110,12 +110,12 @@ class CustomerLedger:
     def __len__(self) -> int:
         return len(self.arrival_time)
 
-    def in_window_mask(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+    def in_window_mask(self) -> np.ndarray:
         """Customers counted by the window: present at the open, or arriving
-        inside it; of rows start to stop - 1 (all by default)."""
+        inside it."""
         t_initial, t_final = self.window
-        arrivals = self.arrival_time[start:stop]
-        return self.pre_window[start:stop] | ((arrivals >= t_initial) & (arrivals <= t_final))
+        arrivals = self.arrival_time
+        return self.pre_window | ((arrivals >= t_initial) & (arrivals <= t_final))
 
     def restrict(self, t_final: float) -> "CustomerLedger":
         """The rows arriving at or before ``t_final``, as views, over the

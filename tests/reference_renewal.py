@@ -1,5 +1,5 @@
 """The renewal-cycle split and reward tallies that ``gg1lab.renewal`` used
-before it kept each renewal point's event index: ``detect_cycles`` looks
+before it found cycles by event index: ``detect_cycles`` looks
 each cycle's busy end up by time among the emptying events, and
 ``cycle_rewards`` takes each cycle's holding and response as the
 difference of two running ``np.cumsum`` totals after ``searchsorted``
@@ -15,8 +15,9 @@ exact sum over a run's per-cycle arrays.
 
 ``local_cycle_rewards`` is the per-cycle ``np.add.reduceat`` tally
 that ``cycle_rewards`` used before it summed blocks of whole cycles:
-one reduceat over the areas and sojourns of the whole run.  The block
-version must give its bits.
+one reduceat over the areas and sojourns of the whole run, with each
+renewal point's event index found by ``searchsorted`` of its time among
+the path's event times.  The block version must give its bits.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ def local_cycle_rewards(cycles: RenewalCycles, path: Trajectory,
     """Each cycle summed on its own terms, in one pass over the whole run."""
     if len(cycles) == 0:
         return CycleRewards(np.empty(0), np.empty(0), np.empty(0, dtype=int))
-    index = cycles.renewal_index
     times = path.times
-    renewal = times[index]
+    renewal = np.concatenate((cycles.busy_start, cycles.cycle_end[-1:]))
+    index = np.searchsorted(times, renewal)
     first, last = index[0], index[-1]
     # segment i (level counts[i] on [times[i], times[i+1])) of the events
     # from the first renewal point up to the last one

@@ -104,13 +104,13 @@ def test_a_theorem_entry_adds_to_exact_sums_in_blocks(monkeypatch):
     # 81 adds at the parent: six per block of each report, three for the
     # cycle totals; an add per chunk would make hundreds
     calls = []
-    add = metrics.ExactSum.add
+    add_blocks = metrics.ExactSum._add_blocks
 
     def counting(self, values):
         calls.append(len(values))
-        add(self, values)
+        add_blocks(self, values)
 
-    monkeypatch.setattr(metrics.ExactSum, "add", counting)
+    monkeypatch.setattr(metrics.ExactSum, "_add_blocks", counting)
     _theorem_entry(2026, list(THEOREM_HORIZONS))
     assert 0 < len(calls) <= 81
     # every add but each sum's last takes whole blocks

@@ -167,6 +167,25 @@ def test_accumulator_fed_pieces_matches_fsum(n, cuts, seed, span, cancel, block)
         assert_same(acc.value(), math.fsum(x.tolist()))
 
 
+def test_one_term_adds_are_summed_a_full_block_at_a_time(monkeypatch):
+    # 200,000 terms: 3 full blocks as the buffer fills, the rest at value
+    calls = []
+    add_blocks = metrics.ExactSum._add_blocks
+
+    def counting(self, values):
+        calls.append(len(values))
+        add_blocks(self, values)
+
+    monkeypatch.setattr(metrics.ExactSum, "_add_blocks", counting)
+    x = np.random.default_rng(34).standard_normal(200_000) * 1e3
+    acc = metrics.ExactSum()
+    for v in x:
+        acc.add([v])
+    assert calls == [metrics._BLOCK] * 3
+    assert_same(acc.value(), math.fsum(x.tolist()))
+    assert calls == [metrics._BLOCK] * 3 + [200_000 - 3 * metrics._BLOCK]
+
+
 def test_accumulator_of_negative_zeros_is_positive_zero():
     acc = metrics.ExactSum()
     for piece in (np.full(3, -0.0), np.empty(0), np.full(70_000, -0.0), [-0.0]):

@@ -30,9 +30,10 @@ from hypothesis import assume, given, settings, strategies as st
 from gg1lab import cli, experiments
 from gg1lab.distributions import DistributionSpec, exponential
 from gg1lab.experiments import ExperimentConfig
-from gg1lab.inspection import poisson_epochs
+from gg1lab.inspection import poisson_epochs, sample_inspections
 from gg1lab.mdp import MdpInstance, build_instance, solve_optimal
 from gg1lab.metrics import compute_report, littles_chain, verify_theorem
+from gg1lab.renewal import RenewalCycles
 from gg1lab.simulator import EventCapExceeded, simulate
 
 HOSTILE = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e308, 10**400, True,
@@ -191,6 +192,22 @@ def test_a_weight_that_takes_a_total_below_the_normal_range_is_refused(weight):
             compute_report(path, ledger, weight)
     chain = littles_chain(compute_report(*run, 1.0))
     assert chain.n_bar_from_H == chain.n_bar_direct == 2.807801416166712
+
+
+@pytest.mark.parametrize("epochs", [[math.nan], [1.0, math.nan], [math.nan, 20.0], [[6.0, 7.0]]])
+def test_inspection_epochs_that_are_nan_or_not_1d_are_refused(epochs):
+    # [nan] gave an idle sample, and a 2-D array numpy's "object too deep"
+    path, ledger = _RUN
+    with pytest.raises(ValueError, match="^epochs must"):
+        sample_inspections(ledger, path, epochs)
+
+
+@pytest.mark.parametrize("bounds", [([math.nan], [1.0], [2.0]), ([0.0], [math.nan], [2.0]),
+                                    ([0.0], [1.0], [math.nan])])
+def test_cycles_with_a_nan_boundary_are_refused(bounds):
+    # RenewalCycles([nan], [1.0], [2.0]) constructed
+    with pytest.raises(ValueError, match="busy_start <= busy_end <= cycle_end"):
+        RenewalCycles(*bounds)
 
 
 def test_bool_inside_the_action_grid_is_refused():

@@ -38,12 +38,11 @@ HAND = make_path([0.0, 4.0, 6.0, 9.0], [1, 0, 1, 0])
 
 def test_hand_case_one_complete_cycle():
     cycles = detect_cycles(HAND)
+    # the second busy period never sees its terminating renewal
     assert len(cycles) == 1
     assert cycles.busy_start[0] == 0.0
     assert cycles.busy_end[0] == 4.0
     assert cycles.cycle_end[0] == 6.0
-    # the second busy period never sees its terminating renewal
-    np.testing.assert_array_equal(cycles.renewal_index, [0, 2])
     assert cycles.busy_lengths[0] == 4.0
     assert cycles.idle_lengths[0] == 2.0
     assert cycles.cycle_lengths[0] == 6.0
@@ -54,7 +53,7 @@ def test_window_not_starting_on_a_renewal():
     path = make_path([4.0, 6.0, 9.0], [0, 1, 0], t0=1.0, n0=1)
     cycles = detect_cycles(path)
     # one renewal point, at 6, closes no cycle
-    assert len(cycles) == 0 and cycles.renewal_index is None
+    assert len(cycles) == 0
 
 
 def two_cycle_fixture():
@@ -340,7 +339,7 @@ def test_blocks_of_whole_cycles_keep_each_cycles_bits(monkeypatch, run, block):
     cycles = detect_cycles(path)
     oracle = ref.local_cycle_rewards(cycles, path, ledger)
     monkeypatch.setattr(metrics, "_BLOCK", block)
-    lengths = np.diff(cycles.renewal_index)
+    lengths = np.diff(np.searchsorted(path.times, np.r_[cycles.busy_start, cycles.cycle_end[-1]]))
     if run == "fcfs-rho99":
         # cycles alone in their block, and blocks of several cycles
         assert lengths.max() > block and np.count_nonzero(lengths <= block // 2) > 10
@@ -393,7 +392,6 @@ def test_hand_path_no_op_levels_inside_a_cycle():
     cycles = detect_cycles(path)
     assert_same_cycles(cycles, ref.detect_cycles(path))
     assert (cycles.busy_start[0], cycles.busy_end[0], cycles.cycle_end[0]) == (1.0, 5.0, 7.0)
-    np.testing.assert_array_equal(cycles.renewal_index, [0, 5])
 
 
 @pytest.mark.parametrize("times,counts", [
@@ -416,18 +414,18 @@ def test_cycle_rewards_reject_foreign_cycles():
         cycle_rewards(detect_cycles(other), path, ledger)
     with pytest.raises(ValueError, match="no arrival"):
         cycle_rewards(cycles, path, other_ledger)
-    with pytest.raises(ValueError, match="past the end"):
+    with pytest.raises(ValueError, match="not detected on this path"):
         cycle_rewards(cycles, path.restrict(path.initial_time + 100.0), ledger)
-    hand = RenewalCycles(cycles.busy_start, cycles.busy_end, cycles.cycle_end)
-    with pytest.raises(ValueError, match="renewal indices"):
-        cycle_rewards(hand, path, ledger)
-    # hand-built cycles still serve the estimators
-    rewards = cycle_rewards(cycles, path, ledger)
-    assert ref.totals_of(hand, rewards) == ref.totals_of(cycles, rewards)
-
-
-@pytest.mark.parametrize("index", [[0, 2], [0, 3, 3], [-1, 2, 5], [0.0, 2.0, 5.0]])
-def test_renewal_index_must_be_n_plus_one_increasing_indices(index):
-    with pytest.raises(ValueError, match="renewal_index"):
-        RenewalCycles(np.array([0.0, 2.0]), np.array([1.0, 3.5]), np.array([2.0, 5.0]),
-                      renewal_index=np.array(index))
+    # every busy end moved later: these were accepted, and to_csv wrote
+    # wrong busy and idle lengths beside the true rewards
+    moved = RenewalCycles(cycles.busy_start, np.minimum(cycles.busy_end + 0.25, cycles.cycle_end),
+                          cycles.cycle_end)
+    assert len(moved) == 753 and np.all(moved.busy_end != cycles.busy_end)
+    with pytest.raises(ValueError, match="not detected on this path"):
+        cycle_rewards(moved, path, ledger)
+    # no cycles, on a path that has them (test_cycle_rewards_empty's has none)
+    with pytest.raises(ValueError, match="not detected on this path"):
+        cycle_rewards(RenewalCycles(np.empty(0), np.empty(0), np.empty(0)), path, ledger)
+    # hand-built cycles equal to the detected ones serve as well
+    hand = RenewalCycles(cycles.busy_start.copy(), cycles.busy_end.copy(), cycles.cycle_end.copy())
+    assert_same_rewards(cycle_rewards(hand, path, ledger), cycle_rewards(cycles, path, ledger))

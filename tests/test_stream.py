@@ -156,8 +156,6 @@ def assert_same_cycles(found, path, ledger):
            for name in ("busy_start", "busy_end", "cycle_end")}
     for name, value in got.items():
         assert value.tobytes() == getattr(oracle, name).tobytes(), name
-    index = np.concatenate([c.renewal_index[:-1] for c, _ in found] + [found[-1][0].renewal_index[-1:]])
-    assert index.tobytes() == cycles.renewal_index.tobytes()
     rewards = ref.local_cycle_rewards(cycles, path, ledger)
     for name in ("holding", "response", "count"):
         value = np.concatenate([getattr(r, name) for _, r in found])
