@@ -29,6 +29,7 @@ from scipy import special
 
 from . import birthdeath, experiments, inspection, mdp, metrics, renewal, simulator
 from ._checks import integer, real
+from ._quadpack import qags
 from .artifacts import write_json
 from .distributions import (
     DistributionSpec,
@@ -402,22 +403,23 @@ class AcceptanceSuite:
         return ok, details
 
     def _crit_7(self):
-        from scipy import integrate
-
+        # the integrals run on a port of quad's QAGS with quad's bits:
+        # importing scipy.integrate for them took about 24 MB, a quarter
+        # of a verify run's peak memory
         details = {}
         ok = True
         for tag, entry in self.inspection_runs().items():
             spec = entry["spec"]
             samples = entry["samples"]
             upper = spec.quantile(1.0 - 1e-12)
-            int_age = integrate.quad(
+            int_age = qags(
                 lambda t: float(inspection.analytic_pdfs(spec, t)["f_age"]), 0.0, upper, limit=400,
             )[0]
             ks_age = _ks_1samp(samples.ages, lambda t: inspection.age_cdf(spec, t))
             row = {"integral_f_age": float(int_age), "ks_age": ks_age}
             ok = ok and abs(int_age - 1.0) <= 1e-3 and ks_age < 0.02
             if spec.has_density:
-                int_total = integrate.quad(
+                int_total = qags(
                     lambda t: float(inspection.analytic_pdfs(spec, t)["f_observed_total"]),
                     0.0, upper, limit=400,
                 )[0]

@@ -460,8 +460,8 @@ def policy_evaluation(
     y_x = (cost_{x+1} - cost_x) + q_x y_{x-1} / b_{x-1}, then the flows
     from d_N = 0 back, d_x = (y_x + p d_{x+1}) / b_x.
     rho_bar is row 0, cost_0 + p d_0, and J the running sum of d,
-    shifted to zero at the distinguished state.  Stage costs that are not
-    all finite raise ValueError.
+    shifted to zero at the distinguished state.  Stage costs, relative
+    values or an average cost that are not all finite raise ValueError.
 
     J and rho_bar satisfy the Poisson equation to a few ulps of
     max(|J|, |rho_bar|), and rho_bar is within a few such ulps of the
@@ -505,6 +505,8 @@ def policy_evaluation(
     values = np.zeros(n + 1)
     np.cumsum(flows, out=values[1:])
     values -= values[x0]
+    if not (math.isfinite(rho_bar) and np.all(np.isfinite(values))):
+        raise ValueError("the relative values or the average cost of this policy are not all finite")
     return values, rho_bar
 
 

@@ -268,6 +268,7 @@ for spec in (distributions.exponential(1.0), distributions.deterministic(2.0),
     spec.quantile(0.5)
     spec.truncated_mean(np.linspace(0.0, 3.0, 8))
 mdp.solve_optimal(mdp.build_instance(0.5, [0.75, 1.0, 1.25], 50), "policy-iteration")
+gg1lab.acceptance.AcceptanceSuite(scale=0.02, self_check=False).criterion(7)
 print(sorted({"scipy.stats", "scipy.integrate"} & set(sys.modules)))
 """
 
@@ -275,7 +276,8 @@ print(sorted({"scipy.stats", "scipy.integrate"} & set(sys.modules)))
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats takes most of a second to import and nothing needs it:
     # the CLI loads no scipy at all, and the library's distribution
-    # functions, KS distances and t quantile run on scipy.special
+    # functions, KS distances and t quantile run on scipy.special;
+    # criterion 7's integrals run on a port of quad, not scipy.integrate
     src = os.path.dirname(os.path.dirname(gg1lab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, gg1lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

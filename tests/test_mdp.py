@@ -256,6 +256,37 @@ def test_value_iteration_names_the_sweep_that_overflowed(args, cost_weight, swee
         solve_optimal(inst, "relative-value-iteration")
 
 
+@pytest.mark.parametrize("cost_weight", [1e305, 1e306])
+def test_policy_iteration_refuses_relative_values_that_overflow(cost_weight):
+    # finite stage costs whose relative values pass the largest float:
+    # policy iteration returned rho_bar 3.81e304 beside values that were
+    # not all finite and a NaN residual
+    inst = build_instance(0.5, [0.75, 1.0, 1.25], 100, cost_weight=cost_weight)
+    message = "the relative values or the average cost of this policy are not all finite"
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{message}$"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        solve_optimal(inst, "policy-iteration")
+
+
+def test_cli_policy_iteration_overflow_exits_2_with_one_json_line(tmp_path, capsys):
+    # it exited 0 and wrote a solution.json with Infinity and NaN, which
+    # is not JSON
+    from gg1lab.cli import main
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "mdp_demo.json")) as fh:
+        cfg = json.load(fh)
+    cfg_file = tmp_path / "mdp.json"
+    cfg_file.write_text(json.dumps({**cfg, "cost_weight": 1e305}))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["mdp", "solve", "--config", str(cfg_file), "--out", str(out_dir)])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
+    assert not (out_dir / "solution.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluation against the birth-death oracle
 
