@@ -15,8 +15,10 @@ and written on scipy.special ufuncs, only at the points inside the
 support; and fill the rest (pdf 0 off the closed support, sf 1 at or
 below its lower end and 0 at or above its upper end, NaN at NaN).  The
 density divides by scale and the quantile is _ppf(q) * scale + loc.
-scipy.special is imported on first use, so importing this module loads
-no scipy.  tests/test_distributions.py keeps scipy.stats as the oracle.
+scipy.special is imported on first use, and only by the formulas that
+need it, so importing this module loads no scipy, nor does pdf or sf for
+the kinds whose formulas are NumPy's.  tests/test_distributions.py keeps
+scipy.stats as the oracle.
 """
 
 from __future__ import annotations
@@ -160,8 +162,6 @@ class DistributionSpec:
     def pdf(self, t):
         if not self.has_density:
             raise ValueError("deterministic distribution has no density")
-        from scipy import special
-
         k = self.kind
         _, scale, s = self._standard()
 
@@ -171,6 +171,8 @@ class DistributionSpec:
             if k == "uniform":
                 return 1.0 * (x == x)
             if k == "gamma":
+                from scipy import special
+
                 return np.exp(special.xlogy(s - 1.0, x) - x - special.gammaln(s))
             # the log density only where x != 0, and -inf at 0
             logpdf = np.full(x.shape, -np.inf)
@@ -187,8 +189,6 @@ class DistributionSpec:
             t = np.asarray(t, dtype=float)
             out = (t < self.params[0]).astype(float)
             return out if out.ndim else float(out)
-        from scipy import special
-
         k = self.kind
         s = self._standard()[2]
 
@@ -197,6 +197,8 @@ class DistributionSpec:
                 return np.exp(-x)
             if k == "uniform":
                 return 1.0 - x
+            from scipy import special
+
             if k == "gamma":
                 return special.gammaincc(s, x)
             return special.ndtr(-(np.log(x) / s))

@@ -289,6 +289,23 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def test_numpy_only_densities_and_survival_functions_load_no_scipy():
+    # only the gamma density and the gamma and lognormal survival
+    # functions are written on scipy.special
+    code = """import sys
+from gg1lab.distributions import exponential, lognormal, uniform
+for spec in (exponential(1.5), uniform(0.5, 2.0), lognormal(0.2, 0.7)):
+    spec.pdf([0.0, 0.3, 1.0, 4.0])
+for spec in (exponential(1.5), uniform(0.5, 2.0)):
+    spec.sf([0.0, 0.3, 1.0, 4.0])
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    src = os.path.dirname(os.path.dirname(gg1lab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
 def test_mdp_solve_loads_no_scipy(tmp_path):
     # importing scipy.linalg alone took about 0.25 s, most of a solve
     code = ("import sys; from gg1lab.cli import main; "
