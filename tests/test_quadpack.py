@@ -69,9 +69,18 @@ def test_criterion_7_integrands_match_quad(f, upper, calls):
     (math.sin, 3.0, 21),
     (lambda x: math.cos(20.0 * x), 1.0, 63),
     (lambda x: math.exp(20.0 * x), 1.0, 63),  # the right half has the larger error
-], ids=["exp", "sin", "cos(20x)", "exp(20x)"])
+    (lambda x: math.sin(50.0 * x), 0.1, 21),
+], ids=["exp", "sin", "cos(20x)", "exp(20x)", "sin(50x)-short"])
 def test_smooth_integrands_match_quad(f, b, calls):
     assert assert_matches_or_refuses(f, 0.0, b) == calls
+
+
+@pytest.mark.parametrize("limit", [3, 4, 10, 50, 400])
+def test_bisected_integrals_match_quad_at_every_limit_from_3(limit):
+    for f in (lambda x: math.cos(20.0 * x), lambda x: math.exp(20.0 * x)):
+        expect = integrate.quad(f, 0.0, 1.0, limit=limit, full_output=1)
+        assert len(expect) == 3 and expect[2]["neval"] == 63
+        assert bits(qags(f, 0.0, 1.0)) == bits(expect[:2])
 
 
 def test_a_smooth_integrand_needing_two_bisections_is_refused():
@@ -82,7 +91,10 @@ def test_a_smooth_integrand_needing_two_bisections_is_refused():
     lambda x: x ** -0.5 if x > 0 else 0.0,
     lambda x: x ** -0.9 if x > 0 else 0.0,
     lambda x: math.log(x) if x > 0 else 0.0,
-], ids=["x^-0.5", "x^-0.9", "log"])
+    lambda x: (1.0 - x) ** -0.5 if x < 1 else 0.0,
+    lambda x: (1.0 - x) ** -0.9 if x < 1 else 0.0,
+    lambda x: math.log(1.0 - x) if x < 1 else 0.0,
+], ids=["x^-0.5", "x^-0.9", "log", "(1-x)^-0.5", "(1-x)^-0.9", "log(1-x)"])
 def test_end_point_singularities_are_refused(f):
     # quad needs its epsilon-algorithm for these
     assert assert_matches_or_refuses(f, 0.0, 1.0) is None
@@ -90,6 +102,12 @@ def test_end_point_singularities_are_refused(f):
 
 def test_a_step_is_refused():
     assert assert_matches_or_refuses(lambda x: 1.0 if x < 0.3 else 0.0, 0.0, 1.0) is None
+
+
+@pytest.mark.parametrize("at, calls", [(0.25, None), (0.5, 63), (0.75, None)])
+def test_steps_match_quad_or_are_refused(at, calls):
+    # a step at the bisection point leaves two constant halves
+    assert assert_matches_or_refuses(lambda x: 1.0 if x < at else 0.0, 0.0, 1.0) == calls
 
 
 def test_an_oscillation_is_refused():
@@ -106,6 +124,17 @@ def test_a_nan_integrand_is_refused(f):
     assert assert_matches_or_refuses(f, 0.0, 1.0) is None
     with pytest.raises(ValueError, match="needs more than one bisection"):
         qags(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: math.inf,
+    lambda x: -math.inf if x > 0.5 else 1.0,
+], ids=["everywhere", "on-half"])
+def test_an_infinite_integrand_matches_quad(f):
+    # the rule's error is NaN before the floor 50 * eps * resabs = inf
+    # lifts it; that max must keep inf, as quad's does
+    assert assert_matches_or_refuses(f, 0.0, 1.0) == 21
+    assert bits(qags(f, 0.0, 1.0))[1] == "inf"
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,7 +165,7 @@ def test_bounds_that_are_not_finite_are_refused(a, b, name):
         qags(math.sin, a, b)
 
 
-@pytest.mark.parametrize("a, b", [(3.0, 0.0), (2.0, 2.0)])
+@pytest.mark.parametrize("a, b", [(3.0, 0.0), (2.0, 2.0), (0.0, -0.0)])
 def test_bounds_not_in_increasing_order_are_refused(a, b):
     def f(x):
         raise AssertionError("the integrand is called")
