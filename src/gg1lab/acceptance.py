@@ -580,6 +580,10 @@ class AcceptanceSuite:
         import tempfile
 
         inner_scale = "0.02"
+        # the inner runs import this gg1lab, installed or not
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            os.environ.get("PYTHONPATH")]))}
         outputs = []
         with tempfile.TemporaryDirectory() as tmp:
             # both runs at once; each writes its stderr to a file, so
@@ -594,7 +598,8 @@ class AcceptanceSuite:
                     "--no-self-check",
                 ]
                 with open(os.path.join(tmp, f"run{run_idx}.stderr"), "w") as err:
-                    procs.append(subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err))
+                    procs.append(subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err,
+                                                  env=env))
             for proc in procs:
                 proc.wait()
             for run_idx, proc in enumerate(procs):

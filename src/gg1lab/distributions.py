@@ -16,9 +16,9 @@ support; and fill the rest (pdf 0 off the closed support, sf 1 at or
 below its lower end and 0 at or above its upper end, NaN at NaN).  The
 density divides by scale and the quantile is _ppf(q) * scale + loc.
 scipy.special is imported on first use, and only by the formulas that
-need it, so importing this module loads no scipy, nor does pdf or sf for
-the kinds whose formulas are NumPy's.  tests/test_distributions.py keeps
-scipy.stats as the oracle.
+need it, so importing this module loads no scipy, nor does pdf, sf or
+quantile for the kinds whose formulas are NumPy's.
+tests/test_distributions.py keeps scipy.stats as the oracle.
 """
 
 from __future__ import annotations
@@ -211,8 +211,6 @@ class DistributionSpec:
         q = real("q", q, 0, 1)
         if self.kind == "deterministic":
             return self.params[0]
-        from scipy import special
-
         k = self.kind
         loc, scale, s = self._standard()
         a, b = self._support()
@@ -221,10 +219,12 @@ class DistributionSpec:
         if q == 1.0:
             return float(b * scale + loc)
         q = np.array([q], dtype=float)
+        if k == "uniform":
+            return float((q * scale + loc)[0])
+        from scipy import special
+
         if k == "exponential":
             z = -special.log1p(-q)
-        elif k == "uniform":
-            z = q
         elif k == "gamma":
             z = special.gammaincinv(s, q)
         else:

@@ -15,10 +15,10 @@ total, the busy time behind ``rho_hat`` included, is the correctly
 rounded sum of its terms, from an ``ExactSum`` accumulator (summation
 by exponent in NumPy, the same bits as ``math.fsum``), so that
 identity can be asserted at 1e-9 relative tolerance.  An exact sum does
-not depend on how its terms are grouped, so an ``ExactSum`` takes terms
-a chunk at a time and sums them a block at a time, and the report is a
-fold over a run's chunks, ``_Window``, in which no temporary grows with
-the run; ``compute_report`` runs it over a whole path and ledger.
+not depend on how its terms are grouped, so an ``ExactSum`` takes the
+terms of each chunk as they come, and the report is a fold over a run's
+chunks, ``_Window``, in which no temporary grows with the run;
+``compute_report`` runs it over a whole path and ledger.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ _BLOCK = 1 << 16
 
 class ExactSum:
     """Accumulator of a correctly rounded float64 sum: ``add`` terms in
-    any grouping, then ``value`` gives the bits of ``math.fsum`` over all
-    of them.
+    any grouping, and ``value``, at any time, gives the bits of
+    ``math.fsum`` over all of them so far.
 
     Summation by exponent (Demmel & Hida 2003).  ``np.frexp`` writes
     each value as m * 2**e with |m| < 1 and m * 2**53 an integer, which
@@ -56,11 +56,10 @@ class ExactSum:
     over a run, so they are never flushed: ``value`` turns them into one
     Python int, and one int division rounds it.
 
-    A block costs the same whatever it holds, so terms are summed a full
-    block at a time: whole blocks go straight to the bins, and the rest
-    wait in a buffer, grown up to a block, until it fills or ``value``
-    sums it.  An exact sum does not depend on how its terms are grouped,
-    so the blocks may be cut anywhere.
+    Each bincount spans only the exponents of its own block, from the
+    least, so a short add costs little: its sums go into the slice of
+    the bins from that exponent up.  An exact sum does not depend on how
+    its terms are grouped, so the blocks may be cut anywhere.
 
     ``value`` is NaN once a NaN or an infinity has been added: the whole
     parts of a block holding one have no finite sum.
@@ -69,30 +68,10 @@ class ExactSum:
     def __init__(self) -> None:
         self._whole, self._rest = np.zeros((2, _N_BINS), dtype=np.int64)
         self._finite = True
-        self._buf = np.empty(0)
-        self._size = 0  # terms waiting in the buffer
 
     def add(self, values) -> None:
-        """Add the terms of a float64 array."""
+        """Add the terms of a float64 array, ``_BLOCK`` at a time."""
         x = np.asarray(values, dtype=np.float64).ravel()
-        if not self._size and len(x) >= _BLOCK:  # whole blocks need no buffer
-            cut = len(x) - len(x) % _BLOCK
-            self._add_blocks(x[:cut])
-            x = x[cut:]
-        while len(x):
-            if self._size == len(self._buf):  # doubled or more, up to a block
-                grown = max(2 * self._size, self._size + len(x), 1024)
-                self._buf = np.resize(self._buf, min(grown, _BLOCK))
-            n = min(len(x), len(self._buf) - self._size)
-            self._buf[self._size : self._size + n] = x[:n]
-            self._size += n
-            x = x[n:]
-            if self._size == _BLOCK:
-                self._add_blocks(self._buf)
-                self._size = 0
-
-    def _add_blocks(self, x: np.ndarray) -> None:
-        """Add the terms of a float64 array to the bins, ``_BLOCK`` at a time."""
         for start in range(0, x.size, _BLOCK):
             mant, expo = np.frexp(x[start:start + _BLOCK])
             mant *= 1 << 27
@@ -100,24 +79,22 @@ class ExactSum:
             with np.errstate(invalid="ignore"):  # inf - inf: a non-finite sum
                 mant -= hi
             idx = expo.astype(np.intp)
-            idx -= _EXP_MIN
-            whole = np.bincount(idx, weights=hi, minlength=_N_BINS)
+            low = int(idx.min())
+            idx -= low
+            whole = np.bincount(idx, weights=hi)
             if not math.isfinite(whole.sum()):
                 self._finite = False
                 continue
-            rest = np.bincount(idx, weights=mant, minlength=_N_BINS)
+            rest = np.bincount(idx, weights=mant)
             rest *= 1 << 26
-            self._whole += whole.astype(np.int64)
-            self._rest += rest.astype(np.int64)
+            bins = slice(low - _EXP_MIN, low - _EXP_MIN + len(whole))
+            self._whole[bins] += whole.astype(np.int64)
+            self._rest[bins] += rest.astype(np.int64)
 
     def value(self) -> float:
-        """The exact sum of every term added, rounded once; 0.0 when it
-        is zero or nothing was added.  It sums the buffered terms and
-        frees the buffer.  An exact sum beyond the float range raises
-        OverflowError."""
-        if self._size:
-            self._add_blocks(self._buf[: self._size])
-        self._buf, self._size = np.empty(0), 0
+        """The exact sum of every term added so far, rounded once; 0.0
+        when it is zero or nothing was added.  It only reads the bins.
+        An exact sum beyond the float range raises OverflowError."""
         if not self._finite:
             return math.nan
         # bin i holds parts of values m * 2**e with e = i + _EXP_MIN; in
@@ -208,7 +185,7 @@ class _Window:
         # past the end on the path and, in customer order, the arrivals
         if (chunk.bounds[-1] > t_final and chunk.customer is None
                 and len(chunk.arrival) and chunk.arrival[-1] > t_final):
-            self._closed = [total.value() for total in self._sums]  # frees their buffers
+            self._closed = [total.value() for total in self._sums]  # later chunks are skipped
 
     def report(self, cost_weight: float) -> MetricsReport:
         """The report at a cost weight already checked to be a real >= 0."""

@@ -7,11 +7,15 @@ pass/fail line and fails with the measured details attached.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import gg1lab
 from gg1lab.acceptance import (
     AcceptanceSuite,
     _ks_1samp,
@@ -91,6 +95,26 @@ def test_criterion_11_response_gap_horizon_free(suite):
 
 def test_criterion_12_pipeline_byte_deterministic(suite):
     check(suite, 12)
+
+
+@pytest.mark.parametrize("decoy", [False, True])
+def test_criterion_12_runs_the_gg1lab_that_is_running(tmp_path, decoy):
+    # gg1lab imported through sys.path, with no PYTHONPATH or with
+    # another gg1lab on it: the inner runs failed to import gg1lab or
+    # ran the other one
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if decoy:
+        (tmp_path / "decoy" / "gg1lab").mkdir(parents=True)
+        (tmp_path / "decoy" / "gg1lab" / "__init__.py").write_text("raise ImportError('decoy')\n")
+        env["PYTHONPATH"] = str(tmp_path / "decoy")
+    src = os.path.dirname(os.path.dirname(gg1lab.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from gg1lab.acceptance import AcceptanceSuite; "
+            "result = AcceptanceSuite(scale=0.02).criterion(12); "
+            "print(result.passed, result.details)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, env=env, cwd=tmp_path)
+    assert out.stdout.startswith("True "), out.stdout
 
 
 def test_theorem_entry_keeps_only_scalar_renewal_totals():

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gg1lab import acceptance, inspection, metrics, simulator
+from gg1lab import acceptance, inspection, simulator
 from gg1lab.acceptance import THEOREM_HORIZONS, _theorem_entry
 from gg1lab.distributions import exponential
 from gg1lab.metrics import compute_report
@@ -99,19 +99,3 @@ def test_the_suites_inspection_runs_keep_only_busy_epochs():
         assert len(samples) > 10_000 and samples.busy.all()
         assert not np.isnan(samples.age).any()
 
-
-def test_a_theorem_entry_adds_to_exact_sums_in_blocks(monkeypatch):
-    # 81 adds at the parent: six per block of each report, three for the
-    # cycle totals; an add per chunk would make hundreds
-    calls = []
-    add_blocks = metrics.ExactSum._add_blocks
-
-    def counting(self, values):
-        calls.append(len(values))
-        add_blocks(self, values)
-
-    monkeypatch.setattr(metrics.ExactSum, "_add_blocks", counting)
-    _theorem_entry(2026, list(THEOREM_HORIZONS))
-    assert 0 < len(calls) <= 81
-    # every add but each sum's last takes whole blocks
-    assert sum(n % metrics._BLOCK == 0 for n in calls) >= len(calls) - 21

@@ -290,14 +290,17 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_numpy_only_densities_and_survival_functions_load_no_scipy():
-    # only the gamma density and the gamma and lognormal survival
-    # functions are written on scipy.special
+    # only the gamma density, the gamma and lognormal survival functions
+    # and the exponential, gamma and lognormal quantiles are written on
+    # scipy.special; any quantile at 0 or 1 is an end of the support
     code = """import sys
 from gg1lab.distributions import exponential, lognormal, uniform
 for spec in (exponential(1.5), uniform(0.5, 2.0), lognormal(0.2, 0.7)):
     spec.pdf([0.0, 0.3, 1.0, 4.0])
+    spec.quantile(0.0)
 for spec in (exponential(1.5), uniform(0.5, 2.0)):
     spec.sf([0.0, 0.3, 1.0, 4.0])
+uniform(0.5, 2.0).quantile(0.3)
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
     src = os.path.dirname(os.path.dirname(gg1lab.__file__))

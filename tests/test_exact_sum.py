@@ -15,9 +15,9 @@ from gg1lab.metrics import exact_sum
 from gg1lab.simulator import DEFAULT_EVENT_CAP
 
 TINY = 5e-324  # smallest subnormal
+HUGE = 1.7976931348623157e308  # largest finite
 SPECIAL = [0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, -2.225073858507201e-308,
-           1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308,
-           1.7976931348623157e308, -1.7976931348623157e308]
+           1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308, HUGE, -HUGE]
 
 
 def expected(xs):
@@ -38,15 +38,16 @@ def assert_same(got, want):
         assert got.hex() == want.hex()
 
 
-def check(xs):
+def check(xs, total=exact_sum):
+    """total(xs) has the bits of expected(xs), or raises where it does."""
     arr = np.array(xs, dtype=float)
     try:
         want = expected(list(arr))
     except OverflowError:
         with pytest.raises(OverflowError):
-            exact_sum(arr)
+            total(arr)
         return
-    assert_same(exact_sum(arr), want)
+    assert_same(total(arr), want)
 
 
 finite = st.one_of(
@@ -150,40 +151,57 @@ def test_every_exact_sum_in_the_package_goes_through_exact_sum():
     span=st.integers(0, 300),
     cancel=st.booleans(),
     block=st.sampled_from([4, 7, 64, 1 << 16]),
+    extremes=st.lists(st.tuples(st.integers(0, 20), st.sampled_from([TINY, -TINY, HUGE, -HUGE])),
+                      max_size=4),
+    reads=st.sets(st.integers(1, 20), max_size=4),
 )
 @settings(max_examples=200, deadline=None)
-def test_accumulator_fed_pieces_matches_fsum(n, cuts, seed, span, cancel, block):
+def test_accumulator_fed_pieces_matches_fsum(n, cuts, seed, span, cancel, block, extremes, reads):
     # any split of the input, empty pieces included, with blocks small
-    # enough that most inputs span several
+    # enough that most inputs span several; one-value pieces from the
+    # ends of the float range land in the lowest and highest bins, and
+    # value, read between pieces too, sums every term added so far
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-span, span + 1, n)
     if cancel:
         x[n // 2:] = -rng.permutation(x)[: n - n // 2]
+    pieces = np.split(x, sorted(c % (n + 1) for c in cuts))
+    for at, v in extremes:
+        pieces.insert(at % (len(pieces) + 1), np.array([v]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_BLOCK", block)
         acc = metrics.ExactSum()
-        for piece in np.split(x, sorted(c % (n + 1) for c in cuts)):
+        for k, piece in enumerate(pieces, 1):
             acc.add(piece)
-        assert_same(acc.value(), math.fsum(x.tolist()))
+            if k in reads or k == len(pieces):
+                check(np.concatenate(pieces[:k]), lambda _: acc.value())
 
 
-def test_one_term_adds_are_summed_a_full_block_at_a_time(monkeypatch):
-    # 200,000 terms: 3 full blocks as the buffer fills, the rest at value
-    calls = []
-    add_blocks = metrics.ExactSum._add_blocks
-
-    def counting(self, values):
-        calls.append(len(values))
-        add_blocks(self, values)
-
-    monkeypatch.setattr(metrics.ExactSum, "_add_blocks", counting)
+def test_one_term_adds_match_fsum():
     x = np.random.default_rng(34).standard_normal(200_000) * 1e3
     acc = metrics.ExactSum()
     for v in x:
         acc.add([v])
-    assert calls == [metrics._BLOCK] * 3
     assert_same(acc.value(), math.fsum(x.tolist()))
-    assert calls == [metrics._BLOCK] * 3 + [200_000 - 3 * metrics._BLOCK]
+
+
+def test_each_add_bins_only_the_exponents_its_block_spans(monkeypatch):
+    # a short add fills short bincounts, not two of all 2,098 bins
+    lengths = []
+    bincount = np.bincount
+
+    def recording(*args, **kwargs):
+        counts = bincount(*args, **kwargs)
+        lengths.append(len(counts))
+        return counts
+
+    monkeypatch.setattr(np, "bincount", recording)
+    for xs, span in (([1.0], 1), ([1.0, 1024.0], 11), ([TINY, HUGE], 2_098)):
+        lengths.clear()
+        acc = metrics.ExactSum()
+        acc.add(xs)
+        assert lengths == [span, span]
+        assert_same(acc.value(), math.fsum(xs))
 
 
 def test_accumulator_of_negative_zeros_is_positive_zero():

@@ -168,7 +168,7 @@ def assert_same_cycles(found, path, ledger):
 @pytest.mark.parametrize("run", ["mg1", "dd1-quarter"])
 @pytest.mark.parametrize("discipline", DISCIPLINES)
 def test_cycle_fold_matches_the_whole_run_oracles(monkeypatch, discipline, run, warmup, block):
-    if block is not None:  # tiny blocks: cycles span many buffers of the sums
+    if block is not None:  # tiny blocks: cycles span many blocks of the sums
         monkeypatch.setattr(metrics, "_BLOCK", block)
     chunks = chunks_of(run, discipline, warmup)
     path, ledger = reference_run(run, discipline, warmup)
