@@ -29,6 +29,7 @@ from scipy import special
 
 from . import birthdeath, experiments, inspection, mdp, metrics, renewal, simulator
 from ._checks import integer, real
+from ._parallel import map_in_order
 from ._quadpack import qags
 from .artifacts import write_json
 from .distributions import (
@@ -162,14 +163,19 @@ class AcceptanceSuite:
     def theorem_runs(self) -> list[dict]:
         """Per-seed results for the shared exponential-queue runs: one run
         per seed at the longest horizon, read at three nested windows (a
-        full report for each) plus the renewal-cycle totals of the longest."""
+        full report for each) plus the renewal-cycle totals of the longest.
+        The seeds run on up to one forked worker per usable CPU when their
+        events reach ``_parallel.POOL_MIN_EVENTS``; the results, and so
+        every report byte, do not depend on where they ran."""
         if self._theorem_cache is not None:
             return self._theorem_cache
         # floors keep reduced-scale runs statistically meaningful: the
         # longest horizon feeds 2%-tolerance comparisons downstream
         floors = (2000.0, 4000.0, 400_000.0)
         horizons = [max(f, h * self.scale) for f, h in zip(floors, THEOREM_HORIZONS)]
-        self._theorem_cache = [_theorem_entry(seed, horizons) for seed in self._seeds()]
+        seeds = self._seeds()
+        events = 2 * (THEOREM_WARMUP + horizons[-1]) * THEOREM_ARRIVAL_RATE * len(seeds)
+        self._theorem_cache = map_in_order(_theorem_entry, [(s, horizons) for s in seeds], events)
         return self._theorem_cache
 
     def inspection_runs(self) -> dict:
@@ -580,10 +586,10 @@ class AcceptanceSuite:
         import tempfile
 
         inner_scale = "0.02"
-        # the inner runs import this gg1lab, installed or not
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            os.environ.get("PYTHONPATH")]))}
+        # python -m puts its working directory first on sys.path, so the
+        # inner runs start in the directory holding this gg1lab and import
+        # it, installed or not, whatever the caller's directory or PYTHONPATH
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         outputs = []
         with tempfile.TemporaryDirectory() as tmp:
             # both runs at once; each writes its stderr to a file, so
@@ -599,7 +605,7 @@ class AcceptanceSuite:
                 ]
                 with open(os.path.join(tmp, f"run{run_idx}.stderr"), "w") as err:
                     procs.append(subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err,
-                                                  env=env))
+                                                  cwd=root))
             for proc in procs:
                 proc.wait()
             for run_idx, proc in enumerate(procs):

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import metrics
 from ._checks import integer, real
+from ._parallel import map_in_order
 from .artifacts import write_csv, write_json, write_jsonl
 from .distributions import DistributionSpec
 from .simulator import _normalise_discipline, simulate
@@ -160,31 +161,40 @@ class ResponseSurface:
         return int(np.argmin(self.surfaces[name]))
 
 
+def _sweep_point(config: ExperimentConfig, rate: float, seed: int) -> metrics.MetricsReport:
+    """The report of one (rate, seed) run of the sweep."""
+    path, ledger = simulate(
+        config.arrival,
+        config.service_at(rate),
+        discipline=config.discipline,
+        warmup=config.warmup,
+        horizon=config.horizon,
+        seed=seed,
+    )
+    return metrics.compute_report(path, ledger, config.cost_weight)
+
+
 def run_sweep(config: ExperimentConfig) -> ResponseSurface:
     """Simulate every (rate, seed) pair and reduce to a ResponseSurface.
 
     Saturated runs (no measurable idle time) are annotated in
     unstable_points and kept in the surfaces; callers decide whether to
-    mask them.
+    mask them.  The runs go to up to one forked worker per usable CPU
+    when their events reach ``_parallel.POOL_MIN_EVENTS``; the results,
+    and so every output byte, do not depend on where they ran.
     """
     grid = np.asarray(config.rate_grid)
     n_r, n_s = len(grid), len(config.seeds)
     per_seed = {name: np.zeros((n_r, n_s)) for name in RAW_SURFACES + PENALISED_SURFACES}
     unstable = []
     reports = []
+    points = [(config, rate, seed) for rate in grid for seed in config.seeds]
+    events = 2 * (config.warmup + config.horizon) / config.arrival.mean() * len(points)
+    point_reports = iter(map_in_order(_sweep_point, points, events))
     for i, rate in enumerate(grid):
-        service = config.service_at(rate)
         pen = config.penalty_rate(rate)
         for j, seed in enumerate(config.seeds):
-            path, ledger = simulate(
-                config.arrival,
-                service,
-                discipline=config.discipline,
-                warmup=config.warmup,
-                horizon=config.horizon,
-                seed=seed,
-            )
-            rep = metrics.compute_report(path, ledger, config.cost_weight)
+            rep = next(point_reports)
             length = rep.window[1] - rep.window[0]
             pen_total = pen * length
             per_seed["H_bar_t"][i, j] = rep.H_bar_t

@@ -37,6 +37,7 @@ fold that keeps every chunk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -75,6 +76,12 @@ class EventCapExceeded(RuntimeError):
         self.events = events
         self.time_reached = time_reached
         self.queue_length = queue_length
+
+    def __reduce__(self):
+        # the default rebuilds from args alone, without the keyword-only fields
+        return (functools.partial(EventCapExceeded, events=self.events,
+                                  time_reached=self.time_reached, queue_length=self.queue_length),
+                self.args, self.__dict__)
 
 
 def _normalise_discipline(name: str) -> int:

@@ -97,16 +97,18 @@ def test_criterion_12_pipeline_byte_deterministic(suite):
     check(suite, 12)
 
 
-@pytest.mark.parametrize("decoy", [False, True])
+@pytest.mark.parametrize("decoy", [None, "pythonpath", "cwd"])
 def test_criterion_12_runs_the_gg1lab_that_is_running(tmp_path, decoy):
-    # gg1lab imported through sys.path, with no PYTHONPATH or with
-    # another gg1lab on it: the inner runs failed to import gg1lab or
-    # ran the other one
+    # gg1lab imported through sys.path, with no PYTHONPATH, with another
+    # gg1lab on it or with another in the working directory: the inner
+    # runs failed to import gg1lab or ran the other one
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    if decoy:
-        (tmp_path / "decoy" / "gg1lab").mkdir(parents=True)
-        (tmp_path / "decoy" / "gg1lab" / "__init__.py").write_text("raise ImportError('decoy')\n")
-        env["PYTHONPATH"] = str(tmp_path / "decoy")
+    if decoy is not None:
+        home = tmp_path / "decoy" if decoy == "pythonpath" else tmp_path
+        (home / "gg1lab").mkdir(parents=True)
+        (home / "gg1lab" / "__init__.py").write_text("raise ImportError('decoy')\n")
+        if decoy == "pythonpath":
+            env["PYTHONPATH"] = str(home)
     src = os.path.dirname(os.path.dirname(gg1lab.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from gg1lab.acceptance import AcceptanceSuite; "

@@ -98,17 +98,22 @@ def test_cut_outside_the_window_is_rejected():
             ledger.restrict(t)
 
 
-def test_theorem_runs_simulate_each_seed_once(monkeypatch):
-    calls = []
+def test_theorem_runs_simulate_each_seed_once(monkeypatch, tmp_path):
+    # the seeds may run in forked workers, so each call is logged to a
+    # file rather than to a list in this process
+    log = tmp_path / "horizons"
+    log.touch()
     stream = simulator._stream
 
     def counting(*args, **kwargs):
-        calls.append(kwargs["horizon"])
+        with open(log, "a") as fh:
+            fh.write(f"{kwargs['horizon']!r}\n")
         return stream(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "_stream", counting)
     suite = acceptance.AcceptanceSuite(scale=0.02, master_seed=2026, self_check=False)
     runs = suite.theorem_runs()
+    calls = [float(line) for line in log.read_text().split()]
     assert len(runs) == len(suite._seeds()) == len(calls)
     assert calls == [runs[0]["horizons"][-1]] * len(calls)
     for entry in runs:
