@@ -174,7 +174,8 @@ class AcceptanceSuite:
         floors = (2000.0, 4000.0, 400_000.0)
         horizons = [max(f, h * self.scale) for f, h in zip(floors, THEOREM_HORIZONS)]
         seeds = self._seeds()
-        events = 2 * (THEOREM_WARMUP + horizons[-1]) * THEOREM_ARRIVAL_RATE * len(seeds)
+        events = simulator._expected_events(exponential(THEOREM_ARRIVAL_RATE),
+                                            THEOREM_WARMUP + horizons[-1]) * len(seeds)
         self._theorem_cache = map_in_order(_theorem_entry, [(s, horizons) for s in seeds], events)
         return self._theorem_cache
 

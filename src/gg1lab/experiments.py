@@ -25,7 +25,7 @@ from ._checks import integer, real
 from ._parallel import map_in_order
 from .artifacts import write_csv, write_json, write_jsonl
 from .distributions import DistributionSpec
-from .simulator import _normalise_discipline, simulate
+from .simulator import _expected_events, _normalise_discipline, simulate
 
 CONFIG_VERSION = 1
 
@@ -189,7 +189,7 @@ def run_sweep(config: ExperimentConfig) -> ResponseSurface:
     unstable = []
     reports = []
     points = [(config, rate, seed) for rate in grid for seed in config.seeds]
-    events = 2 * (config.warmup + config.horizon) / config.arrival.mean() * len(points)
+    events = _expected_events(config.arrival, config.warmup + config.horizon) * len(points)
     point_reports = iter(map_in_order(_sweep_point, points, events))
     for i, rate in enumerate(grid):
         pen = config.penalty_rate(rate)

@@ -33,6 +33,11 @@ the slots that serve window customers, and the window path's segments
 up to the chunk's last departure.  Folds over it give the report, the
 cycles and the inspections with no whole-run array; ``simulate`` is the
 fold that keeps every chunk.
+
+Each chunk draws the services and random-order picks it uses; a NumPy
+generator gives the same values however its draws are split, so chunk
+sizes move no bit.  Arrival epochs are drawn ahead, first for about the
+window, so a short run learns its window count at once.
 """
 
 from __future__ import annotations
@@ -50,10 +55,12 @@ from .distributions import DistributionSpec
 
 DISCIPLINES = ("fcfs", "lcfs", "random-order")
 
+# arrival gaps per draw after a run's first, and the most slots a chunk
 _SAMPLE_BLOCK = 16384
 
 # slots per chunk while the number of window arrivals is unknown or the
-# drain is resolving the last window customers; doubles up to a block
+# drain is resolving the last window customers, doubling up to a block;
+# also the margin of a run's first arrival draw
 _FIRST_CHUNK = 256
 
 # chunks shorter than this keep the scalar slot loop: below it the
@@ -273,6 +280,12 @@ def simulate(
     return trajectory, ledger
 
 
+def _expected_events(arrival: DistributionSpec, t_final: float) -> float:
+    """About the events of a run whose window ends at ``t_final``: two
+    for each expected arrival, up to inf."""
+    return 2 * t_final / arrival.mean()
+
+
 def _stream(arrival, service, discipline="fcfs", warmup=0.0, horizon=1000.0, seed=0, *,
             event_cap=DEFAULT_EVENT_CAP):
     """The run of ``simulate``, a ``_Chunk`` of slots at a time, until
@@ -285,7 +298,9 @@ def _stream(arrival, service, discipline="fcfs", warmup=0.0, horizon=1000.0, see
     window end (a tie waits whole for the next chunk); events before the
     window open only set the level.  Arrival epochs are kept from the
     oldest customer without a slot or off the path; the event cap is
-    checked after every chunk, and arrivals are drawn only to it."""
+    checked after every chunk, and arrivals are drawn only to it.  The
+    first arrival draw is twice the window's expected arrivals plus
+    ``_FIRST_CHUNK``, up to a block."""
     if not (isinstance(arrival, DistributionSpec) and isinstance(service, DistributionSpec)):
         raise ValueError(f"arrival and service must be DistributionSpecs: {arrival!r}, {service!r}")
     t_initial = float(real("warmup", warmup, 0))
@@ -298,7 +313,7 @@ def _stream(arrival, service, discipline="fcfs", warmup=0.0, horizon=1000.0, see
 
     arr_ss, svc_ss, disc_ss = np.random.SeedSequence(seed).spawn(3)
     arrivals = _Arrivals(arrival, np.random.default_rng(arr_ss))
-    services = _Draws(service, np.random.default_rng(svc_ss))
+    svc_rng = np.random.default_rng(svc_ss)
     queue = None if mode == 0 else _Queue(mode, np.random.default_rng(disc_ss))
 
     recorded = 0  # window customers with a record
@@ -312,7 +327,8 @@ def _stream(arrival, service, discipline="fcfs", warmup=0.0, horizon=1000.0, see
     level = 0  # queue length after the events on the path so far
     bound = t_initial  # where the next segment opens
 
-    arrivals.ensure_count(1)
+    # in floats, so that an infinite estimate gives a block
+    arrivals.draw(int(min(_SAMPLE_BLOCK, _expected_events(arrival, t_final) + _FIRST_CHUNK)))
     n_window = arrivals.passed(t_final)  # arrivals up to t_final, once known
     while True:
         # unfinished, so all k slots and every arrival up to slot k - 1's
@@ -329,7 +345,7 @@ def _stream(arrival, service, discipline="fcfs", warmup=0.0, horizon=1000.0, see
 
         arrivals.ensure_count(hi)
         a = arrivals.between(k, hi)
-        s = services.take(hi - k)
+        s = service.sample(svc_rng, hi - k)
         d = _departures(a, s, dep)
         # stopped short of d[-1], the stream holds more epochs than the cap
         # allows, all before d[-1]: a run that reaches the last of them
@@ -418,28 +434,6 @@ class _Column:
         self.size = end
 
 
-class _Draws:
-    """One sampling stream, drawn a block at a time and consumed in order."""
-
-    def __init__(self, spec: DistributionSpec, rng: np.random.Generator) -> None:
-        self._spec = spec
-        self._rng = rng
-        self._block = np.empty(0)
-        self._used = 0
-
-    def take(self, n: int) -> np.ndarray:
-        parts = []
-        while n > 0:
-            if self._used == len(self._block):
-                self._block = self._spec.sample(self._rng, _SAMPLE_BLOCK)
-                self._used = 0
-            m = min(n, len(self._block) - self._used)
-            parts.append(self._block[self._used : self._used + m])
-            self._used += m
-            n -= m
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 class _Arrivals:
     """Arrival epochs: the running sum of the inter-arrival draws.
 
@@ -470,21 +464,22 @@ class _Arrivals:
             self._times.size, self.base = 0, i
             self._times.extend(kept)
 
-    def _grow(self) -> None:
-        gaps = self._spec.sample(self._rng, _SAMPLE_BLOCK)
+    def draw(self, n: int = _SAMPLE_BLOCK) -> None:
+        """Draw ``n`` more epochs."""
+        gaps = self._spec.sample(self._rng, n)
         epochs = np.cumsum(np.concatenate(([self.last], gaps)))[1:]
         self._times.extend(epochs)
         self.last = float(epochs[-1])
 
     def ensure_count(self, n: int) -> None:
         while self.end < n:
-            self._grow()
+            self.draw()
 
     def ensure_past(self, t: float, limit: int) -> None:
         """Draw until an epoch lies past ``t``, or until more than
         ``limit`` are drawn."""
         while self.last <= t and self.end <= limit:
-            self._grow()
+            self.draw()
 
     def between(self, lo: int, hi: int) -> np.ndarray:
         return self._times.values[lo - self.base : hi - self.base]
@@ -606,10 +601,9 @@ class _Queue:
 
     The list keeps customers in the order they joined the queue.  LCFS
     serves the last entry; random order draws a uniform pick from the
-    discipline stream (one draw per pick, in blocks of
-    ``_SAMPLE_BLOCK``), moves the last entry into its place and shrinks
-    the list.  Entries are customer indices, those arriving after the
-    window included.
+    discipline stream (one draw per pick, a chunk's picks at once),
+    moves the last entry into its place and shrinks the list.  Entries
+    are customer indices, those arriving after the window included.
     """
 
     def __init__(self, mode: int, rng: np.random.Generator) -> None:
@@ -617,8 +611,6 @@ class _Queue:
         self._rng = rng
         self._waiting: list[int] = []
         self._joined = 0  # customers that have arrived into the queue or service
-        self._picks: list[float] = []
-        self._pick_i = 0
         self.oldest = 0  # the oldest customer not yet given a slot
 
     def fill(self, first_slot: int, direct: np.ndarray, arrived: np.ndarray) -> np.ndarray:
@@ -632,7 +624,9 @@ class _Queue:
         """
         waiting = self._waiting
         joined = self._joined
-        picks, pick_i = self._picks, self._pick_i
+        # a pick for each slot whose customer waited
+        picks = iter(() if self._lcfs else
+                     self._rng.random(len(direct) - np.count_nonzero(direct)).tolist())
         owners = []
         for slot, (idle, upto) in enumerate(zip(direct.tolist(), arrived.tolist()), first_slot):
             if idle:
@@ -645,19 +639,14 @@ class _Queue:
             if self._lcfs:
                 owners.append(waiting.pop())
                 continue
-            if pick_i == len(picks):
-                picks = self._rng.random(_SAMPLE_BLOCK).tolist()
-                pick_i = 0
             m = len(waiting)
-            j = int(picks[pick_i] * m)
-            pick_i += 1
+            j = int(next(picks) * m)
             if j >= m:
                 j = m - 1
             owners.append(waiting[j])
             waiting[j] = waiting[-1]
             waiting.pop()
         self._joined = joined
-        self._picks, self._pick_i = picks, pick_i
         owners = np.array(owners, dtype=np.int64)
         if (owners == self.oldest).any():
             self.oldest = min(waiting, default=joined)

@@ -199,6 +199,24 @@ def test_empirical_mean_within_five_standard_errors(spec):
     assert abs(draws.mean() - spec.mean()) < 5 * se + 1e-12
 
 
+# every kind, gamma on both sides of shape 1, and the uniform draws of
+# random-order picks
+DRAWS = [(spec_ids(s), s.sample) for s in SPECS + [gamma(0.4, 1.0), gamma(3.5, 1.0)]]
+DRAWS.append(("random", lambda rng, n: rng.random(n)))
+
+
+@pytest.mark.parametrize("draw", [d for _, d in DRAWS], ids=[name for name, _ in DRAWS])
+@given(sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_split_draws_equal_one_draw(draw, sizes, seed):
+    # the simulator draws each chunk's services and picks as it goes, so
+    # its bits rest on a stream giving the same values however it is split
+    rng = np.random.default_rng(seed)
+    split = np.concatenate([draw(rng, n) for n in sizes])
+    assert same_bits(split, draw(np.random.default_rng(seed), sum(sizes)))
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=spec_ids)
 def test_cdf_sf_complement(spec):
     ts = np.linspace(0.0, 4.0 * spec.mean(), 37)

@@ -117,6 +117,9 @@ def test_pooled_theorem_runs_equal_the_entries_run_in_process(monkeypatch):
     runs = suite.theorem_runs()
     assert len(seen) == 1 and seen[0] >= _parallel.POOL_MIN_EVENTS
     horizons = runs[0]["horizons"]
+    # the estimate is 2 (warmup + horizon) / arrival mean per run
+    assert seen == [2 * (acceptance.THEOREM_WARMUP + horizons[-1])
+                    * acceptance.THEOREM_ARRIVAL_RATE * len(suite._seeds())]
     want = [acceptance._theorem_entry(seed, horizons) for seed in suite._seeds()]
     assert bits(runs) == bits(want)
 
@@ -131,6 +134,8 @@ def test_pooled_sweep_equals_a_per_point_oracle(monkeypatch):
     seen = spy_events(monkeypatch, experiments)
     surface = experiments.run_sweep(config)
     assert len(seen) == 1 and seen[0] >= _parallel.POOL_MIN_EVENTS
+    assert seen == [2 * (config.warmup + config.horizon) / config.arrival.mean()
+                    * (len(config.rate_grid) * len(config.seeds))]
 
     shape = (len(config.rate_grid), len(config.seeds))
     per_seed = {name: np.zeros(shape)

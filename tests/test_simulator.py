@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gg1lab.distributions import deterministic, exponential, gamma, uniform
+from gg1lab import simulator
+from gg1lab.distributions import (
+    DistributionSpec,
+    deterministic,
+    exponential,
+    gamma,
+    lognormal,
+    uniform,
+)
 from gg1lab.simulator import (
     EventCapExceeded,
     Trajectory,
@@ -229,12 +237,15 @@ def test_overloaded_run_stops_at_event_cap(discipline, horizon):
 
 
 # Dense arrivals.  With gaps of 1e-150 the window alone holds more events
-# than the cap.  With gaps of 1/30,000, LCFS starves the two window
-# customers, and the first 256-slot drain chunk spans 7.7e6 arrivals while
-# the events up to its first departure stay under the cap.  Either way the
-# run stops at the cap, having drawn about the cap's worth of epochs.
+# than the cap; over a window of 1e200 the expected arrivals overflow to
+# inf, and the first arrival draw is one block.  With gaps of 1/30,000,
+# LCFS starves the two window customers, and the first 256-slot drain
+# chunk spans 7.7e6 arrivals while the events up to its first departure
+# stay under the cap.  Either way the run stops at the cap, having drawn
+# about the cap's worth of epochs.
 @pytest.mark.parametrize("gap,service,discipline,horizon,cap", [
     (1e-150, exponential(1.0), "fcfs", 1.0, 10_000),
+    (1e-150, exponential(1.0), "fcfs", 1e200, 1000),
     (1 / 3e4, deterministic(1.0), "lcfs", 2.5 / 3e4, 100_000),
 ])
 def test_dense_arrivals_stop_at_event_cap(gap, service, discipline, horizon, cap):
@@ -252,6 +263,36 @@ def test_dense_arrivals_stop_at_event_cap(gap, service, discipline, horizon, cap
     assert peak < 16 * 2**20
     assert got == cap_error(reference_engine.simulate, *args, **kwargs)
     assert got[1] == cap
+
+
+def test_a_short_run_draws_about_what_it_uses(monkeypatch):
+    # each chunk draws its own services and random-order picks, and the
+    # first arrival draw is sized from the window, so a run of ~160
+    # customers draws no block of 16,384
+    drawn = []
+    sample = DistributionSpec.sample
+
+    def counted_sample(spec, rng, size):
+        drawn.append(size)
+        return sample(spec, rng, size)
+
+    class CountedPicks:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def random(self, size):
+            drawn.append(size)
+            return self._rng.random(size)
+
+    init = simulator._Queue.__init__
+    monkeypatch.setattr(DistributionSpec, "sample", counted_sample)
+    monkeypatch.setattr(simulator._Queue, "__init__",
+                        lambda queue, mode, rng: init(queue, mode, CountedPicks(rng)))
+    for discipline in ("fcfs", "lcfs", "random-order"):
+        drawn.clear()
+        _, ledger = simulate(exponential(0.8), lognormal(-0.3, 0.6), discipline=discipline,
+                             horizon=200.0, seed=1)
+        assert 2 * len(ledger) < sum(drawn) < 2000
 
 
 def test_argument_validation():
